@@ -23,7 +23,6 @@ def main(argv=None):
                     help="comma-joined A1 coefficients (or fundamental "
                          "indices at higher rank) allowed per factor")
     ap.add_argument("--kinds", default="C,vC,MC,AC")
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args(argv)
 
     cartan = cartan_type_a(args.rank)
@@ -37,8 +36,7 @@ def main(argv=None):
     for kind in args.kinds.split(","):
         for n in range(3, args.max_n + 1):
             tuples = sorted(set(product(choices, repeat=n)))
-            rep = verify_relations(cartan, kind, n, tuples,
-                                   threads=args.threads)
+            rep = verify_relations(cartan, kind, n, tuples)
             verdict = "ok" if rep["passed"] else "FAIL"
             print("%-3s n=%d  relations=%-4d points=%-6d %6.2fs  %s"
                   % (kind, n, rep["relations"], rep["points"],

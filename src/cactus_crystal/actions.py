@@ -4,7 +4,17 @@ A point carries the tuple of highest weights of the factors together with one
 element id per factor.  Interval generators s_ij apply the cached reversal of
 the subproduct i..j to the entries and reverse the weight labels; permutation
 generators act by pulling: entry k of the image is entry w(k) of the source.
-Affine letters are straightened into virtual ones first.
+Affine letters are straightened into virtual ones first.  act and act_word
+are the definition of the action on a single point.
+
+verify_relations runs on a compiled form of the same action.  CompiledAction
+lists every point of the closure of the supplied weight tuples under
+reordering once, since every generator maps that set to itself, and turns
+each generator letter, on first use, into the flat list of the ids of its
+images, computed by act.  A word then acts on a list of ids by composing
+lists, and a relation holds when both sides send every supplied point to the
+same id.  The point budget counts the points of that closure, which is what
+the engine holds, not only the supplied points.
 """
 
 from __future__ import annotations
@@ -146,64 +156,93 @@ def weight_orderings(weights):
     return sorted(set(permutations(tuple(tuple(w) for w in weights))))
 
 
-def verify_relations(cartan, kind, n, weight_tuples, max_points=None, threads=1,
+class CompiledAction:
+    """The action on the reordering closure of some weight tuples, as arrays.
+
+    points lists every point of the closure once and index maps a point to
+    its id.  table(g) is the list [index[act(cartan, g, p)] for p in points],
+    built on first use; image(word, ids) composes those lists.  The closure
+    is checked against the point budget before any point is listed.
+    """
+
+    def __init__(self, cartan, weight_tuples, max_points=None):
+        budget = max_points if max_points is not None else point_budget()
+        closure = sorted({o for t in weight_tuples for o in weight_orderings(t)})
+        total = sum(count_points(cartan, t) for t in closure)
+        if total > budget:
+            raise GroupError(
+                "point space has %d points, over the budget of %d; "
+                "raise %s to override" % (total, budget, MAX_POINTS_ENV))
+        self.cartan = cartan
+        self.points = [p for t in closure for p in iter_points(cartan, t)]
+        self.index = {p: k for k, p in enumerate(self.points)}
+        self._tables = {}
+
+    def table(self, gen):
+        table = self._tables.get(gen)
+        if table is None:
+            index = self.index
+            table = [index[act(self.cartan, gen, p)] for p in self.points]
+            self._tables[gen] = table
+        return table
+
+    def image(self, word, ids):
+        """Ids of the images of the points ids under word, leftmost first."""
+        for g in word.gens:
+            table = self.table(g)
+            ids = [table[k] for k in ids]
+        return ids
+
+
+def _point_json(p):
+    return [list(p.weights), list(p.entries)]
+
+
+def verify_relations(cartan, kind, n, weight_tuples, max_points=None,
                      max_failures=5):
     """Exhaustively check every defining relation on every supplied point.
 
     weight_tuples is a list of weight tuples of length n; the point space is
     their disjoint union.  Returns a report dict; report["passed"] is the
-    verdict and report["failures"] holds up to max_failures witnesses.
+    verdict and report["failures"] holds up to max_failures witnesses, in
+    relation order and, within a relation, in supplied point order.
     """
-    budget = max_points if max_points is not None else point_budget()
     tuples = [tuple(tuple(w) for w in t) for t in weight_tuples]
     for t in tuples:
         if len(t) != n:
             raise GroupError("weight tuple %r does not have %d factors" % (t, n))
-    total = sum(count_points(cartan, t) for t in tuples)
-    if total > budget:
-        raise GroupError(
-            "point space has %d points, over the budget of %d; "
-            "raise %s to override" % (total, budget, MAX_POINTS_ENV))
+    engine = CompiledAction(cartan, tuples, max_points=max_points)
     relations = (mc_relation_suite(n) if kind == "MC"
                  else defining_relation_families(kind, n))
-    points = [p for t in tuples for p in iter_points(cartan, t)]
-
-    def check_one(item):
-        family, lhs, rhs = item
-        bad = []
-        for p in points:
-            left = act_word(cartan, lhs, p)
-            right = act_word(cartan, rhs, p)
-            if left != right:
-                bad.append({"family": family, "lhs": str(lhs), "rhs": str(rhs),
-                            "point": [list(p.weights), list(p.entries)],
-                            "got": [list(left.weights), list(left.entries)],
-                            "expected": [list(right.weights), list(right.entries)]})
-                if len(bad) >= max_failures:
-                    break
-        return family, bad
+    points = engine.points
+    sources = [engine.index[p] for t in tuples for p in iter_points(cartan, t)]
 
     start = time.monotonic()
     families = {}
     failures = []
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(check_one, relations))
-    else:
-        results = [check_one(r) for r in relations]
-    for family, bad in results:
-        families.setdefault(family, {"relations": 0, "instances": 0})
-        families[family]["relations"] += 1
-        families[family]["instances"] += len(points)
-        if len(failures) < max_failures:
-            failures.extend(bad[:max_failures - len(failures)])
+    for family, lhs, rhs in relations:
+        left = engine.image(lhs, sources)
+        right = engine.image(rhs, sources)
+        counts = families.setdefault(family, {"relations": 0, "instances": 0})
+        counts["relations"] += 1
+        counts["instances"] += len(sources)
+        if left == right or len(failures) >= max_failures:
+            continue
+        for s, a, b in zip(sources, left, right):
+            if a != b:
+                failures.append({"family": family, "lhs": str(lhs),
+                                 "rhs": str(rhs),
+                                 "point": _point_json(points[s]),
+                                 "got": _point_json(points[a]),
+                                 "expected": _point_json(points[b])})
+                if len(failures) >= max_failures:
+                    break
     return {
         "cartan": cartan_to_json(cartan),
         "kind": kind,
         "n": n,
         "weight_tuples": [[list(w) for w in t] for t in tuples],
-        "points": total,
+        "points": len(sources),
         "relations": len(relations),
         "families": families,
         "failures": failures,

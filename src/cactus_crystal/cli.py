@@ -15,7 +15,6 @@ import time
 
 from . import __version__
 from .actions import (
-    ActionContext,
     LabeledPoint,
     act_word,
     contains_alternating,
@@ -136,7 +135,7 @@ def _parse_tableau(text):
     return tuple(r for r in rows if r)
 
 
-def _parse_point(text, weights):
+def _parse_point(text, weights, cartan):
     try:
         entries = tuple(int(v) for v in text.split(","))
     except ValueError:
@@ -144,6 +143,11 @@ def _parse_point(text, weights):
     if len(entries) != len(weights):
         raise UsageError("point has %d entries, expected %d"
                          % (len(entries), len(weights)))
+    for k, (w, e) in enumerate(zip(weights, entries), 1):
+        size = build_irreducible(cartan, w).size
+        if not 0 <= e < size:
+            raise UsageError("point entry %d of factor %d is out of range "
+                             "0..%d" % (e, k, size - 1))
     return LabeledPoint(tuple(weights), entries)
 
 
@@ -253,7 +257,7 @@ def cmd_act(args):
     cartan = _parse_cartan(args)
     weights = _parse_weights(args.weights, cartan.rank)
     word = parse_word(args.word, args.kind, len(weights))
-    point = _parse_point(args.point, weights)
+    point = _parse_point(args.point, weights, cartan)
     out = act_word(cartan, word, point)
     payload = _report("act", True, kind=args.kind, word=format_word(word),
                       point={"weights": [list(w) for w in point.weights],
@@ -282,8 +286,7 @@ def cmd_verify(args):
             raise UsageError("--weights gives %d factors, --n is %d"
                              % (len(base), args.n))
         tuples = weight_orderings(base) if args.all_orderings else [tuple(base)]
-    rep = verify_relations(cartan, args.kind, args.n, tuples,
-                           threads=args.threads)
+    rep = verify_relations(cartan, args.kind, args.n, tuples)
     payload = _report("verify", rep["passed"], **rep)
     _emit(args, payload)
     return 0 if rep["passed"] else 1
@@ -294,7 +297,7 @@ def cmd_orbit(args):
     weights = _parse_weights(args.weights, cartan.rank)
     words = [parse_word(w, args.kind, len(weights))
              for w in args.gens.split(";")]
-    point = _parse_point(args.point, weights)
+    point = _parse_point(args.point, weights, cartan)
     pts = orbit(cartan, words, point)
     payload = _report("orbit", True, kind=args.kind, size=len(pts),
                       points=[{"weights": [list(w) for w in p.weights],
@@ -471,7 +474,6 @@ def build_parser():
             p.add_argument("--emit", choices=("json", "dot"), default="json")
             p.add_argument("--out", help="write output to this file")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("crystal", help="export one irreducible crystal")
     add_common(p)

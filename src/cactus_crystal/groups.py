@@ -246,6 +246,8 @@ def _contained_cyclically(n, outer, inner):
 
 def defining_relation_families(kind, n):
     """List of (family, lhs, rhs) word pairs presenting the flavour."""
+    if n < 2:
+        raise GroupError("need n >= 2")
     if kind == "MC":
         raise GroupError("the mirabolic flavour has no known presentation")
     rels = []
@@ -319,6 +321,9 @@ def mc_relation_suite(n):
     cabled relations whose permutation is a translating transposition), and
     the interval relations inherited from the plain flavour.
     """
+    if n < 2:
+        raise GroupError("need n >= 2")
+
     def w_(gens):
         return GroupWord("MC", n, tuple(gens))
     rels = []

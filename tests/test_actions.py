@@ -1,7 +1,12 @@
+import time
+from itertools import product
+
 import pytest
 
+from cactus_crystal import actions
 from cactus_crystal.actions import (
     ActionContext,
+    CompiledAction,
     DEFAULT_MAX_POINTS,
     LabeledPoint,
     MAX_POINTS_ENV,
@@ -24,6 +29,8 @@ from cactus_crystal.groups import (
     GroupError,
     MirabolicT,
     PermGen,
+    defining_relation_families,
+    mc_relation_suite,
     parse_word,
     project_to_symmetric,
     word,
@@ -179,7 +186,7 @@ def test_verify_relations_all_kinds_small():
 
 def test_verify_relations_threaded_agrees():
     a = verify_relations(A2, "C", 3, [((1, 0), (0, 1), (1, 0))])
-    b = verify_relations(A2, "C", 3, [((1, 0), (0, 1), (1, 0))], threads=2)
+    b = verify_relations(A2, "C", 3, [((1, 0), (0, 1), (1, 0))])
     assert a["passed"] and b["passed"]
     assert a["families"] == b["families"]
 
@@ -187,6 +194,90 @@ def test_verify_relations_threaded_agrees():
 def test_verify_relations_budget():
     with pytest.raises(GroupError, match=MAX_POINTS_ENV):
         verify_relations(A1, "C", 3, [W111], max_points=4)
+
+
+def test_verify_relations_budget_counts_the_reordering_closure(monkeypatch):
+    w123 = ((1,), (2,), (3,))
+    assert count_points(A1, w123) == 24
+    with pytest.raises(GroupError, match="144 points"):
+        verify_relations(A1, "C", 3, [w123], max_points=100)
+    monkeypatch.setenv(MAX_POINTS_ENV, "100")
+    with pytest.raises(GroupError, match=MAX_POINTS_ENV):
+        verify_relations(A1, "C", 3, [w123])
+    monkeypatch.setenv(MAX_POINTS_ENV, "144")
+    assert verify_relations(A1, "C", 3, [w123])["points"] == 24
+
+
+def _relations(kind, n):
+    return (mc_relation_suite(n) if kind == "MC"
+            else defining_relation_families(kind, n))
+
+
+@pytest.mark.parametrize("cartan, kind, choices", [
+    (A1, "C", [(1,), (2,)]),
+    (A1, "vC", [(1,), (2,)]),
+    (A1, "MC", [(1,), (2,)]),
+    (A1, "AC", [(1,), (2,)]),
+    (A2, "vC", [(1, 0), (0, 1)]),
+])
+def test_compiled_images_match_act_word(cartan, kind, choices):
+    tuples = sorted(set(product(choices, repeat=3)))
+    engine = CompiledAction(cartan, tuples)
+    sources = [p for t in tuples for p in iter_points(cartan, t)]
+    ids = [engine.index[p] for p in sources]
+    for _, lhs, rhs in _relations(kind, 3):
+        for w in (lhs, rhs):
+            got = [engine.points[k] for k in engine.image(w, ids)]
+            assert got == [act_word(cartan, w, p) for p in sources], str(w)
+
+
+def _plain_failures(cartan, kind, n, tuples, max_failures):
+    """Witnesses as a point-by-point sweep with act_word finds them."""
+    def js(p):
+        return [list(p.weights), list(p.entries)]
+    out = []
+    for family, lhs, rhs in _relations(kind, n):
+        for t in tuples:
+            for p in iter_points(cartan, t):
+                left, right = act_word(cartan, lhs, p), act_word(cartan, rhs, p)
+                if left != right and len(out) < max_failures:
+                    out.append({"family": family, "lhs": str(lhs),
+                                "rhs": str(rhs), "point": js(p),
+                                "got": js(left), "expected": js(right)})
+    return out
+
+
+@pytest.mark.parametrize("swap", [slice(None, 2), slice(-2, None)])
+@pytest.mark.parametrize("max_failures", [1, 5, 40])
+def test_wrong_reversal_table_is_caught(monkeypatch, max_failures, swap):
+    right = actions.reversal_table
+
+    def wrong(cartan, weights):
+        table = dict(right(cartan, weights))
+        if len(table) > 1:
+            a, b = sorted(table)[swap]
+            table[a], table[b] = table[b], table[a]
+        return table
+
+    monkeypatch.setattr(actions, "reversal_table", wrong)
+    tuples = sorted(set(product([(1,), (2,)], repeat=3)))
+    rep = verify_relations(A1, "C", 3, tuples, max_failures=max_failures)
+    expected = _plain_failures(A1, "C", 3, tuples, max_failures)
+    assert rep["passed"] is False
+    assert len(expected) == max_failures
+    assert rep["failures"] == expected
+
+
+def test_verify_vc5_exhaustive():
+    start = time.monotonic()
+    tuples = sorted(set(product([(1,), (2,)], repeat=5)))
+    rep = verify_relations(A1, "vC", 5, tuples)
+    elapsed = time.monotonic() - start
+    assert rep["passed"] is True, rep["failures"][:1]
+    assert rep["relations"] == 14559 and rep["points"] == 3125
+    assert set(rep["families"]) == {"involution", "disjoint", "nesting",
+                                    "perm_table", "cabled"}
+    assert elapsed < 30, "vC n=5 took %.1fs, bound 30s" % elapsed
 
 
 def test_verify_relations_shape_mismatch():

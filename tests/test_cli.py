@@ -137,8 +137,25 @@ def test_verify_passing(capsys):
 
 def test_verify_choices_and_threads(capsys):
     code, payload, _ = run(capsys, ["verify", "--kind", "vC", "--n", "3",
-                                    "--choices", "1", "--threads", "2"])
+                                    "--choices", "1"])
     assert code == 0 and payload["passed"] is True
+
+
+def test_verify_one_factor_is_usage_error(capsys):
+    code, _, captured = run(capsys, ["verify", "--kind", "C", "--weights", "1"])
+    assert code == 2 and "need n >= 2" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["act", "--weights", "1 2", "--word", "s1_2", "--point", "0,9"],
+    ["act", "--kind", "vC", "--weights", "1 2", "--word", "w[2,1]",
+     "--point", "0,-1"],
+    ["orbit", "--weights", "1 2", "--gens", "s1_2", "--point", "2,0"],
+])
+def test_out_of_range_point_is_usage_error(capsys, argv):
+    code, payload, captured = run(capsys, argv)
+    assert code == 2 and payload is None
+    assert captured.err.startswith("error:") and "out of range" in captured.err
 
 
 def test_verify_needs_weights(capsys):

@@ -225,6 +225,15 @@ def test_mc_has_no_presentation():
         defining_relation_families("MC", 4)
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_relations_need_two_factors(n):
+    for kind in ("C", "vC", "MC", "AC"):
+        with pytest.raises(GroupError, match="need n >= 2"):
+            defining_relation_families(kind, n)
+    with pytest.raises(GroupError, match="need n >= 2"):
+        mc_relation_suite(n)
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_mc_suite_projects_consistently(n):
     suite = mc_relation_suite(n)
