@@ -42,23 +42,37 @@ def _ckey(c):
 
 @dataclass
 class CategoryData:
+    """Category data over a finite colour set.
+
+    Treated as immutable after construction: the decompositions
+    ``comp(a, b)`` are indexed from ``mult`` once, so changed tables go into
+    a new object, as ``mutate_category``, ``category_from_json`` and
+    ``category_from_covering`` do.
+    """
+
     core_colours: tuple
     cl: dict
     mult: dict
     sigma: dict
     phi: dict
     assoc: dict
+    _comp: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        comp = {}
+        for a, b, mu in self.mult:
+            comp.setdefault((a, b), set()).add(mu)
+        self._comp = {pair: tuple(sorted(mus, key=_ckey))
+                      for pair, mus in comp.items()}
 
     def colours(self):
         return sorted(self.cl, key=_ckey)
 
     def pairs_with_mult(self):
-        return sorted({(a, b) for (a, b, _) in self.mult},
-                      key=lambda p: (_ckey(p[0]), _ckey(p[1])))
+        return sorted(self._comp, key=lambda p: (_ckey(p[0]), _ckey(p[1])))
 
     def comp(self, a, b):
-        return sorted({mu for (x, y, mu) in self.mult if (x, y) == (a, b)},
-                      key=_ckey)
+        return list(self._comp.get((a, b), ()))
 
 
 def needed_triples(core, comp):
@@ -329,8 +343,15 @@ def validate(data, fail_fast=False):
 
     for pair, table in data.phi.items():
         a, b = pair
+        mus = data.comp(a, b)
+        missing = sorted({a, b, *mus} - data.cl.keys(), key=_ckey)
+        if missing:
+            if fail("phi_bijection", str(pair),
+                    "no element set for %r" % (missing,)):
+                return report()
+            continue
         domain = set()
-        for mu in data.comp(a, b):
+        for mu in mus:
             for m in data.mult[(a, b, mu)]:
                 for x in data.cl[mu]:
                     domain.add((mu, m, x))
@@ -343,6 +364,12 @@ def validate(data, fail_fast=False):
 
     for pair, table in data.sigma.items():
         a, b = pair
+        missing = sorted({a, b} - data.cl.keys(), key=_ckey)
+        if missing:
+            if fail("sigma_bijection", str(pair),
+                    "no element set for %r" % (missing,)):
+                return report()
+            continue
         err = _check_bijection(table, set(product(data.cl[a], data.cl[b])),
                                set(product(data.cl[b], data.cl[a])))
         if err:
@@ -405,12 +432,12 @@ def validate(data, fail_fast=False):
         try:
             lhs_outer = sigma_right_composite(data, a, (c, b))
             rhs_outer = sigma_left_composite(data, (b, a), c)
+            sig_bc = data.sigma[(b, c)]
+            sig_ab = data.sigma[(a, b)]
         except (KeyError, CategoryError) as exc:
             if fail("hexagon", str((a, b, c)), "missing data: %s" % exc):
                 return report()
             continue
-        sig_bc = data.sigma[(b, c)]
-        sig_ab = data.sigma[(a, b)]
         bad = False
         for x, y, z in product(data.cl[a], data.cl[b], data.cl[c]):
             u, v = sig_bc[(y, z)]
@@ -584,24 +611,40 @@ def category_to_json(data):
 
 
 def category_from_json(doc):
-    if doc.get("format") != "coboundary-category-data":
+    if not isinstance(doc, dict) \
+            or doc.get("format") != "coboundary-category-data":
         raise CategoryError("not a category data document")
-    f = _colour_from_str
-    cl = {f(k): tuple(v) for k, v in doc["cl"].items()}
-    mult = {(f(a), f(b), f(mu)): tuple(ids) for a, b, mu, ids in doc["mult"]}
-    sigma = {}
-    for a, b, entries in doc["sigma"]:
-        sigma[(f(a), f(b))] = {tuple(k): tuple(v) for k, v in entries}
-    phi = {}
-    for a, b, entries in doc["phi"]:
-        phi[(f(a), f(b))] = {(f(k[0]), k[1], k[2]): tuple(v) for k, v in entries}
-    assoc = {}
-    for a, b, c, entries in doc["assoc"]:
-        assoc[(f(a), f(b), f(c))] = {
-            (f(k[0]), f(k[1]), k[2], k[3]): (f(v[0]), f(v[1]), v[2], v[3])
-            for k, v in entries}
-    return CategoryData(core_colours=tuple(f(x) for x in doc["core_colours"]),
-                        cl=cl, mult=mult, sigma=sigma, phi=phi, assoc=assoc)
+    for key in ("core_colours", "cl", "mult", "sigma", "phi", "assoc"):
+        if key not in doc:
+            raise CategoryError("category data document has no %r" % key)
+    colours = {}
+
+    def f(s):
+        if s not in colours:
+            colours[s] = _colour_from_str(s)
+        return colours[s]
+
+    try:
+        cl = {f(k): tuple(v) for k, v in doc["cl"].items()}
+        mult = {(f(a), f(b), f(mu)): tuple(ids)
+                for a, b, mu, ids in doc["mult"]}
+        sigma = {}
+        for a, b, entries in doc["sigma"]:
+            sigma[(f(a), f(b))] = {tuple(k): tuple(v) for k, v in entries}
+        phi = {}
+        for a, b, entries in doc["phi"]:
+            phi[(f(a), f(b))] = {(f(k[0]), k[1], k[2]): tuple(v)
+                                 for k, v in entries}
+        assoc = {}
+        for a, b, c, entries in doc["assoc"]:
+            assoc[(f(a), f(b), f(c))] = {
+                (f(k[0]), f(k[1]), k[2], k[3]): (f(v[0]), f(v[1]), v[2], v[3])
+                for k, v in entries}
+        core = tuple(f(x) for x in doc["core_colours"])
+    except (AttributeError, IndexError, TypeError, ValueError) as exc:
+        raise CategoryError("malformed category data: %s" % exc) from None
+    return CategoryData(core_colours=core, cl=cl, mult=mult, sigma=sigma,
+                        phi=phi, assoc=assoc)
 
 
 @dataclass

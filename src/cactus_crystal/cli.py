@@ -307,7 +307,10 @@ def cmd_orbit(args):
 
 
 def cmd_image(args):
-    shape = tuple(int(v) for v in args.shape.split(","))
+    try:
+        shape = tuple(int(v) for v in args.shape.split(","))
+    except ValueError:
+        raise UsageError("bad shape %r" % args.shape) from None
     n = sum(shape)
     states = standard_tableaux(shape)
     maps = []
@@ -377,7 +380,10 @@ def cmd_bk(args):
         return 0 if found else 1
     t = _parse_tableau(args.tableau)
     if args.interval:
-        i, j = (int(v) for v in args.interval.split(","))
+        try:
+            i, j = (int(v) for v in args.interval.split(","))
+        except ValueError:
+            raise UsageError("--interval wants 'i,j'") from None
         out = bk_cactus_act(i, j, t)
         op = "q%d_%d" % (i, j)
     elif args.i is not None:
@@ -399,8 +405,13 @@ def cmd_crosscheck(args):
 
 
 def _load_category(path):
-    with open(path) as fh:
-        return category_from_json(json.load(fh))
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise UsageError("cannot read category data %r: %s" % (path, exc)) \
+            from None
+    return category_from_json(doc)
 
 
 def cmd_category(args):

@@ -59,6 +59,7 @@ class CrystalGraph:
     _eps: dict = field(default=None, repr=False)
     _phi: dict = field(default=None, repr=False)
     _label_index: dict = field(default=None, repr=False)
+    _heads: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.labels is None:
@@ -108,8 +109,11 @@ class CrystalGraph:
         return self._label_index[label]
 
     def highest_weight_elements(self):
-        return [b for b in self.elements()
-                if all(self.e_maps[i][b] is None for i in self.index_range())]
+        if self._heads is None:
+            self._heads = tuple(
+                b for b in self.elements()
+                if all(self.e_maps[i][b] is None for i in self.index_range()))
+        return list(self._heads)
 
     def lowest_weight_elements(self):
         return [b for b in self.elements()

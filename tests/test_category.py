@@ -1,9 +1,11 @@
 import json
+from dataclasses import replace
 
 import pytest
 
 from cactus_crystal.cartan import cartan_type_a
 from cactus_crystal.category_data import (
+    CategoryData,
     CategoryError,
     UNIT_X,
     category_from_covering,
@@ -19,10 +21,13 @@ from cactus_crystal.category_data import (
     validate,
     verify_fiber_system,
 )
+from cactus_crystal.crystal import build_irreducible, tensor
 
 A1 = cartan_type_a(1)
+A2 = cartan_type_a(2)
 
 CORE_A1 = [(0,), (1,), (2,)]
+CORE_A2 = [(0, 0), (1, 0), (0, 1), (1, 1)]
 
 
 @pytest.fixture(scope="module")
@@ -148,7 +153,6 @@ def test_covering_refuses_invalid_input(a1_data):
 
 
 def _tampered(fs, **overrides):
-    from dataclasses import replace
     return replace(fs, **overrides)
 
 
@@ -182,3 +186,144 @@ def test_tampered_glue_map_detected(a1_cover):
     fs = _tampered(a1_cover, gamma2=gamma2)
     bad_cat = category_from_covering(fs)
     assert not is_valid(bad_cat)
+
+
+def test_json_names_a_missing_table(a1_data):
+    doc = category_to_json(a1_data)
+    del doc["cl"]
+    with pytest.raises(CategoryError, match="'cl'"):
+        category_from_json(doc)
+
+
+@pytest.mark.parametrize("patch", [
+    {"mult": 5},
+    {"sigma": [["0", "1"]]},
+    {"phi": [["0", "0", [[["0", "0"], ["0", "0"]]]]]},
+    {"cl": {"0": 7}},
+])
+def test_json_malformed_tables_are_category_errors(a1_data, patch):
+    doc = dict(category_to_json(a1_data), **patch)
+    with pytest.raises(CategoryError, match="malformed"):
+        category_from_json(doc)
+
+
+def test_validate_reports_missing_sigma_table(a1_data):
+    sigma = dict(a1_data.sigma)
+    del sigma[((1,), (2,))]
+    data = replace(a1_data, sigma=sigma)
+    rep = validate(data)
+    assert rep["passed"] is False
+    assert rep["failures"][0] == {
+        "check": "hexagon", "instance": str(((0,), (1,), (2,))), "ok": False,
+        "detail": "missing data: %s" % (((1,), (2,)),)}
+    assert {f["check"] for f in rep["failures"]} == {"hexagon"}
+    assert not is_valid(data)
+
+
+@pytest.mark.parametrize("colour", [(0,), (3,), (6,)])
+def test_validate_reports_missing_element_set(a1_data, colour):
+    cl = dict(a1_data.cl)
+    del cl[colour]
+    data = replace(a1_data, cl=cl)
+    rep = validate(data)
+    assert rep["passed"] is False
+    assert {"mult_sets", "phi_bijection"} <= {f["check"]
+                                              for f in rep["failures"]}
+    assert any(f["check"] == "phi_bijection"
+               and f["detail"] == "no element set for %r" % ([colour],)
+               for f in rep["failures"])
+    assert not is_valid(data)
+
+
+# -- the derived indexes against plain scans -------------------------------
+
+
+def _scan_comp(data, a, b):
+    # all colours of these cores are integer tuples, so plain order applies
+    return sorted({mu for (x, y, mu) in data.mult if (x, y) == (a, b)})
+
+
+def _assert_comp_matches_scan(data):
+    colours = sorted(set(data.cl) | {mu for key in data.mult for mu in key},
+                     key=repr) + ["not a colour"]
+    for a in colours:
+        for b in colours:
+            assert data.comp(a, b) == _scan_comp(data, a, b), (a, b)
+    # the answer is a fresh list
+    pair = next(iter(data.mult))[:2]
+    data.comp(*pair).append("junk")
+    assert "junk" not in data.comp(*pair)
+    assert data.comp("not a colour", "not a colour") == []
+
+
+@pytest.fixture(scope="module")
+def a2_data():
+    return from_crystals(A2, CORE_A2)
+
+
+@pytest.fixture(params=["A1", "A2"])
+def core_data(request, a1_data, a2_data):
+    return {"A1": a1_data, "A2": a2_data}[request.param]
+
+
+def test_comp_index_matches_scan(core_data):
+    _assert_comp_matches_scan(core_data)
+
+
+def test_comp_index_matches_scan_on_mutants(core_data):
+    for seed in range(20):
+        mutant, _ = mutate_category(core_data, seed=seed)
+        _assert_comp_matches_scan(mutant)
+
+
+def test_comp_index_matches_scan_after_json(core_data):
+    back = category_from_json(json.loads(json.dumps(
+        category_to_json(core_data))))
+    assert back == core_data
+    _assert_comp_matches_scan(back)
+
+
+def test_comp_index_is_built_per_object(a1_data):
+    # dropping one ordered pair makes mult asymmetric
+    mult = {k: v for k, v in a1_data.mult.items()
+            if k[:2] != ((1,), (2,))}
+    data = CategoryData(a1_data.core_colours, a1_data.cl, mult,
+                        a1_data.sigma, a1_data.phi, a1_data.assoc)
+    _assert_comp_matches_scan(data)
+    assert data.comp((1,), (2,)) == []
+    assert data.comp((2,), (1,)) == [(1,), (3,)]
+    assert a1_data.comp((1,), (2,)) == [(1,), (3,)]
+    assert data != a1_data
+    assert replace(data, mult=a1_data.mult) == a1_data
+    assert replace(data, mult=a1_data.mult).comp((1,), (2,)) == [(1,), (3,)]
+
+
+def _scan_heads(graph):
+    return [b for b in graph.elements()
+            if all(graph.e(i, b) is None for i in graph.index_range())]
+
+
+@pytest.mark.parametrize("cartan, core", [(A1, CORE_A1), (A2, CORE_A2)])
+def test_highest_weight_cache_matches_scan(cartan, core, a1_data, a2_data):
+    data = a1_data if cartan is A1 else a2_data
+    pairs = needed_pairs(data.core_colours, data.comp)["mult"]
+    assert pairs
+    for a, b in pairs:
+        t = tensor(build_irreducible(cartan, a), build_irreducible(cartan, b))
+        heads = t.highest_weight_elements()
+        assert heads == _scan_heads(t), (a, b)
+        heads.append(-1)
+        assert t.highest_weight_elements() == _scan_heads(t)
+        assert sorted(data.comp(a, b)) == sorted({t.wt(h) for h in heads[:-1]})
+
+
+def test_highest_weight_cache_leaves_equality_alone():
+    left = tensor(build_irreducible(A2, (1, 0)), build_irreducible(A2, (1, 1)))
+    right = tensor(build_irreducible(A2, (1, 0)), build_irreducible(A2, (1, 1)))
+    assert left is not right
+    text = repr(right)
+    left.highest_weight_elements()
+    assert left == right and right == left
+    assert repr(left) == text
+    right.highest_weight_elements()
+    assert left == right

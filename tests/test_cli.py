@@ -297,3 +297,38 @@ def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["image", "--shape", "2,x"],
+    ["bk", "--tableau", "1,2;3", "--interval", "1"],
+    ["bk", "--tableau", "1,2;3", "--interval", "1,x"],
+])
+def test_bad_shape_and_interval_are_usage_errors(capsys, argv):
+    code, payload, captured = run(capsys, argv)
+    assert code == 2 and payload is None
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+
+
+def _bad_category_inputs(tmp_path):
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text("{not json")
+    no_cl = tmp_path / "no_cl.json"
+    doc = category_to_json(from_crystals(cartan_type_a(1), [(0,), (1,)]))
+    del doc["cl"]
+    no_cl.write_text(json.dumps(doc))
+    return {"invalid JSON": bad_json, "directory": tmp_path,
+            "missing 'cl'": no_cl}
+
+
+@pytest.mark.parametrize("op", ["validate", "roundtrip", "mutate"])
+@pytest.mark.parametrize("case", ["invalid JSON", "directory", "missing 'cl'"])
+def test_bad_category_input_is_usage_error(tmp_path, capsys, op, case):
+    path = _bad_category_inputs(tmp_path)[case]
+    code, payload, captured = run(capsys, ["category", op,
+                                           "--input", str(path)])
+    assert code == 2 and payload is None
+    assert captured.err.startswith("error:")
+    if case == "missing 'cl'":
+        assert "'cl'" in captured.err
