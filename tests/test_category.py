@@ -303,9 +303,9 @@ def _scan_heads(graph):
             if all(graph.e(i, b) is None for i in graph.index_range())]
 
 
-@pytest.mark.parametrize("cartan, core", [(A1, CORE_A1), (A2, CORE_A2)])
-def test_highest_weight_cache_matches_scan(cartan, core, a1_data, a2_data):
-    data = a1_data if cartan is A1 else a2_data
+def test_highest_weight_cache_matches_scan(core_data):
+    data = core_data
+    cartan = cartan_type_a(len(data.core_colours[0]))
     pairs = needed_pairs(data.core_colours, data.comp)["mult"]
     assert pairs
     for a, b in pairs:
