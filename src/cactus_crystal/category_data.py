@@ -824,7 +824,11 @@ def category_from_covering(fs):
 
 
 def verify_fiber_system(fs):
-    """Internal consistency of the covering: typing, genuineness, naturality."""
+    """Internal consistency of the covering: typing, genuineness, naturality.
+
+    A table or entry that a check needs and cannot find is a failure of that
+    check ("missing data: ..."), never a KeyError or a skipped instance.
+    """
     checks = []
 
     def fail(name, instance, detail):
@@ -833,6 +837,9 @@ def verify_fiber_system(fs):
 
     def ok(name, count):
         checks.append({"check": name, "instances": count, "ok": True})
+
+    def missing(name, instance, exc):
+        fail(name, instance, "missing data: %s" % exc)
 
     count = 0
     for (tup, mu), elts in fs.x.items():
@@ -843,14 +850,18 @@ def verify_fiber_system(fs):
 
     count = 0
     for (tup, key), table in fs.e_act.items():
-        pts = list(product(*(fs.e1[c] for c in tup)))
+        count += 1
         i, j = key[1], key[2]
         target = tup[:i - 1] + tuple(reversed(tup[i - 1:j])) + tup[j:]
-        tgt_pts = set(product(*(fs.e1[c] for c in target)))
+        try:
+            pts = list(product(*(fs.e1[c] for c in tup)))
+            tgt_pts = set(product(*(fs.e1[c] for c in target)))
+        except KeyError as exc:
+            missing("e_act_bijection", str((tup, key)), exc)
+            continue
         if set(table) != set(pts) or set(table.values()) != tgt_pts \
                 or len(set(table.values())) != len(table):
             fail("e_act_bijection", str((tup, key)), "not a fibre bijection")
-        count += 1
     ok("e_act_bijection", count)
 
     count = 0
@@ -861,60 +872,70 @@ def verify_fiber_system(fs):
         if j - i != 1:
             continue
         pair = (tup[i - 1], tup[i])
-        sub = fs.e_act.get((pair, _skey(1, 2)))
-        if sub is None:
-            continue
-        for pt, out in table.items():
-            count += 1
-            u, v = sub[(pt[i - 1], pt[i])]
-            want = pt[:i - 1] + (u, v) + pt[j:]
-            if out != want:
-                fail("concat_equivariance", str((tup, key)),
-                     "embedded action disagrees at %r" % (pt,))
-                break
+        try:
+            sub = fs.e_act[(pair, _skey(1, 2))]
+            for pt, out in table.items():
+                count += 1
+                u, v = sub[(pt[i - 1], pt[i])]
+                want = pt[:i - 1] + (u, v) + pt[j:]
+                if out != want:
+                    fail("concat_equivariance", str((tup, key)),
+                         "embedded action disagrees at %r" % (pt,))
+                    break
+        except KeyError as exc:
+            missing("concat_equivariance", str((tup, key)), exc)
     ok("concat_equivariance", count)
 
     count = 0
     for (tup, key), table in fs.x_act.items():
-        eact = fs.e_act.get((tup, key))
-        if eact is None or len(tup) != 2:
+        if len(tup) != 2:
             continue
         pair = tup
-        i, j = key[1], key[2]
         target = (pair[1], pair[0])
-        for (mu, m), (mu2, m2) in table.items():
-            if mu2 != mu:
-                fail("transport_equivariance", str((tup, key)),
-                     "total colour moved")
-                continue
-            for xx in fs.e1[mu]:
-                count += 1
-                lhs = fs.transport[target][(mu, m2, xx)]
-                rhs = eact[fs.transport[pair][(mu, m, xx)]]
-                if lhs != rhs:
+        try:
+            eact = fs.e_act[(tup, key)]
+            for (mu, m), (mu2, m2) in table.items():
+                if mu2 != mu:
                     fail("transport_equivariance", str((tup, key)),
-                         "squares do not commute at %r" % ((mu, m, xx),))
-                    break
+                         "total colour moved")
+                    continue
+                for xx in fs.e1[mu]:
+                    count += 1
+                    lhs = fs.transport[target][(mu, m2, xx)]
+                    rhs = eact[fs.transport[pair][(mu, m, xx)]]
+                    if lhs != rhs:
+                        fail("transport_equivariance", str((tup, key)),
+                             "squares do not commute at %r" % ((mu, m, xx),))
+                        break
+        except KeyError as exc:
+            missing("transport_equivariance", str((tup, key)), exc)
     ok("transport_equivariance", count)
 
+    # the glued triples are those of gamma1 and of the triple fibres of x;
+    # interval actions, and so naturality, are stored over core triples only
     count = 0
-    for triple, g1 in fs.gamma1.items():
+    core = set(fs.core_colours)
+    for triple in dict.fromkeys([*fs.gamma1, *(t for t, _ in fs.x if len(t) == 3)]):
         a, b, c = triple
-        sub = fs.x_act.get(((b, c), _skey(1, 2)))
-        full = fs.x_act.get((triple, _skey(2, 3)))
-        other = fs.gamma1.get((a, c, b))
-        if sub is None or full is None or other is None:
-            continue
-        for (rho, t, m3, m4), val in g1.items():
-            count += 1
-            t2, m4b = sub[(t, m4)]
-            lhs = other[(rho, t2, m3, m4b)]
-            rho2, big = val
-            rhs = full[(rho, big)]
-            if lhs != rhs:
-                fail("glue_naturality", str(triple),
-                     "first glue not natural at %r" % ((rho, t, m3, m4),))
-                break
+        try:
+            g1 = fs.gamma1[triple]
+            if not core.issuperset(triple):
+                continue
+            sub = fs.x_act[((b, c), _skey(1, 2))]
+            full = fs.x_act[(triple, _skey(2, 3))]
+            other = fs.gamma1[(a, c, b)]
+            for (rho, t, m3, m4), val in g1.items():
+                count += 1
+                t2, m4b = sub[(t, m4)]
+                lhs = other[(rho, t2, m3, m4b)]
+                rho2, big = val
+                rhs = full[(rho, big)]
+                if lhs != rhs:
+                    fail("glue_naturality", str(triple),
+                         "first glue not natural at %r" % ((rho, t, m3, m4),))
+                    break
+        except KeyError as exc:
+            missing("glue_naturality", str(triple), exc)
     ok("glue_naturality", count)
 
     failures = [c for c in checks if not c["ok"]]

@@ -21,9 +21,9 @@ from .crystal import (
     CrystalGraph,
     build_irreducible,
     component_ids,
+    group_by_component,
     product_of_weights,
     tensor,
-    tensor_many,
 )
 
 
@@ -84,31 +84,35 @@ class CrystalBijection:
 
 
 def schutzenberger(graph):
-    """The involution xi of a normal crystal, as a CrystalBijection."""
-    comp = component_ids(graph)
-    n_comp = max(comp) + 1 if graph.size else 0
-    members = [[] for _ in range(n_comp)]
-    for b, c in enumerate(comp):
-        members[c].append(b)
-    xi = [None] * graph.size
+    """The involution xi of a normal crystal, as a CrystalBijection.
+
+    Computed on the first call and kept on the graph; a graph that is not
+    normal raises on every call.
+    """
+    if graph._xi is not None:
+        return graph._xi
     cartan = graph.cartan
-    for group in members:
-        heads = [b for b in group
-                 if all(graph.e(i, b) is None for i in graph.index_range())]
-        tails = [b for b in group
-                 if all(graph.f(i, b) is None for i in graph.index_range())]
-        if len(heads) != 1 or len(tails) != 1:
+    moves = [(graph.f_maps[i], graph.e_maps[star(cartan, i)])
+             for i in graph.index_range()]
+    comp = component_ids(graph)
+    xi = [None] * graph.size
+    for group_heads, group_tails in zip(
+            group_by_component(comp, graph.highest_weight_elements()),
+            group_by_component(comp, graph.lowest_weight_elements())):
+        if len(group_heads) != 1 or len(group_tails) != 1:
             raise CrystalError(
-                "component is not normal: %d heads, %d tails" % (len(heads), len(tails)))
-        xi[heads[0]] = tails[0]
-        frontier = [heads[0]]
+                "component is not normal: %d heads, %d tails"
+                % (len(group_heads), len(group_tails)))
+        xi[group_heads[0]] = group_tails[0]
+        frontier = [group_heads[0]]
         while frontier:
             b = frontier.pop()
-            for i in graph.index_range():
-                c = graph.f(i, b)
+            xi_b = xi[b]
+            for f_map, e_map in moves:
+                c = f_map[b]
                 if c is None:
                     continue
-                val = graph.e(star(cartan, i), xi[b])
+                val = e_map[xi_b]
                 if val is None:
                     raise CrystalError("xi recursion ran off the crystal")
                 if xi[c] is None:
@@ -118,7 +122,8 @@ def schutzenberger(graph):
                     raise CrystalError("xi recursion is inconsistent")
     if any(v is None for v in xi):
         raise CrystalError("crystal is not generated from its heads by f_i")
-    return CrystalBijection(graph, graph, tuple(xi))
+    graph._xi = CrystalBijection(graph, graph, tuple(xi))
+    return graph._xi
 
 
 def commutor(left, right):
@@ -128,36 +133,10 @@ def commutor(left, right):
     xi_l = schutzenberger(left)
     xi_r = schutzenberger(right)
     xi_rl = schutzenberger(t_rl)
-    nl, nr = left.size, right.size
-    mapping = []
-    for a in left.elements():
-        for b in right.elements():
-            swapped = xi_r(b) * nl + xi_l(a)
-            mapping.append(xi_rl(swapped))
-    return CrystalBijection(t_lr, t_rl, tuple(mapping))
-
-
-def internal_cactus(factors):
-    """Reversal bijection tensor(B1..Bm) -> tensor(Bm..B1) on flat id tuples."""
-    if not factors:
-        raise CrystalError("empty product has no reversal")
-    domain = tensor_many(factors)
-    codomain = tensor_many(list(reversed(factors)))
-    if len(factors) == 1:
-        return CrystalBijection(domain, codomain,
-                                tuple(range(domain.size)))
-    sub = internal_cactus(factors[1:])
-    right = sub.codomain          # Bm (x) .. (x) B2, flat labels
-    left = factors[0]
-    comm = commutor(left, right)
-    mapping = []
-    for flat in domain.labels:
-        tail_id = sub.domain.index_of_label(flat[1:])
-        b_id = sub(tail_id)
-        pair = comm(flat[0] * right.size + b_id)
-        b2, a2 = comm.codomain.labels[pair]
-        mapping.append(codomain.index_of_label(right.labels[b2] + (a2,)))
-    return CrystalBijection(domain, codomain, tuple(mapping))
+    nl = left.size
+    xl, xr, xrl = xi_l.mapping, xi_r.mapping, xi_rl.mapping
+    mapping = tuple(xrl[xr[b] * nl + xa] for xa in xl for b in right.elements())
+    return CrystalBijection(t_lr, t_rl, mapping)
 
 
 @lru_cache(maxsize=None)
@@ -201,18 +180,19 @@ def hexagon_holds(cartan, lam, mu, nu):
     inner_r = commutor_table(cartan, (lam,), (mu,))
     p_ml = product_of_weights(cartan, (mu, lam))
     outer_r = commutor_table(cartan, (mu, lam), (nu,))
+    n_mu, n_nu, n_nm = b_mu.size, b_nu.size, p_nm.size
+    inner_l_to = [inner_l.codomain.labels[c] for c in inner_l.mapping]
+    outer_l_to = [outer_l.codomain.labels[c] for c in outer_l.mapping]
+    inner_r_to = [inner_r.codomain.labels[c] for c in inner_r.mapping]
+    outer_r_to = [outer_r.codomain.labels[c] for c in outer_r.mapping]
     for x in b_lam.elements():
         for y in b_mu.elements():
+            pid_r = p_ml.index_of_label(inner_r_to[x * n_mu + y]) * n_nu
             for z in b_nu.elements():
-                z1, y1 = inner_l.codomain.labels[inner_l(y * b_nu.size + z)]
-                pid = p_nm.index_of_label((z1, y1))
-                p2, x2 = outer_l.codomain.labels[outer_l(x * p_nm.size + pid)]
-                left = p_nm.labels[p2] + (x2,)
-                y3, x3 = inner_r.codomain.labels[inner_r(x * b_mu.size + y)]
-                pid = p_ml.index_of_label((y3, x3))
-                z4, p4 = outer_r.codomain.labels[outer_r(pid * b_nu.size + z)]
-                right = (z4,) + p_ml.labels[p4]
-                if left != right:
+                pid_l = p_nm.index_of_label(inner_l_to[y * n_nu + z])
+                p2, x2 = outer_l_to[x * n_nm + pid_l]
+                z4, p4 = outer_r_to[pid_r + z]
+                if p_nm.labels[p2] + (x2,) != (z4,) + p_ml.labels[p4]:
                     return False
     return True
 

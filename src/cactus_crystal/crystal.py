@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import compress
 from typing import NamedTuple
 
 from .cartan import (
@@ -30,6 +31,7 @@ from .cartan import (
     weight_add,
     weight_sub,
 )
+from .tableaux import semistandard_tableaux
 
 
 class CrystalError(ValueError):
@@ -60,6 +62,7 @@ class CrystalGraph:
     _phi: dict = field(default=None, repr=False)
     _label_index: dict = field(default=None, repr=False)
     _heads: tuple = field(default=None, init=False, repr=False, compare=False)
+    _xi: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.labels is None:
@@ -110,38 +113,36 @@ class CrystalGraph:
 
     def highest_weight_elements(self):
         if self._heads is None:
-            self._heads = tuple(
-                b for b in self.elements()
-                if all(self.e_maps[i][b] is None for i in self.index_range()))
+            self._heads = _undefined_everywhere(self, self.e_maps)
         return list(self._heads)
 
     def lowest_weight_elements(self):
-        return [b for b in self.elements()
-                if all(self.f_maps[i][b] is None for i in self.index_range())]
+        return list(_undefined_everywhere(self, self.f_maps))
 
     # -- validation --------------------------------------------------------
 
     def _check_axioms(self):
+        wts, labels = self.wts, self.labels
+        distinct = set(wts)
         for i in self.index_range():
             alpha = simple_root(self.cartan, i)
+            raised = {w: weight_add(w, alpha) for w in distinct}
+            lowered = {w: weight_sub(w, alpha) for w in distinct}
             f_map, e_map = self.f_maps[i], self.e_maps[i]
-            for b in self.elements():
-                c = e_map[b]
-                if c is not None and self.wts[c] != weight_add(self.wts[b], alpha):
+            for b in range(len(wts)):
+                wt, ce, cf = wts[b], e_map[b], f_map[b]
+                if ce is not None and wts[ce] != raised[wt]:
                     raise CrystalError(
                         "axiom (1): wt(e_%d %r) != wt + alpha_%d at element %d"
-                        % (i, self.labels[b], i, b))
-                c = f_map[b]
-                if c is not None and self.wts[c] != weight_sub(self.wts[b], alpha):
+                        % (i, labels[b], i, b))
+                if cf is not None and wts[cf] != lowered[wt]:
                     raise CrystalError(
                         "axiom (2): wt(f_%d %r) != wt - alpha_%d at element %d"
-                        % (i, self.labels[b], i, b))
-                c = e_map[b]
-                if c is not None and f_map[c] != b:
+                        % (i, labels[b], i, b))
+                if ce is not None and f_map[ce] != b:
                     raise CrystalError(
                         "axiom (3): f_%d e_%d != id at element %d" % (i, i, b))
-                c = f_map[b]
-                if c is not None and e_map[c] != b:
+                if cf is not None and e_map[cf] != b:
                     raise CrystalError(
                         "axiom (4): e_%d f_%d != id at element %d" % (i, i, b))
 
@@ -158,6 +159,14 @@ def _invert_partial(f_map, size, i):
     return tuple(e_map)
 
 
+def _undefined_everywhere(graph, maps):
+    """Elements on which every operator of ``maps`` is undefined."""
+    undefined = [True] * graph.size
+    for i in graph.index_range():
+        undefined = [u and c is None for u, c in zip(undefined, maps[i])]
+    return tuple(compress(graph.elements(), undefined))
+
+
 def _string_walk(e_map, f_map):
     """eps/phi arrays for one index, walking each i-string top to bottom."""
     size = len(f_map)
@@ -166,12 +175,14 @@ def _string_walk(e_map, f_map):
         if e_map[top] is not None:
             continue
         chain = [top]
-        while f_map[chain[-1]] is not None:
-            chain.append(f_map[chain[-1]])
+        b = f_map[top]
+        while b is not None:
+            chain.append(b)
+            b = f_map[b]
         length = len(chain) - 1
         for k, b in enumerate(chain):
             eps[b], phi[b] = k, length - k
-    if any(v is None for v in eps):
+    if None in eps:
         raise CrystalError("broken i-string structure")
     return tuple(eps), tuple(phi)
 
@@ -194,35 +205,6 @@ def shape_of_weight(weight):
         if length > 0:
             rows.append(length)
     return tuple(rows)
-
-
-def _semistandard_tableaux(shape, max_entry):
-    """All semistandard fillings, rows weakly and columns strictly increasing."""
-    if not shape:
-        return [()]
-    cells = [(r, c) for r, row_len in enumerate(shape) for c in range(row_len)]
-    results = []
-    filling = {}
-
-    def fill(k):
-        if k == len(cells):
-            results.append(tuple(
-                tuple(filling[(r, c)] for c in range(shape[r]))
-                for r in range(len(shape))))
-            return
-        r, c = cells[k]
-        lo = 1
-        if c > 0:
-            lo = max(lo, filling[(r, c - 1)])
-        if r > 0:
-            lo = max(lo, filling[(r - 1, c)] + 1)
-        for v in range(lo, max_entry + 1):
-            filling[(r, c)] = v
-            fill(k + 1)
-        filling.pop((r, c), None)
-
-    fill(0)
-    return results
 
 
 def reading_order(shape):
@@ -287,7 +269,7 @@ def build_irreducible(cartan, weight):
             "irreducible crystals are only constructed for type A matrices")
     rank = cartan.rank
     shape = shape_of_weight(weight)
-    tableaux = sorted(_semistandard_tableaux(shape, rank + 1))
+    tableaux = sorted(semistandard_tableaux(shape, rank + 1))
     order = reading_order(shape)
     index = {t: k for k, t in enumerate(tableaux)}
     wts = tuple(_tableau_weight(t, rank) for t in tableaux)
@@ -327,20 +309,21 @@ def build_irreducible(cartan, weight):
 
 def component_ids(graph):
     """Component index per element, by BFS over e- and f-edges."""
+    edges = [m[i] for i in graph.index_range() for m in (graph.f_maps, graph.e_maps)]
     comp = [None] * graph.size
     next_comp = 0
-    for start in graph.elements():
+    for start in range(graph.size):
         if comp[start] is not None:
             continue
         comp[start] = next_comp
         frontier = [start]
         while frontier:
             b = frontier.pop()
-            for i in graph.index_range():
-                for nb in (graph.f(i, b), graph.e(i, b)):
-                    if nb is not None and comp[nb] is None:
-                        comp[nb] = next_comp
-                        frontier.append(nb)
+            for arr in edges:
+                nb = arr[b]
+                if nb is not None and comp[nb] is None:
+                    comp[nb] = next_comp
+                    frontier.append(nb)
         next_comp += 1
     return comp
 
@@ -357,32 +340,42 @@ def tensor(left, right, flatten=False):
     if left.cartan != right.cartan:
         raise CrystalError("tensor factors live over different Cartan data")
     cartan = left.cartan
-    pairs = [(a, b) for a in left.elements() for b in right.elements()]
+    nleft, nright = left.size, right.size
     if flatten:
-        labels = tuple(_as_tuple(left.labels[a]) + (b,) for a, b in pairs)
+        labels = tuple(head + (b,) for head in map(_as_tuple, left.labels)
+                       for b in range(nright))
     else:
-        labels = tuple(pairs)
-    wts = tuple(weight_add(left.wt(a), right.wt(b)) for a, b in pairs)
-    nright = right.size
+        labels = tuple((a, b) for a in range(nleft) for b in range(nright))
+    sums = {}
+    wts = []
+    for wa in left.wts:
+        for wb in right.wts:
+            wt = sums.get((wa, wb))
+            if wt is None:
+                wt = sums[(wa, wb)] = weight_add(wa, wb)
+            wts.append(wt)
     f_maps, e_maps = {}, {}
     for i in cartan.index_range():
+        l_eps, l_f, l_e = left._eps[i], left.f_maps[i], left.e_maps[i]
+        r_phi, r_f, r_e = right._phi[i], right.f_maps[i], right.e_maps[i]
         f_arr, e_arr = [], []
-        for a, b in pairs:
-            if left.eps(i, a) >= right.phi(i, b):
-                fa = left.f(i, a)
-                f_arr.append(None if fa is None else fa * nright + b)
-            else:
-                fb = right.f(i, b)
-                f_arr.append(None if fb is None else a * nright + fb)
-            if left.eps(i, a) > right.phi(i, b):
-                ea = left.e(i, a)
-                e_arr.append(None if ea is None else ea * nright + b)
-            else:
-                eb = right.e(i, b)
-                e_arr.append(None if eb is None else a * nright + eb)
+        for a in range(nleft):
+            eps_a, fa, ea, row = l_eps[a], l_f[a], l_e[a], a * nright
+            for b in range(nright):
+                phi_b = r_phi[b]
+                if eps_a >= phi_b:
+                    f_arr.append(None if fa is None else fa * nright + b)
+                else:
+                    fb = r_f[b]
+                    f_arr.append(None if fb is None else row + fb)
+                if eps_a > phi_b:
+                    e_arr.append(None if ea is None else ea * nright + b)
+                else:
+                    eb = r_e[b]
+                    e_arr.append(None if eb is None else row + eb)
         f_maps[i] = tuple(f_arr)
         e_maps[i] = tuple(e_arr)
-    return CrystalGraph(cartan, wts, f_maps, e_maps, labels=labels)
+    return CrystalGraph(cartan, tuple(wts), f_maps, e_maps, labels=labels)
 
 
 def _as_tuple(label):
@@ -393,12 +386,9 @@ def tensor_many(factors):
     """Left-fold tensor with flat id-tuple labels: labels are (a_1, .., a_m)."""
     if not factors:
         raise CrystalError("empty tensor product")
-    graph = factors[0]
-    if len(factors) == 1:
-        return CrystalGraph(graph.cartan, graph.wts, graph.f_maps, graph.e_maps,
-                            labels=tuple((b,) for b in graph.elements()))
-    graph = CrystalGraph(graph.cartan, graph.wts, graph.f_maps, graph.e_maps,
-                         labels=tuple((b,) for b in graph.elements()))
+    first = factors[0]
+    graph = CrystalGraph(first.cartan, first.wts, first.f_maps, first.e_maps,
+                         labels=tuple((b,) for b in first.elements()))
     for nxt in factors[1:]:
         graph = tensor(graph, nxt, flatten=True)
     return graph
@@ -422,32 +412,34 @@ def components(graph):
     ``index_of_label``.
     """
     comp = component_ids(graph)
-    n_comp = max(comp) + 1 if graph.size else 0
-    members = [[] for _ in range(n_comp)]
-    for b, c in enumerate(comp):
-        members[c].append(b)
     out = []
-    for group in members:
-        heads = [b for b in group
-                 if all(graph.e(i, b) is None for i in graph.index_range())]
+    for group, heads in zip(group_by_component(comp, graph.elements()),
+                            group_by_component(comp, graph.highest_weight_elements())):
         if len(heads) != 1:
             raise CrystalError(
-                "component %r has %d highest elements" % (sorted(group)[:4], len(heads)))
-        out.append((heads[0], _subgraph(graph, sorted(group))))
+                "component %r has %d highest elements" % (group[:4], len(heads)))
+        out.append((heads[0], _subgraph(graph, group)))
     out.sort(key=lambda pair: pair[0])
     return out
 
 
+def group_by_component(comp, elements):
+    """Split ascending ``elements`` into ascending lists, one per component."""
+    groups = [[] for _ in range(max(comp) + 1 if comp else 0)]
+    for b in elements:
+        groups[comp[b]].append(b)
+    return groups
+
+
 def _subgraph(graph, members):
     local = {b: k for k, b in enumerate(members)}
-    wts = tuple(graph.wt(b) for b in members)
+    wts = tuple(graph.wts[b] for b in members)
     labels = tuple(graph.labels[b] for b in members)
     f_maps, e_maps = {}, {}
     for i in graph.index_range():
-        f_maps[i] = tuple(
-            None if graph.f(i, b) is None else local[graph.f(i, b)] for b in members)
-        e_maps[i] = tuple(
-            None if graph.e(i, b) is None else local[graph.e(i, b)] for b in members)
+        f_map, e_map = graph.f_maps[i], graph.e_maps[i]
+        f_maps[i] = tuple(None if f_map[b] is None else local[f_map[b]] for b in members)
+        e_maps[i] = tuple(None if e_map[b] is None else local[e_map[b]] for b in members)
     return CrystalGraph(graph.cartan, wts, f_maps, e_maps, labels=labels)
 
 

@@ -9,6 +9,7 @@ standard tableaux; the adjacent-swap operators are the Bender-Knuth moves.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 
 from .perms import check_perm, inverse
@@ -299,11 +300,6 @@ def bk_braid_witness(max_cells=6, max_entry=4):
     return None
 
 
-def _permutation_points(n):
-    from itertools import permutations
-    return [tuple(p) for p in permutations(range(1, n + 1))]
-
-
 def rsk_crosscheck(n):
     """Compare the product-crystal action on permutation words with RSK.
 
@@ -321,7 +317,9 @@ def rsk_crosscheck(n):
     cartan = cartan_type_a(n - 1)
     w1 = fundamental_weight(cartan, 1)
     weights = (w1,) * n
-    words = _permutation_points(n)
+    words = all_perms(n)
+    rsk_of = lru_cache(maxsize=None)(rsk)
+    cactus_of = lru_cache(maxsize=None)(bk_cactus_act)
 
     def to_point(a):
         return LabeledPoint(weights, tuple(v - 1 for v in a))
@@ -349,11 +347,11 @@ def rsk_crosscheck(n):
                 for ident in ("one-line", "inverse"):
                     src = a if ident == "one-line" else inverse(a)
                     dst = out if ident == "one-line" else inverse(out)
-                    p1, q1 = rsk(src)
-                    p2, q2 = rsk(dst)
-                    if not (p2 == p1 and q2 == bk_cactus_act(i, j, q1)):
+                    p1, q1 = rsk_of(src)
+                    p2, q2 = rsk_of(dst)
+                    if not (p2 == p1 and q2 == cactus_of(i, j, q1)):
                         stories[(ident, "Q")] = False
-                    if not (q2 == q1 and p2 == bk_cactus_act(i, j, p1)):
+                    if not (q2 == q1 and p2 == cactus_of(i, j, p1)):
                         stories[(ident, "P")] = False
 
     winners = [k for k, v in stories.items() if v]

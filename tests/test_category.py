@@ -188,6 +188,24 @@ def test_tampered_glue_map_detected(a1_cover):
     assert not is_valid(bad_cat)
 
 
+@pytest.mark.parametrize("table,key,check", [
+    ("transport", ((2,), (0,)), "transport_equivariance"),
+    ("e1", (4,), "e_act_bijection"),
+    ("e_act", (((1,), (2,)), ("s", 1, 2)), "concat_equivariance"),
+    ("x_act", (((1,), (1,), (2,)), ("s", 2, 3)), "glue_naturality"),
+    ("gamma1", ((1,), (4,), (1,)), "glue_naturality"),
+    ("gamma1", ((0,), (2,), (1,)), "glue_naturality"),
+])
+def test_incomplete_covering_is_a_named_failure(a1_cover, table, key, check):
+    entries = dict(getattr(a1_cover, table))
+    del entries[key]
+    rep = verify_fiber_system(_tampered(a1_cover, **{table: entries}))
+    assert rep["passed"] is False
+    assert any(f["check"] == check and f["detail"] == "missing data: %s" % (key,)
+               for f in rep["failures"]), rep["failures"][:3]
+    assert all(f["detail"].startswith("missing data: ") for f in rep["failures"])
+
+
 def test_json_names_a_missing_table(a1_data):
     doc = category_to_json(a1_data)
     del doc["cl"]

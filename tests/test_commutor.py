@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from cactus_crystal.cartan import (
     cartan_type_a,
+    star,
     star_weight,
     weight_sub,
     zero_weight,
@@ -12,7 +13,6 @@ from cactus_crystal.commutor import (
     commutor,
     commutor_table,
     hexagon_holds,
-    internal_cactus,
     reversal_table,
     schutzenberger,
 )
@@ -20,12 +20,114 @@ from cactus_crystal.crystal import (
     CrystalError,
     CrystalGraph,
     build_irreducible,
+    component_ids,
     multiplicity_set,
+    product_of_weights,
     tensor,
+    tensor_many,
 )
 
 A1 = cartan_type_a(1)
 A2 = cartan_type_a(2)
+A3 = cartan_type_a(3)
+
+
+def internal_cactus(factors):
+    """Reversal bijection tensor(B1..Bm) -> tensor(Bm..B1) on flat id tuples.
+
+    Oracle for reversal_table: the same peeling recursion, but through
+    ``commutor`` on freshly built products (not the cached commutor_table)
+    and label lookups.
+    """
+    if not factors:
+        raise CrystalError("empty product has no reversal")
+    domain = tensor_many(factors)
+    codomain = tensor_many(list(reversed(factors)))
+    if len(factors) == 1:
+        return CrystalBijection(domain, codomain,
+                                tuple(range(domain.size)))
+    sub = internal_cactus(factors[1:])
+    right = sub.codomain          # Bm (x) .. (x) B2, flat labels
+    left = factors[0]
+    comm = commutor(left, right)
+    mapping = []
+    for flat in domain.labels:
+        tail_id = sub.domain.index_of_label(flat[1:])
+        b_id = sub(tail_id)
+        pair = comm(flat[0] * right.size + b_id)
+        b2, a2 = comm.codomain.labels[pair]
+        mapping.append(codomain.index_of_label(right.labels[b2] + (a2,)))
+    return CrystalBijection(domain, codomain, tuple(mapping))
+
+
+def plain_schutzenberger(graph):
+    """xi through per-element method calls, with no cache: the oracle."""
+    comp = component_ids(graph)
+    n_comp = max(comp) + 1 if graph.size else 0
+    members = [[] for _ in range(n_comp)]
+    for b, c in enumerate(comp):
+        members[c].append(b)
+    xi = [None] * graph.size
+    for group in members:
+        heads = [b for b in group
+                 if all(graph.e(i, b) is None for i in graph.index_range())]
+        tails = [b for b in group
+                 if all(graph.f(i, b) is None for i in graph.index_range())]
+        if len(heads) != 1 or len(tails) != 1:
+            raise CrystalError(
+                "component is not normal: %d heads, %d tails" % (len(heads), len(tails)))
+        xi[heads[0]] = tails[0]
+        frontier = [heads[0]]
+        while frontier:
+            b = frontier.pop()
+            for i in graph.index_range():
+                c = graph.f(i, b)
+                if c is None:
+                    continue
+                val = graph.e(star(graph.cartan, i), xi[b])
+                if val is None:
+                    raise CrystalError("xi recursion ran off the crystal")
+                if xi[c] is None:
+                    xi[c] = val
+                    frontier.append(c)
+                elif xi[c] != val:
+                    raise CrystalError("xi recursion is inconsistent")
+    if any(v is None for v in xi):
+        raise CrystalError("crystal is not generated from its heads by f_i")
+    return tuple(xi)
+
+
+# (cartan, left factor weights, right factor weight or None, flatten)
+XI_CASES = [
+    (A1, ((1,),), (2,), False),
+    (A1, ((3,),), (2,), False),
+    (A2, ((1, 0),), (0, 1), False),
+    (A2, ((1, 1),), (2, 0), False),
+    (A3, ((2, 1, 1),), (1, 1, 0), False),
+    (A2, ((1, 1), (1, 0)), (0, 1), True),
+    (A2, ((2, 1),), None, False),
+]
+
+
+def _graph(cartan, left_weights, right_weight, flatten):
+    left = (build_irreducible(cartan, left_weights[0]) if len(left_weights) == 1
+            else product_of_weights(cartan, left_weights))
+    if right_weight is None:
+        return left
+    return tensor(left, build_irreducible(cartan, right_weight), flatten=flatten)
+
+
+# graphs whose components are not normal, with the error xi must raise
+NON_NORMAL = [
+    # one tail with two covers of different colours: two heads, one component
+    (CrystalGraph(cartan=A2, wts=((2, -1), (-1, 2), (0, 0)),
+                  f_maps={1: (2, None, None), 2: (None, 2, None)}),
+     "2 heads, 1 tails"),
+    # a lone f_1 edge: xi(f_1 b) would need e_2 of the tail
+    (CrystalGraph(cartan=A2, wts=((1, 0), (-1, 1)),
+                  f_maps={1: (1, None), 2: (None, None)}),
+     "ran off the crystal"),
+]
 
 
 def matched_component_bijection(src, dst):
@@ -91,6 +193,35 @@ def test_xi_intertwines_f_with_starred_e():
                 assert xi(c) == g.e(star(A2, i), xi(b))
 
 
+@pytest.mark.parametrize("cartan,left_weights,right_weight,flatten", XI_CASES)
+def test_xi_matches_plain_loop(cartan, left_weights, right_weight, flatten):
+    graph = _graph(cartan, left_weights, right_weight, flatten)
+    assert schutzenberger(graph).mapping == plain_schutzenberger(graph)
+
+
+def test_xi_is_computed_once_per_graph():
+    graph = _graph(A2, ((1, 0),), (0, 1), False)
+    xi = schutzenberger(graph)
+    assert schutzenberger(graph) is xi
+    assert xi.domain is graph and xi.codomain is graph
+
+
+def test_xi_cache_leaves_equality_alone():
+    left, right = build_irreducible(A2, (1, 0)), build_irreducible(A2, (1, 1))
+    cached, fresh = tensor(left, right), tensor(left, right)
+    schutzenberger(cached)
+    assert cached == fresh and repr(cached) == repr(fresh)
+
+
+@pytest.mark.parametrize("graph,message", NON_NORMAL)
+def test_xi_raises_on_every_call_for_non_normal_graph(graph, message):
+    for _ in range(2):
+        with pytest.raises(CrystalError, match=message):
+            schutzenberger(graph)
+        with pytest.raises(CrystalError, match=message):
+            plain_schutzenberger(graph)
+
+
 def test_xi_rejects_two_heads_in_component():
     # one tail with two covers of different colours: two heads, one component
     g = CrystalGraph(
@@ -146,6 +277,15 @@ def test_internal_cactus_agrees_with_cached_table():
     factors = [build_irreducible(A1, w) for w in weights]
     rev = internal_cactus(factors)
     table = reversal_table(A1, weights)
+    for b in rev.domain.elements():
+        assert table[rev.domain.labels[b]] == rev.codomain.labels[rev(b)]
+
+
+def test_internal_cactus_agrees_on_a2_four_fold_reversal():
+    weights = ((1, 0), (0, 1), (1, 1), (1, 1))
+    rev = internal_cactus([build_irreducible(A2, w) for w in weights])
+    table = reversal_table(A2, weights)
+    assert rev.domain.size == len(table) == 576
     for b in rev.domain.elements():
         assert table[rev.domain.labels[b]] == rev.codomain.labels[rev(b)]
 

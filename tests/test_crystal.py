@@ -30,8 +30,84 @@ from cactus_crystal.crystal import (
 
 A1 = cartan_type_a(1)
 A2 = cartan_type_a(2)
+A3 = cartan_type_a(3)
 W1 = fundamental_weight(A2, 1)
 W2 = fundamental_weight(A2, 2)
+
+
+def plain_tensor(left, right, flatten=False):
+    """(wts, f_maps, e_maps, labels) of the product, through per-element
+    method calls: the oracle for tensor."""
+    pairs = [(a, b) for a in left.elements() for b in right.elements()]
+    if flatten:
+        labels = tuple((left.labels[a] if isinstance(left.labels[a], tuple)
+                        else (left.labels[a],)) + (b,) for a, b in pairs)
+    else:
+        labels = tuple(pairs)
+    wts = tuple(weight_add(left.wt(a), right.wt(b)) for a, b in pairs)
+    nright = right.size
+    f_maps, e_maps = {}, {}
+    for i in left.index_range():
+        f_arr, e_arr = [], []
+        for a, b in pairs:
+            if left.eps(i, a) >= right.phi(i, b):
+                fa = left.f(i, a)
+                f_arr.append(None if fa is None else fa * nright + b)
+            else:
+                fb = right.f(i, b)
+                f_arr.append(None if fb is None else a * nright + fb)
+            if left.eps(i, a) > right.phi(i, b):
+                ea = left.e(i, a)
+                e_arr.append(None if ea is None else ea * nright + b)
+            else:
+                eb = right.e(i, b)
+                e_arr.append(None if eb is None else a * nright + eb)
+        f_maps[i] = tuple(f_arr)
+        e_maps[i] = tuple(e_arr)
+    return wts, f_maps, e_maps, labels
+
+
+def plain_component_ids(graph):
+    comp = [None] * graph.size
+    next_comp = 0
+    for start in graph.elements():
+        if comp[start] is not None:
+            continue
+        comp[start] = next_comp
+        frontier = [start]
+        while frontier:
+            b = frontier.pop()
+            for i in graph.index_range():
+                for nb in (graph.f(i, b), graph.e(i, b)):
+                    if nb is not None and comp[nb] is None:
+                        comp[nb] = next_comp
+                        frontier.append(nb)
+        next_comp += 1
+    return comp
+
+
+# (cartan, left factor weights, right factor weight, flatten), up to the
+# 2800-element A3 product
+TENSOR_CASES = [
+    (A1, ((1,),), (2,), False),
+    (A1, ((3,),), (2,), False),
+    (A2, ((1, 0),), (0, 1), False),
+    (A2, ((1, 1),), (2, 0), False),
+    (A2, ((0, 0),), (1, 1), False),
+    (A2, ((1, 1), (1, 0)), (0, 1), True),
+    (A2, ((2, 0), (0, 2)), (1, 1), False),
+    (A3, ((2, 1, 1),), (1, 1, 0), False),
+]
+
+
+@pytest.mark.parametrize("cartan,left_weights,right_weight,flatten", TENSOR_CASES)
+def test_tensor_matches_plain_loop(cartan, left_weights, right_weight, flatten):
+    left = (build_irreducible(cartan, left_weights[0]) if len(left_weights) == 1
+            else product_of_weights(cartan, left_weights))
+    right = build_irreducible(cartan, right_weight)
+    t = tensor(left, right, flatten=flatten)
+    assert (t.wts, t.f_maps, t.e_maps, t.labels) == plain_tensor(left, right, flatten)
+    assert component_ids(t) == plain_component_ids(t)
 
 
 def a2_dim(a, b):
@@ -116,6 +192,9 @@ def test_tensor_many_flat_labels():
     assert g.size == 8
     assert g.labels[0] == (0, 0, 0)
     assert g.labels[5] == (1, 0, 1)
+    single = tensor_many([build_irreducible(A1, (2,))])
+    assert single.labels == ((0,), (1,), (2,))
+    assert single.f_maps == build_irreducible(A1, (2,)).f_maps
 
 
 def test_product_of_weights_cached():
@@ -165,6 +244,22 @@ def test_import_rejects_weight_mismatch():
     }
     with pytest.raises(CrystalError, match=r"axiom"):
         import_graph(doc)
+
+
+@pytest.mark.parametrize("wts,f_maps,e_maps,message", [
+    (((1,), (0,)), {1: (None, None)}, {1: (None, 0)},
+     "axiom (1): wt(e_1 1) != wt + alpha_1 at element 1"),
+    (((1,), (0,)), {1: (1, None)}, None,
+     "axiom (2): wt(f_1 0) != wt - alpha_1 at element 0"),
+    (((1,), (-1,)), {1: (None, None)}, {1: (None, 0)},
+     "axiom (3): f_1 e_1 != id at element 1"),
+    (((1,), (-1,)), {1: (1, None)}, {1: (None, None)},
+     "axiom (4): e_1 f_1 != id at element 0"),
+])
+def test_each_axiom_names_itself(wts, f_maps, e_maps, message):
+    with pytest.raises(CrystalError) as info:
+        CrystalGraph(cartan=A1, wts=wts, f_maps=f_maps, e_maps=e_maps)
+    assert str(info.value) == message
 
 
 def test_normality_report_unverifiable_outside_type_a():

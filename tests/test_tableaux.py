@@ -200,3 +200,25 @@ def test_rsk_crosscheck_story():
     assert rep["winners"] == ["one-line/Q", "inverse/P"]
     assert rep["stories"]["one-line/P"] is False
     assert rep["stories"]["inverse/Q"] is False
+
+
+# the report of the sweep without memoised RSK or partial evacuation; it is
+# the same for n = 3, 4 and 5 apart from "n"
+RECORDED_CROSSCHECK = {
+    "perm_rule": ["precompose"],
+    "perm_formula": {"precompose": "out(k) = a(w(k))",
+                     "postcompose": "out(k) = w(a(k))"},
+    "stories": {"one-line/P": False, "one-line/Q": True,
+                "inverse/P": True, "inverse/Q": False},
+    "winners": ["one-line/Q", "inverse/P"],
+    "passed": True,
+}
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_rsk_crosscheck_matches_recorded_report(n):
+    rep = rsk_crosscheck(n)
+    assert rep == dict(RECORDED_CROSSCHECK, n=n)
+    assert list(rep) == ["n", "perm_rule", "perm_formula", "stories",
+                         "winners", "passed"]
+    assert list(rep["stories"]) == list(RECORDED_CROSSCHECK["stories"])
