@@ -7,3 +7,7 @@ concrete coboundary category data with its operadic covering counterpart.
 """
 
 __version__ = "0.1.0"
+
+
+class CactusError(ValueError):
+    """Base of every layer's bad-input error; the CLI maps it to exit 2."""

@@ -68,7 +68,18 @@ class LabeledPoint:
             raise GroupError("weights and entries disagree in length")
 
 
+def check_point(cartan, point):
+    """Raise GroupError unless every entry lies in the range of its factor."""
+    for k, (w, e) in enumerate(zip(point.weights, point.entries), 1):
+        size = build_irreducible(cartan, w).size
+        if not 0 <= e < size:
+            raise GroupError("point entry %d of factor %d is out of range "
+                             "0..%d" % (e, k, size - 1))
+
+
 def act(cartan, gen, point):
+    """One letter on one point.  Entries are not range-checked here, as
+    CompiledAction calls this once per point; act_word and orbit check."""
     n = len(point.weights)
     if isinstance(gen, CactusGen):
         if gen.j > n:
@@ -100,6 +111,7 @@ def act(cartan, gen, point):
 
 def act_word(cartan, word, point):
     """Leftmost letter acts first."""
+    check_point(cartan, point)
     gens = word.gens if isinstance(word, GroupWord) else tuple(word)
     for g in gens:
         point = act(cartan, g, point)
@@ -254,6 +266,7 @@ def verify_relations(cartan, kind, n, weight_tuples, max_points=None,
 def orbit(cartan, gens, point, max_points=None):
     """Deterministic BFS orbit under a list of generators or words."""
     budget = max_points if max_points is not None else point_budget()
+    check_point(cartan, point)
     flat = []
     for g in gens:
         flat.append(tuple(g.gens) if isinstance(g, GroupWord) else (g,))
@@ -263,7 +276,9 @@ def orbit(cartan, gens, point, max_points=None):
         nxt = []
         for p in frontier:
             for gseq in flat:
-                q = act_word(cartan, gseq, p)
+                q = p
+                for g in gseq:
+                    q = act(cartan, g, q)
                 if q not in seen:
                     seen.add(q)
                     nxt.append(q)

@@ -14,13 +14,15 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add, sub
 
+from . import CactusError
+
 Weight = tuple
 
 # guard for the brute-force Weyl closure (F4 has order 1152; E8 would not fit)
 WEYL_CLOSURE_LIMIT = 100_000
 
 
-class CartanError(ValueError):
+class CartanError(CactusError):
     pass
 
 
@@ -136,11 +138,15 @@ def cartan_explicit(matrix):
 
 
 def cartan_from_json(obj):
-    if obj.get("type") == "A":
-        return cartan_type_a(int(obj["rank"]))
-    if obj.get("type") == "explicit":
-        return cartan_explicit(obj["matrix"])
-    raise CartanError("unknown Cartan JSON %r" % (obj,))
+    """{"type": "A", "rank": int} or {"type": "explicit", "matrix": rows}."""
+    kind = obj.get("type") if isinstance(obj, dict) else None
+    if kind == "A" and type(obj.get("rank")) is int:
+        return cartan_type_a(obj["rank"])
+    matrix = obj.get("matrix") if kind == "explicit" else None
+    if isinstance(matrix, list) and all(isinstance(r, list) for r in matrix):
+        return cartan_explicit(matrix)
+    raise CartanError("bad Cartan JSON %r: want an integer 'rank' for type A "
+                      "or a 'matrix' list of rows for type explicit" % (obj,))
 
 
 def cartan_to_json(cartan):

@@ -25,11 +25,12 @@ import random
 from dataclasses import dataclass, field
 from itertools import product
 
+from . import CactusError
 from .commutor import commutor
 from .crystal import build_irreducible, components, multiplicity_set, tensor
 
 
-class CategoryError(ValueError):
+class CategoryError(CactusError):
     pass
 
 

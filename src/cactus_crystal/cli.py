@@ -11,74 +11,27 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 
-from . import __version__
-from .actions import (
-    LabeledPoint,
-    act_word,
-    contains_alternating,
-    orbit,
-    permutation_image,
-    verify_relations,
-    weight_orderings,
-)
-from .cartan import CartanError, cartan_from_json, cartan_type_a
-from .category_data import (
-    CategoryError,
-    category_from_covering,
-    category_from_json,
-    category_to_json,
-    covering_from_category,
-    from_crystals,
-    mutate_category,
-    validate,
-    verify_fiber_system,
-)
-from .commutor import commutor
-from .crystal import (
-    CrystalError,
-    build_irreducible,
-    components,
-    export_graph,
-    normality_report,
-    tensor_many,
-    to_dot,
-)
-from .groups import (
-    GroupError,
-    cabling,
-    defining_relation_families,
-    format_word,
-    hom_AC_to_vC,
-    hom_C_to_vC,
-    hom_MC_to_vC,
-    mc_s0j_word,
-    parse_word,
-    project_to_symmetric,
-)
-from .perms import PermError, parse_perm
-from .tableaux import (
-    TableauError,
-    bender_knuth,
-    bk_braid_witness,
-    bk_cactus_act,
-    evacuation,
-    partial_evacuation,
-    rsk,
-    rsk_crosscheck,
-    standard_tableaux,
-)
+from . import CactusError, __version__
 
 
-class UsageError(ValueError):
+class UsageError(CactusError):
     pass
 
 
+def _read_json(path, what):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise UsageError("cannot read %s %r: %s" % (what, path, exc)) from None
+
+
 def _parse_cartan(args):
+    from .cartan import cartan_from_json, cartan_type_a
+
     if getattr(args, "cartan_file", None):
-        with open(args.cartan_file) as fh:
-            return cartan_from_json(json.load(fh))
+        return cartan_from_json(_read_json(args.cartan_file, "Cartan data"))
     name = args.cartan
     if not (name.startswith("A") and name[1:].isdigit()):
         raise UsageError("unsupported Cartan name %r; use A<rank> or --cartan-file"
@@ -135,7 +88,9 @@ def _parse_tableau(text):
     return tuple(r for r in rows if r)
 
 
-def _parse_point(text, weights, cartan):
+def _parse_point(text, weights):
+    from .actions import LabeledPoint
+
     try:
         entries = tuple(int(v) for v in text.split(","))
     except ValueError:
@@ -143,15 +98,11 @@ def _parse_point(text, weights, cartan):
     if len(entries) != len(weights):
         raise UsageError("point has %d entries, expected %d"
                          % (len(entries), len(weights)))
-    for k, (w, e) in enumerate(zip(weights, entries), 1):
-        size = build_irreducible(cartan, w).size
-        if not 0 <= e < size:
-            raise UsageError("point entry %d of factor %d is out of range "
-                             "0..%d" % (e, k, size - 1))
     return LabeledPoint(tuple(weights), entries)
 
 
 def _emit(args, payload, dot=None):
+    """Write the report (or dot) and return its exit code: 0 if ok, else 1."""
     if getattr(args, "emit", "json") == "dot":
         if dot is None:
             raise UsageError("this command has no dot output")
@@ -163,6 +114,7 @@ def _emit(args, payload, dot=None):
             fh.write(text)
     else:
         sys.stdout.write(text)
+    return 0 if payload["ok"] else 1
 
 
 def _report(command, ok, **payload):
@@ -172,16 +124,20 @@ def _report(command, ok, **payload):
 
 
 def cmd_crystal(args):
+    from .crystal import build_irreducible, export_graph, to_dot
+
     cartan = _parse_cartan(args)
     weight = _parse_weight(args.weight, cartan.rank)
     graph = build_irreducible(cartan, weight)
     payload = _report("crystal", True, graph=export_graph(graph),
                       size=graph.size)
-    _emit(args, payload, dot=to_dot(graph))
-    return 0
+    return _emit(args, payload, dot=to_dot(graph))
 
 
 def cmd_tensor(args):
+    from .crystal import (build_irreducible, components, export_graph,
+                          normality_report, tensor_many, to_dot)
+
     cartan = _parse_cartan(args)
     weights = _parse_weights(args.weights, cartan.rank)
     graph = tensor_many([build_irreducible(cartan, w) for w in weights])
@@ -192,11 +148,13 @@ def cmd_tensor(args):
                       components=[{"head": h, "weight": list(graph.wt(h)),
                                    "size": sub.size} for h, sub in comps],
                       normality=norm)
-    _emit(args, payload, dot=to_dot(graph))
-    return 0
+    return _emit(args, payload, dot=to_dot(graph))
 
 
 def cmd_commutor(args):
+    from .commutor import commutor
+    from .crystal import build_irreducible
+
     cartan = _parse_cartan(args)
     left = build_irreducible(cartan, _parse_weight(args.left, cartan.rank))
     right = build_irreducible(cartan, _parse_weight(args.right, cartan.rank))
@@ -207,11 +165,15 @@ def cmd_commutor(args):
                       labels=[[repr(bij.domain.labels[b]),
                                repr(bij.codomain.labels[bij(b)])]
                               for b in bij.domain.elements()])
-    _emit(args, payload)
-    return 0
+    return _emit(args, payload)
 
 
 def cmd_group(args):
+    from .groups import (cabling, defining_relation_families, format_word,
+                         hom_AC_to_vC, hom_C_to_vC, hom_MC_to_vC, mc_s0j_word,
+                         parse_word, project_to_symmetric)
+    from .perms import PermError, parse_perm
+
     n = args.n
     if args.relations:
         fams = defining_relation_families(args.kind, n)
@@ -249,26 +211,29 @@ def cmd_group(args):
     else:
         raise UsageError("choose one of --relations/--project/--to-virtual/"
                          "--s0j/--cabling")
-    _emit(args, payload)
-    return 0
+    return _emit(args, payload)
 
 
 def cmd_act(args):
+    from .actions import act_word
+    from .groups import format_word, parse_word
+
     cartan = _parse_cartan(args)
     weights = _parse_weights(args.weights, cartan.rank)
     word = parse_word(args.word, args.kind, len(weights))
-    point = _parse_point(args.point, weights, cartan)
+    point = _parse_point(args.point, weights)
     out = act_word(cartan, word, point)
     payload = _report("act", True, kind=args.kind, word=format_word(word),
                       point={"weights": [list(w) for w in point.weights],
                              "entries": list(point.entries)},
                       image={"weights": [list(w) for w in out.weights],
                              "entries": list(out.entries)})
-    _emit(args, payload)
-    return 0
+    return _emit(args, payload)
 
 
 def cmd_verify(args):
+    from .actions import verify_relations, weight_orderings
+
     cartan = _parse_cartan(args)
     if args.choices:
         if args.n is None:
@@ -288,25 +253,29 @@ def cmd_verify(args):
         tuples = weight_orderings(base) if args.all_orderings else [tuple(base)]
     rep = verify_relations(cartan, args.kind, args.n, tuples)
     payload = _report("verify", rep["passed"], **rep)
-    _emit(args, payload)
-    return 0 if rep["passed"] else 1
+    return _emit(args, payload)
 
 
 def cmd_orbit(args):
+    from .actions import orbit
+    from .groups import parse_word
+
     cartan = _parse_cartan(args)
     weights = _parse_weights(args.weights, cartan.rank)
     words = [parse_word(w, args.kind, len(weights))
              for w in args.gens.split(";")]
-    point = _parse_point(args.point, weights, cartan)
+    point = _parse_point(args.point, weights)
     pts = orbit(cartan, words, point)
     payload = _report("orbit", True, kind=args.kind, size=len(pts),
                       points=[{"weights": [list(w) for w in p.weights],
                                "entries": list(p.entries)} for p in pts])
-    _emit(args, payload)
-    return 0
+    return _emit(args, payload)
 
 
 def cmd_image(args):
+    from .actions import contains_alternating, permutation_image
+    from .tableaux import bk_cactus_act, standard_tableaux
+
     try:
         shape = tuple(int(v) for v in args.shape.split(","))
     except ValueError:
@@ -330,11 +299,13 @@ def cmd_image(args):
                       order=rep["order"], even=rep["even"], odd=rep["odd"],
                       contains_alternating=alternating,
                       min_order=args.min_order)
-    _emit(args, payload)
-    return 0 if ok else 1
+    return _emit(args, payload)
 
 
 def cmd_rsk(args):
+    from .perms import parse_perm
+    from .tableaux import rsk
+
     if (args.word is None) == (args.perm is None):
         raise UsageError("give exactly one of --word or --perm")
     text = args.word if args.word is not None else args.perm
@@ -351,21 +322,23 @@ def cmd_rsk(args):
                       recording=[list(r) for r in q],
                       P=[list(r) for r in p],
                       Q=[list(r) for r in q])
-    _emit(args, payload)
-    return 0
+    return _emit(args, payload)
 
 
 def cmd_evac(args):
+    from .tableaux import evacuation, partial_evacuation
+
     t = _parse_tableau(args.tableau)
     out = partial_evacuation(args.partial, t) if args.partial else evacuation(t)
     payload = _report("evac", True, tableau=[list(r) for r in t],
                       partial=args.partial,
                       result=[list(r) for r in out])
-    _emit(args, payload)
-    return 0
+    return _emit(args, payload)
 
 
 def cmd_bk(args):
+    from .tableaux import bender_knuth, bk_braid_witness, bk_cactus_act
+
     if args.braid_witness:
         w = bk_braid_witness(max_cells=args.max_cells, max_entry=args.max_entry)
         found = w is not None
@@ -376,8 +349,7 @@ def cmd_bk(args):
                 "shape": list(w["shape"]),
                 "lhs": [list(r) for r in w["lhs"]],
                 "rhs": [list(r) for r in w["rhs"]]}))
-        _emit(args, payload)
-        return 0 if found else 1
+        return _emit(args, payload)
     t = _parse_tableau(args.tableau)
     if args.interval:
         try:
@@ -393,28 +365,28 @@ def cmd_bk(args):
         raise UsageError("choose --i, --interval or --braid-witness")
     payload = _report("bk", True, tableau=[list(r) for r in t], op=op,
                       result=[list(r) for r in out])
-    _emit(args, payload)
-    return 0
+    return _emit(args, payload)
 
 
 def cmd_crosscheck(args):
+    from .tableaux import rsk_crosscheck
+
     rep = rsk_crosscheck(args.n)
     payload = _report("crosscheck", rep["passed"], **rep)
-    _emit(args, payload)
-    return 0 if rep["passed"] else 1
+    return _emit(args, payload)
 
 
 def _load_category(path):
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise UsageError("cannot read category data %r: %s" % (path, exc)) \
-            from None
-    return category_from_json(doc)
+    from .category_data import category_from_json
+
+    return category_from_json(_read_json(path, "category data"))
 
 
 def cmd_category(args):
+    from .category_data import (category_from_covering, category_to_json,
+                                covering_from_category, from_crystals,
+                                mutate_category, validate, verify_fiber_system)
+
     if args.cat_op == "build":
         cartan = _parse_cartan(args)
         colours = _parse_weights(args.colours, cartan.rank)
@@ -428,17 +400,14 @@ def cmd_category(args):
                           validation={"passed": rep["passed"],
                                       "failures": rep["failures"][:5]},
                           data=category_to_json(data))
-        _emit(args, payload)
-        return 0 if rep["passed"] else 1
+        return _emit(args, payload)
     if args.cat_op == "validate":
         data = _load_category(args.input)
         rep = validate(data)
         payload = _report("category validate", rep["passed"],
-                          checks=[{k: v for k, v in c.items()}
-                                  for c in rep["checks"]],
+                          checks=rep["checks"],
                           failures=rep["failures"][:10])
-        _emit(args, payload)
-        return 0 if rep["passed"] else 1
+        return _emit(args, payload)
     if args.cat_op == "roundtrip":
         data = _load_category(args.input)
         fs = covering_from_category(data)
@@ -448,8 +417,7 @@ def cmd_category(args):
         payload = _report("category roundtrip", same and fs_rep["passed"],
                           identical=same, fiber_checks=fs_rep["checks"],
                           fiber_failures=fs_rep["failures"][:10])
-        _emit(args, payload)
-        return 0 if same and fs_rep["passed"] else 1
+        return _emit(args, payload)
     if args.cat_op == "mutate":
         data = _load_category(args.input)
         caught = 0
@@ -462,8 +430,7 @@ def cmd_category(args):
         ok = caught == args.count
         payload = _report("category mutate", ok, count=args.count,
                           caught=caught, mutations=notes)
-        _emit(args, payload)
-        return 0 if ok else 1
+        return _emit(args, payload)
     raise UsageError("unknown category operation %r" % args.cat_op)
 
 
@@ -484,7 +451,6 @@ def build_parser():
         if emit:
             p.add_argument("--emit", choices=("json", "dot"), default="json")
             p.add_argument("--out", help="write output to this file")
-        p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("crystal", help="export one irreducible crystal")
     add_common(p)
@@ -590,6 +556,7 @@ def build_parser():
     pr.set_defaults(func=cmd_category)
     pm = cat.add_parser("mutate", help="mutation sweep against the validator")
     add_common(pm, cartan=False)
+    pm.add_argument("--seed", type=int, default=None)
     pm.add_argument("--input", required=True)
     pm.add_argument("--count", type=int, default=10)
     pm.set_defaults(func=cmd_category)
@@ -600,15 +567,11 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    start = time.monotonic()
     try:
-        code = args.func(args)
-    except (UsageError, CartanError, CrystalError, GroupError, TableauError,
-            CategoryError, PermError, FileNotFoundError) as exc:
+        return args.func(args)
+    except (CactusError, FileNotFoundError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
-    _ = time.monotonic() - start
-    return code
 
 
 if __name__ == "__main__":

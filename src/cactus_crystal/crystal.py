@@ -22,6 +22,7 @@ from functools import lru_cache
 from itertools import compress
 from typing import NamedTuple
 
+from . import CactusError
 from .cartan import (
     CartanData,
     cartan_from_json,
@@ -34,7 +35,7 @@ from .cartan import (
 from .tableaux import semistandard_tableaux
 
 
-class CrystalError(ValueError):
+class CrystalError(CactusError):
     pass
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from . import perms
+from . import CactusError, perms
 from .perms import (
     check_perm,
     compose,
@@ -38,7 +38,7 @@ from .perms import (
 )
 
 
-class GroupError(ValueError):
+class GroupError(CactusError):
     pass
 
 

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 from itertools import permutations
 
+from . import CactusError
 
-class PermError(ValueError):
+
+class PermError(CactusError):
     pass
 
 

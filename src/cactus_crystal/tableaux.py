@@ -11,11 +11,13 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
+from math import factorial
 
+from . import CactusError
 from .perms import check_perm, inverse
 
 
-class TableauError(ValueError):
+class TableauError(CactusError):
     pass
 
 
@@ -308,12 +310,18 @@ def rsk_crosscheck(n):
     transform the one-line word, and (b) which RSK factor the interval
     generators move, under which identification of words with sequences.
     Returns a report dict; report["passed"] demands a unique coherent story.
+    The n! words are checked against the point budget before any work.
     """
-    from .actions import LabeledPoint, act
+    from .actions import MAX_POINTS_ENV, LabeledPoint, act, point_budget
     from .cartan import cartan_type_a, fundamental_weight
     from .groups import CactusGen, PermGen
     from .perms import all_perms, compose
 
+    budget = point_budget()
+    if n >= 1 and factorial(n) > budget:
+        raise TableauError("crosscheck at n=%d walks %d permutation words, "
+                           "over the budget of %d; raise %s to override"
+                           % (n, factorial(n), budget, MAX_POINTS_ENV))
     cartan = cartan_type_a(n - 1)
     w1 = fundamental_weight(cartan, 1)
     weights = (w1,) * n

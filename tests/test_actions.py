@@ -140,6 +140,24 @@ def test_orbit_budget_enforced():
         orbit(A1, [CactusGen(1, 3)], p, max_points=1)
 
 
+OUT_OF_RANGE = LabeledPoint(((1,), (2,)), (0, -1))
+
+
+def test_act_word_rejects_out_of_range_point():
+    with pytest.raises(GroupError, match=r"point entry -1 of factor 2 is out "
+                                         r"of range 0\.\.2"):
+        act_word(A1, [PermGen((2, 1))], OUT_OF_RANGE)
+    with pytest.raises(GroupError, match="out of range 0..1"):
+        act_word(A1, [], LabeledPoint(((1,), (2,)), (2, 0)))
+
+
+def test_orbit_rejects_out_of_range_point():
+    with pytest.raises(GroupError, match="point entry -1 of factor 2"):
+        orbit(A1, [PermGen((2, 1))], OUT_OF_RANGE)
+    with pytest.raises(GroupError, match="point entry 3 of factor 2"):
+        orbit(A1, [CactusGen(1, 2)], LabeledPoint(((1,), (2,)), (0, 3)))
+
+
 def test_point_budget_env(monkeypatch):
     monkeypatch.delenv(MAX_POINTS_ENV, raising=False)
     assert point_budget() == DEFAULT_MAX_POINTS

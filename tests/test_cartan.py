@@ -143,3 +143,13 @@ def test_json_roundtrip():
 def test_json_rejects_garbage():
     with pytest.raises(CartanError):
         cartan_from_json({"type": "Z"})
+
+
+@pytest.mark.parametrize("doc", [
+    [1], "A2", {"type": "A"}, {"type": "A", "rank": "x"},
+    {"type": "A", "rank": True}, {"type": "explicit"},
+    {"type": "explicit", "matrix": 5}, {"type": "explicit", "matrix": [1]},
+])
+def test_json_rejects_malformed_documents(doc):
+    with pytest.raises(CartanError, match="bad Cartan JSON"):
+        cartan_from_json(doc)

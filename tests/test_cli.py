@@ -1,16 +1,25 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import cactus_crystal
+from cactus_crystal import CactusError
 from cactus_crystal.actions import LabeledPoint, act_word
-from cactus_crystal.cartan import cartan_type_a
+from cactus_crystal.cartan import CartanError, cartan_type_a
 from cactus_crystal.category_data import (
+    CategoryError,
     category_to_json,
     from_crystals,
     mutate_category,
 )
-from cactus_crystal.cli import main
-from cactus_crystal.groups import parse_word
+from cactus_crystal.cli import UsageError, main
+from cactus_crystal.crystal import CrystalError
+from cactus_crystal.groups import GroupError, parse_word
+from cactus_crystal.perms import PermError
+from cactus_crystal.tableaux import TableauError
 
 
 def run(capsys, argv):
@@ -332,3 +341,132 @@ def test_bad_category_input_is_usage_error(tmp_path, capsys, op, case):
     assert captured.err.startswith("error:")
     if case == "missing 'cl'":
         assert "'cl'" in captured.err
+
+
+CARTAN_FILE_CASES = {
+    "invalid JSON": "{not json",
+    "a list": "[1]",
+    "a string": '"A2"',
+    "no rank": '{"type": "A"}',
+    "non-integer rank": '{"type": "A", "rank": "x"}',
+    "no matrix": '{"type": "explicit"}',
+}
+
+
+@pytest.mark.parametrize("case", ["directory"] + list(CARTAN_FILE_CASES))
+def test_bad_cartan_file_is_usage_error(tmp_path, capsys, case):
+    path = tmp_path
+    if case != "directory":
+        path = tmp_path / "cartan.json"
+        path.write_text(CARTAN_FILE_CASES[case])
+    code, payload, captured = run(capsys, ["crystal", "--cartan-file",
+                                           str(path), "--weight", "1"])
+    assert code == 2 and payload is None
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+
+
+def test_cartan_file(tmp_path, capsys):
+    path = tmp_path / "cartan.json"
+    path.write_text('{"type": "explicit", "matrix": [[2, -1], [-1, 2]]}')
+    code, payload, _ = run(capsys, ["crystal", "--cartan-file", str(path),
+                                    "--weight", "1,0"])
+    assert code == 0 and payload["size"] == 3
+
+
+def test_crosscheck_respects_point_budget(capsys, monkeypatch):
+    monkeypatch.setenv("CACTUS_CRYSTAL_MAX_POINTS", "100")
+    code, payload, captured = run(capsys, ["crosscheck", "--n", "5"])
+    assert code == 2 and payload is None
+    assert "CACTUS_CRYSTAL_MAX_POINTS" in captured.err
+    code, payload, _ = run(capsys, ["crosscheck", "--n", "4"])
+    assert code == 0 and payload["passed"] is True
+
+
+def test_seed_is_only_an_option_of_mutate(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["rsk", "--perm", "2,1", "--seed", "3"])
+    assert exc.value.code == 2
+    data = from_crystals(cartan_type_a(1), [(0,), (1,)])
+    data_file = tmp_path / "cat.json"
+    data_file.write_text(json.dumps(category_to_json(data)))
+    code, payload, _ = run(capsys, ["category", "mutate", "--input",
+                                    str(data_file), "--count", "2",
+                                    "--seed", "7"])
+    assert code == 0 and payload["caught"] == 2
+    notes = [mutate_category(data, seed=7 + k)[1] for k in range(2)]
+    assert [m["mutation"] for m in payload["mutations"]] == \
+        json.loads(json.dumps(notes))
+
+
+def test_error_classes_share_one_base():
+    for cls in (CartanError, CrystalError, GroupError, TableauError,
+                CategoryError, PermError, UsageError):
+        assert issubclass(cls, CactusError) and issubclass(cls, ValueError)
+
+
+def loaded_after(code):
+    """Short names of the package modules a fresh interpreter holds after
+    running code; the test session's own imports do not leak in."""
+    src = os.path.dirname(os.path.dirname(cactus_crystal.__file__))
+    probe = code + ("\nimport sys\nsys.stderr.write(' '.join(m for m in "
+                    "sys.modules if m.startswith('cactus_crystal')))")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    names = proc.stderr.splitlines()[-1].split()
+    return {n.replace("cactus_crystal.", "") for n in names}
+
+
+def test_importing_the_cli_loads_no_layer():
+    assert loaded_after("import cactus_crystal.cli") == {"cactus_crystal",
+                                                         "cli"}
+
+
+TABLEAU_ONLY = {"cactus_crystal", "cli", "perms", "tableaux"}
+
+
+@pytest.mark.parametrize("argv, allowed, forbidden", [
+    (["rsk", "--perm", "2,1,3"], TABLEAU_ONLY, set()),
+    (["evac", "--tableau", "1,2;3"], TABLEAU_ONLY, set()),
+    (["bk", "--tableau", "1,2;3", "--interval", "1,3"], TABLEAU_ONLY, set()),
+    (["group", "--kind", "C", "--n", "3", "--relations"],
+     {"cactus_crystal", "cli", "groups", "perms"}, set()),
+    (["crystal", "--weight", "1"], None, {"actions", "groups", "category_data"}),
+    (["tensor", "--weights", "1 1"], None,
+     {"actions", "groups", "category_data"}),
+    (["commutor", "--left", "1", "--right", "2"], None,
+     {"actions", "groups", "category_data"}),
+    (["category", "build", "--colours", "0 1"], None, {"actions", "groups"}),
+    (["act", "--weights", "1 2", "--word", "s1_2", "--point", "0,1"], None,
+     {"category_data"}),
+    (["orbit", "--weights", "1 2", "--gens", "s1_2", "--point", "0,0"], None,
+     {"category_data"}),
+    (["verify", "--kind", "C", "--weights", "1 1 1"], None,
+     {"category_data"}),
+    (["image", "--shape", "2,1"], None, {"category_data"}),
+], ids=["rsk", "evac", "bk", "group", "crystal", "tensor", "commutor",
+        "category-build", "act", "orbit", "verify", "image"])
+def test_each_command_loads_only_its_layers(tmp_path, argv, allowed,
+                                            forbidden):
+    out = tmp_path / "report.json"
+    loaded = loaded_after("from cactus_crystal.cli import main\n"
+                          "assert main(%r) == 0" % (argv + ["--out", str(out)]))
+    assert "cli" in loaded
+    if allowed is not None:
+        assert loaded <= allowed, loaded - allowed
+    assert not loaded & forbidden, loaded & forbidden
+
+
+@pytest.mark.parametrize("op", ["validate", "roundtrip", "mutate"])
+def test_category_file_commands_load_no_action_layer(tmp_path, op):
+    data_file = tmp_path / "cat.json"
+    data = from_crystals(cartan_type_a(1), [(0,), (1,)])
+    data_file.write_text(json.dumps(category_to_json(data)))
+    argv = ["category", op, "--input", str(data_file),
+            "--out", str(tmp_path / "report.json")]
+    loaded = loaded_after("from cactus_crystal.cli import main\n"
+                          "assert main(%r) == 0" % argv)
+    assert "category_data" in loaded
+    assert not loaded & {"actions", "groups"}, loaded

@@ -215,6 +215,16 @@ RECORDED_CROSSCHECK = {
 }
 
 
+def test_rsk_crosscheck_respects_point_budget(monkeypatch):
+    monkeypatch.setenv("CACTUS_CRYSTAL_MAX_POINTS", "100")
+    with pytest.raises(TableauError, match="CACTUS_CRYSTAL_MAX_POINTS"):
+        rsk_crosscheck(5)
+    assert rsk_crosscheck(4)["passed"] is True
+    monkeypatch.delenv("CACTUS_CRYSTAL_MAX_POINTS")
+    with pytest.raises(TableauError, match="3628800 permutation words"):
+        rsk_crosscheck(10)
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_rsk_crosscheck_matches_recorded_report(n):
     rep = rsk_crosscheck(n)
