@@ -219,6 +219,7 @@ def verify_relations(cartan, kind, n, weight_tuples, max_points=None,
     verdict and report["failures"] holds up to max_failures witnesses, in
     relation order and, within a relation, in supplied point order.
     """
+    start = time.monotonic()
     tuples = [tuple(tuple(w) for w in t) for t in weight_tuples]
     for t in tuples:
         if len(t) != n:
@@ -229,7 +230,6 @@ def verify_relations(cartan, kind, n, weight_tuples, max_points=None,
     points = engine.points
     sources = [engine.index[p] for t in tuples for p in iter_points(cartan, t)]
 
-    start = time.monotonic()
     families = {}
     failures = []
     for family, lhs, rhs in relations:

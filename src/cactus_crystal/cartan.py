@@ -98,29 +98,18 @@ def _check_finite_type(matrix):
         raise CartanError("Cartan matrix is not symmetrizable")
     n = len(matrix)
     sym = [[d[i] * matrix[i][j] for j in range(n)] for i in range(n)]
-    # positive definite iff all leading principal minors are positive
-    for k in range(1, n + 1):
-        if _det([row[:k] for row in sym[:k]]) <= 0:
-            raise CartanError("Cartan matrix is not of finite type")
-
-
-def _det(m):
-    m = [row[:] for row in m]
-    n = len(m)
-    det = Fraction(1)
+    # positive definite iff every pivot of elimination without row swaps is
+    # positive: the k-th pivot is the ratio of the k-th and (k-1)-th leading
+    # principal minors
     for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
+        pivot = sym[col][col]
+        if pivot <= 0:
+            raise CartanError("Cartan matrix is not of finite type")
         for r in range(col + 1, n):
-            factor = m[r][col] / m[col][col]
+            factor = sym[r][col] / pivot
             if factor:
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return det
+                sym[r][col:] = [a - factor * b
+                                for a, b in zip(sym[r][col:], sym[col][col:])]
 
 
 def cartan_type_a(rank):

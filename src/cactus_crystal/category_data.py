@@ -26,8 +26,9 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from . import CactusError
-from .commutor import commutor
-from .crystal import build_irreducible, components, multiplicity_set, tensor
+from .commutor import commutor_on
+from .crystal import (build_irreducible, component_members, multiplicity_set,
+                      tensor)
 
 
 class CategoryError(CactusError):
@@ -68,9 +69,6 @@ class CategoryData:
 
     def colours(self):
         return sorted(self.cl, key=_ckey)
-
-    def pairs_with_mult(self):
-        return sorted(self._comp, key=lambda p: (_ckey(p[0]), _ckey(p[1])))
 
     def comp(self, a, b):
         return list(self._comp.get((a, b), ()))
@@ -169,7 +167,8 @@ def from_crystals(cartan, core_weights):
     def comp(a, b):
         if (a, b) not in comp_cache:
             t = tens(a, b)
-            comp_cache[(a, b)] = sorted({t.wt(h) for h, _ in components(t)})
+            comp_cache[(a, b)] = sorted({t.wt(h)
+                                         for h, _ in component_members(t)})
         return comp_cache[(a, b)]
 
     pairs = needed_pairs(core, comp)
@@ -211,7 +210,7 @@ def from_crystals(cartan, core_weights):
 
     sigma = {}
     for a, b in pairs["sigma"]:
-        comm = commutor(graph(a), graph(b))
+        comm = commutor_on(graph(a), graph(b), tens(a, b), tens(b, a))
         table = {}
         for t_id in comm.domain.elements():
             x, y = comm.domain.labels[t_id]
@@ -307,14 +306,17 @@ def _check_bijection(table, domain, codomain):
 def validate(data, fail_fast=False):
     """Full validation report; report["passed"] is the verdict."""
     checks = []
+    failed = set()
 
     def fail(name, instance, detail):
         checks.append({"check": name, "instance": instance, "ok": False,
                        "detail": detail})
+        failed.add(name)
         return fail_fast
 
     def ok(name, count):
-        checks.append({"check": name, "instances": count, "ok": True})
+        if name not in failed:
+            checks.append({"check": name, "instances": count, "ok": True})
 
     def report():
         failures = [c for c in checks if not c["ok"]]
@@ -333,14 +335,11 @@ def validate(data, fail_fast=False):
                 return report()
     ok("colour_sets", len(data.cl))
 
-    bad = 0
     for (a, b, mu), ids in data.mult.items():
         if mu not in data.cl or len(set(ids)) != len(ids) or not ids:
-            bad += 1
             if fail("mult_sets", str((a, b, mu)), "bad multiplicity set"):
                 return report()
-    if not bad:
-        ok("mult_sets", len(data.mult))
+    ok("mult_sets", len(data.mult))
 
     for pair, table in data.phi.items():
         a, b = pair
@@ -411,7 +410,7 @@ def validate(data, fail_fast=False):
                     break
     ok("assoc_bijection", len(data.assoc))
 
-    if any(not c["ok"] for c in checks):
+    if failed:
         return report()
 
     count = 0
@@ -439,7 +438,6 @@ def validate(data, fail_fast=False):
             if fail("hexagon", str((a, b, c)), "missing data: %s" % exc):
                 return report()
             continue
-        bad = False
         for x, y, z in product(data.cl[a], data.cl[b], data.cl[c]):
             u, v = sig_bc[(y, z)]
             lhs = lhs_outer[(x, u, v)]
@@ -447,13 +445,10 @@ def validate(data, fail_fast=False):
             rhs = rhs_outer[(p, q, z)]
             count += 1
             if lhs != rhs:
-                bad = True
                 if fail("hexagon", str((a, b, c)),
                         "paths differ at %r: %r vs %r" % ((x, y, z), lhs, rhs)):
                     return report()
                 break
-        if bad and fail_fast:
-            return report()
     ok("hexagon", count)
 
     count = 0
@@ -831,13 +826,16 @@ def verify_fiber_system(fs):
     check ("missing data: ..."), never a KeyError or a skipped instance.
     """
     checks = []
+    failed = set()
 
     def fail(name, instance, detail):
         checks.append({"check": name, "instance": instance, "ok": False,
                        "detail": detail})
+        failed.add(name)
 
     def ok(name, count):
-        checks.append({"check": name, "instances": count, "ok": True})
+        if name not in failed:
+            checks.append({"check": name, "instances": count, "ok": True})
 
     def missing(name, instance, exc):
         fail(name, instance, "missing data: %s" % exc)

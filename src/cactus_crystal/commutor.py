@@ -128,15 +128,23 @@ def schutzenberger(graph):
 
 def commutor(left, right):
     """sigma: left (x) right -> right (x) left."""
-    t_lr = tensor(left, right)
-    t_rl = tensor(right, left)
-    xi_l = schutzenberger(left)
-    xi_r = schutzenberger(right)
-    xi_rl = schutzenberger(t_rl)
+    return commutor_on(left, right, tensor(left, right), tensor(right, left))
+
+
+def commutor_on(left, right, domain, codomain):
+    """sigma: left (x) right -> right (x) left between the given products.
+
+    ``domain`` and ``codomain`` are left (x) right and right (x) left, or
+    graphs equal to them id by id: the element (a, b) of a two-fold product
+    has id a * |right| + b, which is also its id in a flat product of the
+    same factors, since the tensor rule is associative on ids.
+    """
+    xl = schutzenberger(left).mapping
+    xr = schutzenberger(right).mapping
+    xc = schutzenberger(codomain).mapping
     nl = left.size
-    xl, xr, xrl = xi_l.mapping, xi_r.mapping, xi_rl.mapping
-    mapping = tuple(xrl[xr[b] * nl + xa] for xa in xl for b in right.elements())
-    return CrystalBijection(t_lr, t_rl, mapping)
+    mapping = tuple(xc[yb * nl + ya] for ya in xl for yb in xr)
+    return CrystalBijection(domain, codomain, mapping)
 
 
 @lru_cache(maxsize=None)
@@ -151,57 +159,50 @@ def reversal_table(cartan, weights):
         return {(a,): (a,) for a in range(size)}
     domain = product_of_weights(cartan, weights)
     sub = reversal_table(cartan, weights[1:])
-    right = product_of_weights(cartan, tuple(reversed(weights[1:])))
-    left = build_irreducible(cartan, weights[0])
-    comm = commutor_table(cartan, (weights[0],), tuple(reversed(weights[1:])))
-    out = {}
-    for flat in domain.labels:
-        rev_tail = sub[flat[1:]]
-        b_id = right.index_of_label(rev_tail)
-        b2, a2 = comm.codomain.labels[comm(flat[0] * right.size + b_id)]
-        out[flat] = right.labels[b2] + (a2,)
-    return out
+    rest = tuple(reversed(weights[1:]))
+    right = product_of_weights(cartan, rest)
+    comm = commutor_table(cartan, (weights[0],), rest)
+    out_labels = comm.codomain.labels
+    return {flat: out_labels[comm(flat[0] * right.size
+                                  + right.index_of_label(sub[flat[1:]]))]
+            for flat in domain.labels}
 
 
 def hexagon_holds(cartan, lam, mu, nu):
     """Both hexagon paths B_lam (x) B_mu (x) B_nu -> B_nu (x) B_mu (x) B_lam.
 
     Left: reverse (mu, nu), then move lam past the block; right: reverse
-    (lam, mu), then move nu in front.  Returns True when the flat triples
-    agree everywhere.
+    (lam, mu), then move nu in front.  Both outer commutors land in the same
+    flat product, so the paths are compared id by id.
     """
     lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
-    b_lam = build_irreducible(cartan, lam)
-    b_mu = build_irreducible(cartan, mu)
-    b_nu = build_irreducible(cartan, nu)
-    inner_l = commutor_table(cartan, (mu,), (nu,))
-    p_nm = product_of_weights(cartan, (nu, mu))
-    outer_l = commutor_table(cartan, (lam,), (nu, mu))
-    inner_r = commutor_table(cartan, (lam,), (mu,))
-    p_ml = product_of_weights(cartan, (mu, lam))
-    outer_r = commutor_table(cartan, (mu, lam), (nu,))
-    n_mu, n_nu, n_nm = b_mu.size, b_nu.size, p_nm.size
-    inner_l_to = [inner_l.codomain.labels[c] for c in inner_l.mapping]
-    outer_l_to = [outer_l.codomain.labels[c] for c in outer_l.mapping]
-    inner_r_to = [inner_r.codomain.labels[c] for c in inner_r.mapping]
-    outer_r_to = [outer_r.codomain.labels[c] for c in outer_r.mapping]
-    for x in b_lam.elements():
-        for y in b_mu.elements():
-            pid_r = p_ml.index_of_label(inner_r_to[x * n_mu + y]) * n_nu
-            for z in b_nu.elements():
-                pid_l = p_nm.index_of_label(inner_l_to[y * n_nu + z])
-                p2, x2 = outer_l_to[x * n_nm + pid_l]
-                z4, p4 = outer_r_to[pid_r + z]
-                if p_nm.labels[p2] + (x2,) != (z4,) + p_ml.labels[p4]:
-                    return False
-    return True
+    inner_l = commutor_table(cartan, (mu,), (nu,)).mapping
+    outer_l = commutor_table(cartan, (lam,), (nu, mu)).mapping
+    inner_r = commutor_table(cartan, (lam,), (mu,)).mapping
+    outer_r = commutor_table(cartan, (mu, lam), (nu,)).mapping
+    n_lam = build_irreducible(cartan, lam).size
+    n_nu = build_irreducible(cartan, nu).size
+    n_nm = len(inner_l)
+    left = [outer_l[x * n_nm + p] for x in range(n_lam) for p in inner_l]
+    right = [outer_r[q * n_nu + z] for q in inner_r for z in range(n_nu)]
+    return left == right
+
+
+def _factor(cartan, weights):
+    if len(weights) == 1:
+        return build_irreducible(cartan, weights[0])
+    return product_of_weights(cartan, weights)
 
 
 @lru_cache(maxsize=None)
 def commutor_table(cartan, left_weights, right_weights):
-    """Cached commutor between two flat products given by weight tuples."""
-    left = (build_irreducible(cartan, left_weights[0])
-            if len(left_weights) == 1 else product_of_weights(cartan, left_weights))
-    right = (build_irreducible(cartan, right_weights[0])
-             if len(right_weights) == 1 else product_of_weights(cartan, right_weights))
-    return commutor(left, right)
+    """Cached commutor between two flat products given by weight tuples.
+
+    The domain and codomain are the cached flat products of
+    ``left_weights + right_weights`` and ``right_weights + left_weights``, so
+    their labels are flat id tuples, one entry per factor.
+    """
+    return commutor_on(_factor(cartan, left_weights),
+                       _factor(cartan, right_weights),
+                       product_of_weights(cartan, left_weights + right_weights),
+                       product_of_weights(cartan, right_weights + left_weights))

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import compress
-from typing import NamedTuple
 
 from . import CactusError
 from .cartan import (
@@ -37,11 +36,6 @@ from .tableaux import semistandard_tableaux
 
 class CrystalError(CactusError):
     pass
-
-
-class StringStats(NamedTuple):
-    eps: int
-    phi: int
 
 
 @dataclass
@@ -61,8 +55,11 @@ class CrystalGraph:
     labels: tuple = None
     _eps: dict = field(default=None, repr=False)
     _phi: dict = field(default=None, repr=False)
-    _label_index: dict = field(default=None, repr=False)
+    _label_index: dict = field(default=None, init=False, repr=False,
+                               compare=False)
     _heads: tuple = field(default=None, init=False, repr=False, compare=False)
+    _heads_by_wt: dict = field(default=None, init=False, repr=False,
+                               compare=False)
     _xi: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -71,8 +68,7 @@ class CrystalGraph:
         if self.e_maps is None:
             self.e_maps = {i: _invert_partial(self.f_maps[i], self.size, i)
                            for i in self.f_maps}
-        self._label_index = {lbl: b for b, lbl in enumerate(self.labels)}
-        if len(self._label_index) != self.size:
+        if len(set(self.labels)) != self.size:
             raise CrystalError("element labels are not distinct")
         self._check_axioms()
         self._eps, self._phi = {}, {}
@@ -106,10 +102,9 @@ class CrystalGraph:
     def phi(self, i, b):
         return self._phi[i][b]
 
-    def string_stats(self, b, i):
-        return StringStats(self._eps[i][b], self._phi[i][b])
-
     def index_of_label(self, label):
+        if self._label_index is None:
+            self._label_index = {lbl: b for b, lbl in enumerate(self.labels)}
         return self._label_index[label]
 
     def highest_weight_elements(self):
@@ -224,10 +219,6 @@ def reading_order(shape):
     return order
 
 
-def _word_of(tableau, order):
-    return [tableau[r][c] for r, c in order]
-
-
 def _bracket_positions(word, i):
     """(position of f_i move, position of e_i move) under the bracket rule."""
     stack = []            # unmatched '-' positions
@@ -275,17 +266,18 @@ def build_irreducible(cartan, weight):
     index = {t: k for k, t in enumerate(tableaux)}
     wts = tuple(_tableau_weight(t, rank) for t in tableaux)
 
+    words = [[t[r][c] for r, c in order] for t in tableaux]
+
     def moved(tableau, pos, delta):
         r, c = order[pos]
-        rows = [list(row) for row in tableau]
-        rows[r][c] += delta
-        return tuple(tuple(row) for row in rows)
+        row = tableau[r]
+        return (tableau[:r] + (row[:c] + (row[c] + delta,) + row[c + 1:],)
+                + tableau[r + 1:])
 
     f_maps, e_maps = {}, {}
     for i in cartan.index_range():
         f_arr, e_arr = [], []
-        for t in tableaux:
-            word = _word_of(t, order)
+        for t, word in zip(tableaux, words):
             f_pos, e_pos = _bracket_positions(word, i)
             for pos, delta, arr in ((f_pos, 1, f_arr), (e_pos, -1, e_arr)):
                 if pos is None:
@@ -387,10 +379,12 @@ def tensor_many(factors):
     """Left-fold tensor with flat id-tuple labels: labels are (a_1, .., a_m)."""
     if not factors:
         raise CrystalError("empty tensor product")
-    first = factors[0]
-    graph = CrystalGraph(first.cartan, first.wts, first.f_maps, first.e_maps,
-                         labels=tuple((b,) for b in first.elements()))
-    for nxt in factors[1:]:
+    if len(factors) == 1:
+        first = factors[0]
+        return CrystalGraph(first.cartan, first.wts, first.f_maps, first.e_maps,
+                            labels=tuple((b,) for b in first.elements()))
+    graph = tensor(factors[0], factors[1])    # labels (a, b) are already flat
+    for nxt in factors[2:]:
         graph = tensor(graph, nxt, flatten=True)
     return graph
 
@@ -412,6 +406,15 @@ def components(graph):
     Sub-crystals inherit the parent labels, so parent ids are recoverable via
     ``index_of_label``.
     """
+    return [(head, _subgraph(graph, group))
+            for head, group in component_members(graph)]
+
+
+def component_members(graph):
+    """(highest element id, ascending member ids) per component, by head.
+
+    Raises unless every component has exactly one element killed by all e_i.
+    """
     comp = component_ids(graph)
     out = []
     for group, heads in zip(group_by_component(comp, graph.elements()),
@@ -419,7 +422,7 @@ def components(graph):
         if len(heads) != 1:
             raise CrystalError(
                 "component %r has %d highest elements" % (group[:4], len(heads)))
-        out.append((heads[0], _subgraph(graph, group)))
+        out.append((heads[0], group))
     out.sort(key=lambda pair: pair[0])
     return out
 
@@ -501,9 +504,16 @@ def is_normal(graph):
 
 
 def multiplicity_set(tensor_graph, mu):
-    """Ids of highest elements of weight mu, e.g. in a tensor product."""
-    return tuple(b for b in tensor_graph.highest_weight_elements()
-                 if tensor_graph.wt(b) == mu)
+    """Ids of highest elements of weight mu, e.g. in a tensor product.
+
+    The weight -> heads index is built on the first call and kept on the graph.
+    """
+    if tensor_graph._heads_by_wt is None:
+        index = {}
+        for b in tensor_graph.highest_weight_elements():
+            index.setdefault(tensor_graph.wts[b], []).append(b)
+        tensor_graph._heads_by_wt = {w: tuple(bs) for w, bs in index.items()}
+    return tensor_graph._heads_by_wt.get(mu, ())
 
 
 # ---------------------------------------------------------------------------

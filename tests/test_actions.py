@@ -196,6 +196,17 @@ def test_verify_relations_c3_report():
     assert isinstance(rep["duration_s"], float)
 
 
+def test_duration_covers_compiling_the_letters(monkeypatch):
+    def slow_engine(*args, **kwargs):
+        time.sleep(0.2)
+        return CompiledAction(*args, **kwargs)
+
+    monkeypatch.setattr(actions, "CompiledAction", slow_engine)
+    rep = verify_relations(A1, "C", 3, [W111])
+    assert rep["passed"] is True
+    assert rep["duration_s"] >= 0.2
+
+
 def test_verify_relations_all_kinds_small():
     for kind in ("C", "vC", "MC", "AC"):
         rep = verify_relations(A1, kind, 3, [W111, W112])

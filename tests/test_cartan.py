@@ -1,4 +1,6 @@
 import math
+import time
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -53,6 +55,41 @@ def test_rejects_asymmetric_zeros():
 def test_rejects_affine_matrix():
     with pytest.raises(CartanError):
         cartan_explicit([[2, -2], [-2, 2]])
+
+
+@pytest.mark.parametrize("matrix", [
+    [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],    # affine A2^(1): determinant 0
+    [[2, -5], [-1, 2]],                         # symmetrizable, indefinite
+])
+def test_rejects_non_finite_type(matrix):
+    with pytest.raises(CartanError, match="not of finite type"):
+        cartan_explicit(matrix)
+
+
+def _det(m):
+    """Determinant by cofactor expansion along the first row."""
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)))
+
+
+def test_finite_type_matches_leading_minors():
+    # every symmetric 3x3 generalised Cartan matrix with entries down to -3
+    for a, b, c in product(range(0, -4, -1), repeat=3):
+        matrix = [[2, a, b], [a, 2, c], [b, c, 2]]
+        finite = all(_det([row[:k] for row in matrix[:k]]) > 0 for k in (1, 2, 3))
+        if finite:
+            assert cartan_explicit(matrix).rank == 3
+        else:
+            with pytest.raises(CartanError, match="not of finite type"):
+                cartan_explicit(matrix)
+
+
+def test_large_type_a_builds_quickly():
+    start = time.monotonic()
+    assert cartan_type_a(80).rank == 80
+    assert time.monotonic() - start < 0.3
 
 
 def test_simple_root_columns():

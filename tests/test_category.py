@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import replace
 
@@ -156,6 +157,12 @@ def _tampered(fs, **overrides):
     return replace(fs, **overrides)
 
 
+def _failed_and_ok(rep):
+    """Check names that a report marks both failed and ok."""
+    return ({c["check"] for c in rep["failures"]}
+            & {c["check"] for c in rep["checks"] if c["ok"]})
+
+
 def test_tampered_pair_action_detected(a1_cover):
     pair = ((1,), (1,))
     key = (pair, ("s", 1, 2))
@@ -169,6 +176,7 @@ def test_tampered_pair_action_detected(a1_cover):
     assert any(c["check"] in ("concat_equivariance", "e_act_bijection",
                               "transport_equivariance")
                for c in rep["failures"])
+    assert _failed_and_ok(rep) == set()
 
 
 def test_tampered_glue_map_detected(a1_cover):
@@ -204,6 +212,7 @@ def test_incomplete_covering_is_a_named_failure(a1_cover, table, key, check):
     assert any(f["check"] == check and f["detail"] == "missing data: %s" % (key,)
                for f in rep["failures"]), rep["failures"][:3]
     assert all(f["detail"].startswith("missing data: ") for f in rep["failures"])
+    assert _failed_and_ok(rep) == set()
 
 
 def test_json_names_a_missing_table(a1_data):
@@ -282,6 +291,29 @@ def a2_data():
 @pytest.fixture(params=["A1", "A2"])
 def core_data(request, a1_data, a2_data):
     return {"A1": a1_data, "A2": a2_data}[request.param]
+
+
+def test_full_report_never_marks_a_failed_check_ok(core_data):
+    for seed in range(8):
+        mutant, note = mutate_category(core_data, seed=seed)
+        rep = validate(mutant)
+        assert rep["passed"] is False, note
+        assert _failed_and_ok(rep) == set(), (seed, note)
+        assert validate(mutant, fail_fast=True)["failures"] \
+            == rep["failures"][:1], (seed, note)
+
+
+# sha256 of the sorted-key JSON dump of category_to_json(from_crystals(core))
+FROZEN_CATEGORY_DIGESTS = {
+    CORE_A1[0]: "48449426ca9f8050e159a146680969217870c0ea42b6527e65b24b1e4a75ada8",
+    CORE_A2[0]: "31e119e67a96770ed4671b77c06320193384fb3d147f21b8277f6cf7ae5d2b5c",
+}
+
+
+def test_from_crystals_output_is_frozen(core_data):
+    text = json.dumps(category_to_json(core_data), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() \
+        == FROZEN_CATEGORY_DIGESTS[core_data.core_colours[0]]
 
 
 def test_comp_index_matches_scan(core_data):

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,6 +10,7 @@ from cactus_crystal.cartan import (
     weight_sub,
     zero_weight,
 )
+from cactus_crystal import commutor as commutor_module
 from cactus_crystal.commutor import (
     CrystalBijection,
     commutor,
@@ -316,6 +319,56 @@ def test_reversal_table_preserves_weight():
 ])
 def test_hexagon_small(cartan, lam, mu, nu):
     assert hexagon_holds(cartan, lam, mu, nu)
+
+
+# the A2 weights of the benchmark's hexagon sweep
+HEXAGON_WEIGHTS = [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2)]
+
+
+@pytest.mark.parametrize("lam", HEXAGON_WEIGHTS)
+def test_outer_commutor_tables_match_nested_commutor(lam):
+    b_lam = build_irreducible(A2, lam)
+    for mu, nu in product(HEXAGON_WEIGHTS, repeat=2):
+        b_mu, b_nu = build_irreducible(A2, mu), build_irreducible(A2, nu)
+        outer_l = commutor_table(A2, (lam,), (nu, mu))
+        assert outer_l.mapping \
+            == commutor(b_lam, tensor(b_nu, b_mu)).mapping, (lam, mu, nu)
+        outer_r = commutor_table(A2, (mu, lam), (nu,))
+        assert outer_r.mapping \
+            == commutor(tensor(b_mu, b_lam), b_nu).mapping, (lam, mu, nu)
+
+
+def test_commutor_table_labels_are_flat():
+    table = commutor_table(A2, ((1, 0),), ((0, 1), (1, 1)))
+    assert table.domain is product_of_weights(A2, ((1, 0), (0, 1), (1, 1)))
+    assert table.codomain is product_of_weights(A2, ((0, 1), (1, 1), (1, 0)))
+    nested = commutor(build_irreducible(A2, (1, 0)),
+                      product_of_weights(A2, ((0, 1), (1, 1))))
+    inner = nested.codomain.labels
+    right = product_of_weights(A2, ((0, 1), (1, 1)))
+    assert [table.codomain.labels[c] for c in table.mapping] \
+        == [right.labels[inner[c][0]] + (inner[c][1],) for c in nested.mapping]
+
+
+@pytest.mark.parametrize("which", range(4))
+def test_hexagon_catches_a_wrong_commutor_table(monkeypatch, which):
+    lam, mu, nu = (1, 0), (0, 1), (1, 1)
+    # inner and outer tables of the left path, then of the right path
+    tables = [((mu,), (nu,)), ((lam,), (nu, mu)),
+              ((lam,), (mu,)), ((mu, lam), (nu,))]
+    right = commutor_module.commutor_table
+
+    def wrong(cartan, left_weights, right_weights):
+        table = right(cartan, left_weights, right_weights)
+        if (left_weights, right_weights) != tables[which]:
+            return table
+        mapping = list(table.mapping)
+        mapping[0], mapping[1] = mapping[1], mapping[0]
+        return CrystalBijection(table.domain, table.codomain, tuple(mapping))
+
+    assert hexagon_holds(A2, lam, mu, nu)
+    monkeypatch.setattr(commutor_module, "commutor_table", wrong)
+    assert not hexagon_holds(A2, lam, mu, nu)
 
 
 def test_commutor_table_cached():

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -27,6 +29,7 @@ from cactus_crystal.crystal import (
     tensor_many,
     to_dot,
 )
+from cactus_crystal.tableaux import semistandard_tableaux
 
 A1 = cartan_type_a(1)
 A2 = cartan_type_a(2)
@@ -108,6 +111,77 @@ def test_tensor_matches_plain_loop(cartan, left_weights, right_weight, flatten):
     t = tensor(left, right, flatten=flatten)
     assert (t.wts, t.f_maps, t.e_maps, t.labels) == plain_tensor(left, right, flatten)
     assert component_ids(t) == plain_component_ids(t)
+
+
+def plain_irreducible(cartan, weight):
+    """(labels, wts, f_maps, e_maps) of B(weight) on tableaux: the oracle for
+    build_irreducible.  Reads the word once per colour and copies the whole
+    tableau for every move."""
+    rank = cartan.rank
+    tableaux = sorted(semistandard_tableaux(shape_of_weight(weight), rank + 1))
+    order = reading_order(shape_of_weight(weight))
+    index = {t: k for k, t in enumerate(tableaux)}
+    wts = []
+    for t in tableaux:
+        letters = [v for row in t for v in row]
+        wts.append(tuple(letters.count(i) - letters.count(i + 1)
+                         for i in range(1, rank + 1)))
+    f_maps, e_maps = {}, {}
+    for i in cartan.index_range():
+        f_arr, e_arr = [], []
+        for t in tableaux:
+            # i is '+', i+1 is '-'; a '-' cancels the next unmatched '+'
+            minus, plus = [], []
+            for pos, letter in enumerate(t[r][c] for r, c in order):
+                if letter == i + 1:
+                    minus.append(pos)
+                elif letter == i:
+                    if minus:
+                        minus.pop()
+                    else:
+                        plus.append(pos)
+            # f_i lowers the rightmost '+', e_i raises the leftmost '-'
+            for survivors, pick, delta, arr in ((plus, -1, 1, f_arr),
+                                                (minus, 0, -1, e_arr)):
+                if not survivors:
+                    arr.append(None)
+                    continue
+                r, c = order[survivors[pick]]
+                rows = [list(row) for row in t]
+                rows[r][c] += delta
+                arr.append(index[tuple(tuple(row) for row in rows)])
+        f_maps[i], e_maps[i] = tuple(f_arr), tuple(e_arr)
+    return tuple(tableaux), tuple(wts), f_maps, e_maps
+
+
+# every dominant weight at most (2, 1, 1), cut to the rank, for A1..A3
+IRREDUCIBLE_CASES = [(cartan, weight)
+                     for cartan in (A1, A2, A3)
+                     for weight in product(*(range(k + 1)
+                                             for k in (2, 1, 1)[:cartan.rank]))]
+
+
+@pytest.mark.parametrize("cartan,weight", IRREDUCIBLE_CASES)
+def test_build_irreducible_matches_plain_construction(cartan, weight):
+    g = build_irreducible(cartan, weight)
+    assert (g.labels, g.wts, g.f_maps, g.e_maps) \
+        == plain_irreducible(cartan, weight)
+
+
+@pytest.mark.parametrize("cartan,a,b,c", [
+    (A1, (1,), (2,), (1,)),
+    (A1, (3,), (1,), (2,)),
+    (A2, (1, 0), (0, 1), (1, 1)),
+    (A2, (1, 1), (2, 0), (0, 1)),
+    (A3, (1, 0, 0), (0, 1, 0), (1, 0, 1)),
+])
+def test_tensor_is_associative_on_ids(cartan, a, b, c):
+    flat = product_of_weights(cartan, (a, b, c))
+    left, right = build_irreducible(cartan, a), build_irreducible(cartan, c)
+    for nested in (tensor(left, product_of_weights(cartan, (b, c))),
+                   tensor(product_of_weights(cartan, (a, b)), right)):
+        assert (nested.wts, nested.f_maps, nested.e_maps) \
+            == (flat.wts, flat.f_maps, flat.e_maps)
 
 
 def a2_dim(a, b):
