@@ -118,38 +118,6 @@ def act_word(cartan, word, point):
     return point
 
 
-class ActionContext:
-    """Convenience wrapper fixing the Cartan datum and a base weight tuple."""
-
-    def __init__(self, cartan, weights):
-        self.cartan = cartan
-        self.weights = tuple(tuple(w) for w in weights)
-        for w in self.weights:
-            build_irreducible(cartan, w)
-
-    @property
-    def n(self):
-        return len(self.weights)
-
-    def factor(self, k):
-        return build_irreducible(self.cartan, self.weights[k - 1])
-
-    def points(self, weights=None):
-        return iter_points(self.cartan, self.weights if weights is None else weights)
-
-    def orderings(self):
-        return weight_orderings(self.weights)
-
-    def act(self, gen, point):
-        return act(self.cartan, gen, point)
-
-    def act_word(self, word, point):
-        return act_word(self.cartan, word, point)
-
-    def orbit(self, gens, point, max_points=None):
-        return orbit(self.cartan, gens, point, max_points=max_points)
-
-
 def iter_points(cartan, weights):
     weights = tuple(tuple(w) for w in weights)
     sizes = [build_irreducible(cartan, w).size for w in weights]

@@ -28,7 +28,7 @@ from itertools import product
 from . import CactusError
 from .commutor import commutor_on
 from .crystal import (build_irreducible, component_members, multiplicity_set,
-                      tensor)
+                      tensor, walk_in_step)
 
 
 class CategoryError(CactusError):
@@ -118,30 +118,6 @@ def needed_pairs(core, comp):
             "sigma": srt(sigma_pairs)}
 
 
-def _embedding(ref, graph, head):
-    """Strict embedding of ref into the component of head, by parallel BFS."""
-    ref_heads = ref.highest_weight_elements()
-    if len(ref_heads) != 1:
-        raise CategoryError("reference crystal is not irreducible")
-    emb = {ref_heads[0]: head}
-    frontier = [ref_heads[0]]
-    while frontier:
-        b = frontier.pop()
-        for i in ref.index_range():
-            c = ref.f(i, b)
-            if c is None:
-                continue
-            img = graph.f(i, emb[b])
-            if img is None:
-                raise CategoryError("component does not carry the reference crystal")
-            if c not in emb:
-                emb[c] = img
-                frontier.append(c)
-            elif emb[c] != img:
-                raise CategoryError("component embedding is inconsistent")
-    return emb
-
-
 def from_crystals(cartan, core_weights):
     """Category data of a finite family of irreducible highest weights."""
     core = [tuple(w) for w in core_weights]
@@ -193,7 +169,13 @@ def from_crystals(cartan, core_weights):
     def emb(a, b, mu, m):
         key = (a, b, mu, m)
         if key not in emb_cache:
-            emb_cache[key] = _embedding(graph(mu), tens(a, b), m)
+            ref = graph(mu)
+            walk = walk_in_step(ref, tens(a, b),
+                                ref.highest_weight_elements()[0], m)
+            if walk is None:
+                raise CategoryError(
+                    "component does not carry the reference crystal")
+            emb_cache[key] = walk
         return emb_cache[key]
 
     phi = {}
@@ -303,213 +285,173 @@ def _check_bijection(table, domain, codomain):
     return None
 
 
+def _run_checks(stages, fail_fast):
+    """Run check stages into a report; report["passed"] is the verdict.
+
+    A check is (name, keys, test), where test(key) returns (points checked,
+    first witness or None); a KeyError or CategoryError raised by a test is
+    that key's witness, as missing data.  Each failing key gets one entry
+    naming str(key); a check none of whose keys failed gets one ok entry with
+    the summed point count.  A stage with a failure ends the run, and under
+    fail_fast so does the first failure.
+    """
+    checks, failures = [], []
+    for stage in stages:
+        for name, keys, test in stage:
+            total, failed_before = 0, len(failures)
+            for key in keys:
+                try:
+                    points, witness = test(key)
+                except (KeyError, CategoryError) as exc:
+                    points, witness = 0, "missing data: %s" % exc
+                total += points
+                if witness is not None:
+                    failures.append({"check": name, "instance": str(key),
+                                     "ok": False, "detail": witness})
+                    checks.append(failures[-1])
+                    if fail_fast:
+                        return {"passed": False, "checks": checks,
+                                "failures": failures}
+            if len(failures) == failed_before:
+                checks.append({"check": name, "instances": total, "ok": True})
+        if failures:
+            break
+    return {"passed": not failures, "checks": checks, "failures": failures}
+
+
 def validate(data, fail_fast=False):
-    """Full validation report; report["passed"] is the verdict."""
-    checks = []
-    failed = set()
+    """Validation report; report["passed"] is the verdict.
 
-    def fail(name, instance, detail):
-        checks.append({"check": name, "instance": instance, "ok": False,
-                       "detail": detail})
-        failed.add(name)
-        return fail_fast
+    The structure checks run first, and a structure failure stops the run
+    before the axiom checks.
+    """
+    cl, mult, comp, core = data.cl, data.mult, data.comp, data.core_colours
+    pairs_mult = {(a, b) for (a, b, _) in mult}
 
-    def ok(name, count):
-        if name not in failed:
-            checks.append({"check": name, "instances": count, "ok": True})
+    def unset(*colours):
+        missing = sorted(set(colours) - cl.keys(), key=_ckey)
+        return "no element set for %r" % (missing,) if missing else None
 
-    def report():
-        failures = [c for c in checks if not c["ok"]]
-        return {"passed": not failures, "checks": checks,
-                "failures": failures}
+    def colour_set(c):
+        if c not in cl:
+            return 0, "core colour has no element set"
+        ok = cl[c] and len(set(cl[c])) == len(cl[c])
+        return 1, None if ok else "element ids not distinct and nonempty"
 
-    pairs_mult = {(a, b) for (a, b, _) in data.mult}
+    def mult_set(key):
+        ids = mult[key]
+        ok = key[2] in cl and ids and len(set(ids)) == len(ids)
+        return 1, None if ok else "bad multiplicity set"
 
-    for c in data.core_colours:
-        if c not in data.cl:
-            if fail("colour_sets", str(c), "core colour has no element set"):
-                return report()
-    for c, ids in data.cl.items():
-        if len(set(ids)) != len(ids) or not ids:
-            if fail("colour_sets", str(c), "element ids not distinct and nonempty"):
-                return report()
-    ok("colour_sets", len(data.cl))
-
-    for (a, b, mu), ids in data.mult.items():
-        if mu not in data.cl or len(set(ids)) != len(ids) or not ids:
-            if fail("mult_sets", str((a, b, mu)), "bad multiplicity set"):
-                return report()
-    ok("mult_sets", len(data.mult))
-
-    for pair, table in data.phi.items():
+    def phi_bijection(pair):
         a, b = pair
-        mus = data.comp(a, b)
-        missing = sorted({a, b, *mus} - data.cl.keys(), key=_ckey)
-        if missing:
-            if fail("phi_bijection", str(pair),
-                    "no element set for %r" % (missing,)):
-                return report()
-            continue
-        domain = set()
-        for mu in mus:
-            for m in data.mult[(a, b, mu)]:
-                for x in data.cl[mu]:
-                    domain.add((mu, m, x))
-        codomain = set(product(data.cl[a], data.cl[b]))
-        err = _check_bijection(table, domain, codomain)
-        if err:
-            if fail("phi_bijection", str(pair), err):
-                return report()
-    ok("phi_bijection", len(data.phi))
+        mus = comp(a, b)
+        return 1, unset(a, b, *mus) or _check_bijection(
+            data.phi[pair],
+            {(mu, m, x) for mu in mus for m in mult[(a, b, mu)] for x in cl[mu]},
+            set(product(cl[a], cl[b])))
 
-    for pair, table in data.sigma.items():
+    def sigma_bijection(pair):
         a, b = pair
-        missing = sorted({a, b} - data.cl.keys(), key=_ckey)
+        return 1, unset(a, b) or _check_bijection(
+            data.sigma[pair], set(product(cl[a], cl[b])),
+            set(product(cl[b], cl[a])))
+
+    def assoc_bijection(triple):
+        a, b, c = triple
+        missing = [(g, c) for g in comp(a, b) if (g, c) not in pairs_mult]
+        missing += [(a, t) for t in comp(b, c) if (a, t) not in pairs_mult]
         if missing:
-            if fail("sigma_bijection", str(pair),
-                    "no element set for %r" % (missing,)):
-                return report()
-            continue
-        err = _check_bijection(table, set(product(data.cl[a], data.cl[b])),
-                               set(product(data.cl[b], data.cl[a])))
-        if err:
-            if fail("sigma_bijection", str(pair), err):
-                return report()
-    ok("sigma_bijection", len(data.sigma))
+            return 1, "missing multiplicity data for %r" % (missing,)
+        table = data.assoc[triple]
+        err = _check_bijection(
+            table,
+            {(g, rho, m1, m2) for g in comp(a, b) for rho in comp(g, c)
+             for m1 in mult[(a, b, g)] for m2 in mult[(g, c, rho)]},
+            {(rho, t, m3, m4) for t in comp(b, c) for rho in comp(a, t)
+             for m3 in mult[(a, t, rho)] for m4 in mult[(b, c, t)]})
+        if err is None and any(k[1] != v[0] for k, v in table.items()):
+            err = "total colour not preserved"
+        return 1, err
 
-    for (a, b, c), table in data.assoc.items():
-        missing = [(g, c) for g in data.comp(a, b) if (g, c) not in pairs_mult]
-        missing += [(a, t) for t in data.comp(b, c) if (a, t) not in pairs_mult]
-        if missing:
-            if fail("assoc_bijection", str((a, b, c)),
-                    "missing multiplicity data for %r" % (missing,)):
-                return report()
-            continue
-        domain = set()
-        for g in data.comp(a, b):
-            for rho in data.comp(g, c):
-                domain.update((g, rho, m1, m2)
-                              for m1 in data.mult[(a, b, g)]
-                              for m2 in data.mult[(g, c, rho)])
-        codomain = set()
-        for t in data.comp(b, c):
-            for rho in data.comp(a, t):
-                codomain.update((rho, t, m3, m4)
-                                for m3 in data.mult[(a, t, rho)]
-                                for m4 in data.mult[(b, c, t)])
-        err = _check_bijection(table, domain, codomain)
-        if err:
-            if fail("assoc_bijection", str((a, b, c)), err):
-                return report()
-        else:
-            for (g, rho, m1, m2), (rho2, t, m3, m4) in table.items():
-                if rho2 != rho:
-                    if fail("assoc_bijection", str((a, b, c)),
-                            "total colour not preserved"):
-                        return report()
-                    break
-    ok("assoc_bijection", len(data.assoc))
-
-    if failed:
-        return report()
-
-    count = 0
-    for (a, b), table in data.sigma.items():
-        if (b, a) not in data.sigma:
-            continue
+    def involutivity(pair):
+        a, b = pair
         back = data.sigma[(b, a)]
-        for k, v in table.items():
+        count = 0
+        for k, v in data.sigma[pair].items():
             count += 1
             if back[v] != k:
-                if fail("involutivity", str((a, b)),
-                        "sigma_%s o sigma_%s moves %r" % ((b, a), (a, b), k)):
-                    return report()
-    ok("involutivity", count)
+                return count, "sigma_%s o sigma_%s moves %r" % ((b, a), pair, k)
+        return count, None
 
-    core = data.core_colours
-    count = 0
-    for a, b, c in product(core, repeat=3):
-        try:
-            lhs_outer = sigma_right_composite(data, a, (c, b))
-            rhs_outer = sigma_left_composite(data, (b, a), c)
-            sig_bc = data.sigma[(b, c)]
-            sig_ab = data.sigma[(a, b)]
-        except (KeyError, CategoryError) as exc:
-            if fail("hexagon", str((a, b, c)), "missing data: %s" % exc):
-                return report()
-            continue
-        for x, y, z in product(data.cl[a], data.cl[b], data.cl[c]):
+    def hexagon(triple):
+        a, b, c = triple
+        lhs_outer = sigma_right_composite(data, a, (c, b))
+        rhs_outer = sigma_left_composite(data, (b, a), c)
+        sig_bc, sig_ab = data.sigma[(b, c)], data.sigma[(a, b)]
+        count = 0
+        for x, y, z in product(cl[a], cl[b], cl[c]):
             u, v = sig_bc[(y, z)]
             lhs = lhs_outer[(x, u, v)]
             p, q = sig_ab[(x, y)]
             rhs = rhs_outer[(p, q, z)]
             count += 1
             if lhs != rhs:
-                if fail("hexagon", str((a, b, c)),
-                        "paths differ at %r: %r vs %r" % ((x, y, z), lhs, rhs)):
-                    return report()
-                break
-    ok("hexagon", count)
+                return count, "paths differ at %r: %r vs %r" % ((x, y, z), lhs, rhs)
+        return count, None
 
-    count = 0
-    for a, b, c in product(core, repeat=3):
-        table = data.assoc.get((a, b, c))
+    def collapsed_pentagon(triple):
+        a, b, c = triple
+        table = data.assoc.get(triple)
         if table is None:
-            if fail("collapsed_pentagon", str((a, b, c)), "missing associator"):
-                return report()
-            continue
-        try:
-            for (g, rho, m1, m2), (rho2, t, m3, m4) in table.items():
-                for x in data.cl[rho]:
-                    u, w = data.phi[(a, t)][(rho, m3, x)]
-                    v1, v2 = data.phi[(b, c)][(t, m4, w)]
-                    gx, z2 = data.phi[(g, c)][(rho, m2, x)]
-                    u2, v1b = data.phi[(a, b)][(g, m1, gx)]
-                    count += 1
-                    if (u, v1, v2) != (u2, v1b, z2):
-                        if fail("collapsed_pentagon", str((a, b, c)),
-                                "paths differ at %r" % ((g, rho, m1, m2, x),)):
-                            return report()
-                        raise StopIteration
-        except StopIteration:
-            continue
-        except KeyError as exc:
-            if fail("collapsed_pentagon", str((a, b, c)), "missing data: %s" % exc):
-                return report()
-    ok("collapsed_pentagon", count)
-
-    count = 0
-    for quad in product(core, repeat=4):
-        a, b, c, d = quad
-        try:
-            states = []
-            for g in data.comp(a, b):
-                for dd in data.comp(g, c):
-                    for m1 in data.mult[(a, b, g)]:
-                        for m2 in data.mult[(g, c, dd)]:
-                            for rho in data.comp(dd, d):
-                                for m3 in data.mult[(dd, d, rho)]:
-                                    states.append((g, dd, rho, m1, m2, m3))
-            for g, dd, rho, m1, m2, m3 in states:
-                dd1, t, n1, n2 = data.assoc[(a, b, c)][(g, dd, m1, m2)]
-                rho1, k, p1, p2 = data.assoc[(a, t, d)][(dd1, rho, n1, m3)]
-                k1, pi, q1, q2 = data.assoc[(b, c, d)][(t, k, n2, p2)]
-                upper = (pi, k1, rho1, q2, q1, p1)
-                rho2, pi2, r1, r2 = data.assoc[(g, c, d)][(dd, rho, m2, m3)]
-                rho3, k2, s1, s2 = data.assoc[(a, b, pi2)][(g, rho2, m1, r1)]
-                lower = (pi2, k2, rho3, r2, s2, s1)
+            return 0, "missing associator"
+        phi = data.phi
+        count = 0
+        for (g, rho, m1, m2), (rho2, t, m3, m4) in table.items():
+            for x in cl[rho]:
+                u, w = phi[(a, t)][(rho, m3, x)]
+                v1, v2 = phi[(b, c)][(t, m4, w)]
+                gx, z2 = phi[(g, c)][(rho, m2, x)]
+                u2, v1b = phi[(a, b)][(g, m1, gx)]
                 count += 1
-                if upper != lower:
-                    if fail("pentagon", str(quad),
-                            "paths differ at %r" % ((g, dd, rho, m1, m2, m3),)):
-                        return report()
-                    break
-        except KeyError as exc:
-            if fail("pentagon", str(quad), "missing data: %s" % exc):
-                return report()
-    ok("pentagon", count)
+                if (u, v1, v2) != (u2, v1b, z2):
+                    return count, "paths differ at %r" % ((g, rho, m1, m2, x),)
+        return count, None
 
-    return report()
+    def pentagon(quad):
+        a, b, c, d = quad
+        assoc = data.assoc
+        states = [(g, dd, rho, m1, m2, m3)
+                  for g in comp(a, b) for dd in comp(g, c)
+                  for m1 in mult[(a, b, g)] for m2 in mult[(g, c, dd)]
+                  for rho in comp(dd, d) for m3 in mult[(dd, d, rho)]]
+        count = 0
+        for g, dd, rho, m1, m2, m3 in states:
+            dd1, t, n1, n2 = assoc[(a, b, c)][(g, dd, m1, m2)]
+            rho1, k, p1, p2 = assoc[(a, t, d)][(dd1, rho, n1, m3)]
+            k1, pi, q1, q2 = assoc[(b, c, d)][(t, k, n2, p2)]
+            rho2, pi2, r1, r2 = assoc[(g, c, d)][(dd, rho, m2, m3)]
+            rho3, k2, s1, s2 = assoc[(a, b, pi2)][(g, rho2, m1, r1)]
+            count += 1
+            if (pi, k1, rho1, q2, q1, p1) != (pi2, k2, rho3, r2, s2, s1):
+                return count, "paths differ at %r" % ((g, dd, rho, m1, m2, m3),)
+        return count, None
+
+    structure = [
+        ("colour_sets", [c for c in core if c not in cl] + list(cl), colour_set),
+        ("mult_sets", mult, mult_set),
+        ("phi_bijection", data.phi, phi_bijection),
+        ("sigma_bijection", data.sigma, sigma_bijection),
+        ("assoc_bijection", data.assoc, assoc_bijection),
+    ]
+    axioms = [
+        ("involutivity", [(a, b) for a, b in data.sigma if (b, a) in data.sigma],
+         involutivity),
+        ("hexagon", product(core, repeat=3), hexagon),
+        ("collapsed_pentagon", product(core, repeat=3), collapsed_pentagon),
+        ("pentagon", product(core, repeat=4), pentagon),
+    ]
+    return _run_checks([structure, axioms], fail_fast)
 
 
 def is_valid(data):
@@ -825,117 +767,73 @@ def verify_fiber_system(fs):
     A table or entry that a check needs and cannot find is a failure of that
     check ("missing data: ..."), never a KeyError or a skipped instance.
     """
-    checks = []
-    failed = set()
+    e1, e_act, x_act = fs.e1, fs.e_act, fs.x_act
+    core = set(fs.core_colours)
 
-    def fail(name, instance, detail):
-        checks.append({"check": name, "instance": instance, "ok": False,
-                       "detail": detail})
-        failed.add(name)
+    def x_fibre(key):
+        elts = fs.x[key]
+        return 1, None if len(set(elts)) == len(elts) else "repeated fibre element"
 
-    def ok(name, count):
-        if name not in failed:
-            checks.append({"check": name, "instances": count, "ok": True})
-
-    def missing(name, instance, exc):
-        fail(name, instance, "missing data: %s" % exc)
-
-    count = 0
-    for (tup, mu), elts in fs.x.items():
-        if len(set(elts)) != len(elts):
-            fail("x_fibres", str((tup, mu)), "repeated fibre element")
-        count += 1
-    ok("x_fibres", count)
-
-    count = 0
-    for (tup, key), table in fs.e_act.items():
-        count += 1
-        i, j = key[1], key[2]
+    def e_act_bijection(key):
+        tup, (_, i, j) = key
         target = tup[:i - 1] + tuple(reversed(tup[i - 1:j])) + tup[j:]
-        try:
-            pts = list(product(*(fs.e1[c] for c in tup)))
-            tgt_pts = set(product(*(fs.e1[c] for c in target)))
-        except KeyError as exc:
-            missing("e_act_bijection", str((tup, key)), exc)
-            continue
-        if set(table) != set(pts) or set(table.values()) != tgt_pts \
-                or len(set(table.values())) != len(table):
-            fail("e_act_bijection", str((tup, key)), "not a fibre bijection")
-    ok("e_act_bijection", count)
+        pts = set(product(*(e1[c] for c in tup)))
+        tgt_pts = set(product(*(e1[c] for c in target)))
+        bad = _check_bijection(e_act[key], pts, tgt_pts)
+        return 1, bad and "not a fibre bijection"
 
-    count = 0
-    for (tup, key), table in fs.e_act.items():
-        if len(tup) != 3:
-            continue
-        i, j = key[1], key[2]
-        if j - i != 1:
-            continue
-        pair = (tup[i - 1], tup[i])
-        try:
-            sub = fs.e_act[(pair, _skey(1, 2))]
-            for pt, out in table.items():
+    def concat_equivariance(key):
+        tup, (_, i, j) = key
+        sub = e_act[((tup[i - 1], tup[i]), _skey(1, 2))]
+        count = 0
+        for pt, out in e_act[key].items():
+            count += 1
+            u, v = sub[(pt[i - 1], pt[i])]
+            if out != pt[:i - 1] + (u, v) + pt[j:]:
+                return count, "embedded action disagrees at %r" % (pt,)
+        return count, None
+
+    def transport_equivariance(key):
+        pair, target = key[0], key[0][::-1]
+        eact = e_act[key]
+        count = 0
+        for (mu, m), (mu2, m2) in x_act[key].items():
+            if mu2 != mu:
+                return count, "total colour moved"
+            for xx in e1[mu]:
                 count += 1
-                u, v = sub[(pt[i - 1], pt[i])]
-                want = pt[:i - 1] + (u, v) + pt[j:]
-                if out != want:
-                    fail("concat_equivariance", str((tup, key)),
-                         "embedded action disagrees at %r" % (pt,))
-                    break
-        except KeyError as exc:
-            missing("concat_equivariance", str((tup, key)), exc)
-    ok("concat_equivariance", count)
+                lhs = fs.transport[target][(mu, m2, xx)]
+                rhs = eact[fs.transport[pair][(mu, m, xx)]]
+                if lhs != rhs:
+                    return count, "squares do not commute at %r" % ((mu, m, xx),)
+        return count, None
 
-    count = 0
-    for (tup, key), table in fs.x_act.items():
-        if len(tup) != 2:
-            continue
-        pair = tup
-        target = (pair[1], pair[0])
-        try:
-            eact = fs.e_act[(tup, key)]
-            for (mu, m), (mu2, m2) in table.items():
-                if mu2 != mu:
-                    fail("transport_equivariance", str((tup, key)),
-                         "total colour moved")
-                    continue
-                for xx in fs.e1[mu]:
-                    count += 1
-                    lhs = fs.transport[target][(mu, m2, xx)]
-                    rhs = eact[fs.transport[pair][(mu, m, xx)]]
-                    if lhs != rhs:
-                        fail("transport_equivariance", str((tup, key)),
-                             "squares do not commute at %r" % ((mu, m, xx),))
-                        break
-        except KeyError as exc:
-            missing("transport_equivariance", str((tup, key)), exc)
-    ok("transport_equivariance", count)
+    def glue_naturality(triple):
+        a, b, c = triple
+        g1 = fs.gamma1[triple]
+        if not core.issuperset(triple):
+            return 0, None
+        sub = x_act[((b, c), _skey(1, 2))]
+        full = x_act[(triple, _skey(2, 3))]
+        other = fs.gamma1[(a, c, b)]
+        count = 0
+        for (rho, t, m3, m4), (_, big) in g1.items():
+            count += 1
+            t2, m4b = sub[(t, m4)]
+            if other[(rho, t2, m3, m4b)] != full[(rho, big)]:
+                return count, "first glue not natural at %r" % ((rho, t, m3, m4),)
+        return count, None
 
     # the glued triples are those of gamma1 and of the triple fibres of x;
     # interval actions, and so naturality, are stored over core triples only
-    count = 0
-    core = set(fs.core_colours)
-    for triple in dict.fromkeys([*fs.gamma1, *(t for t, _ in fs.x if len(t) == 3)]):
-        a, b, c = triple
-        try:
-            g1 = fs.gamma1[triple]
-            if not core.issuperset(triple):
-                continue
-            sub = fs.x_act[((b, c), _skey(1, 2))]
-            full = fs.x_act[(triple, _skey(2, 3))]
-            other = fs.gamma1[(a, c, b)]
-            for (rho, t, m3, m4), val in g1.items():
-                count += 1
-                t2, m4b = sub[(t, m4)]
-                lhs = other[(rho, t2, m3, m4b)]
-                rho2, big = val
-                rhs = full[(rho, big)]
-                if lhs != rhs:
-                    fail("glue_naturality", str(triple),
-                         "first glue not natural at %r" % ((rho, t, m3, m4),))
-                    break
-        except KeyError as exc:
-            missing("glue_naturality", str(triple), exc)
-    ok("glue_naturality", count)
-
-    failures = [c for c in checks if not c["ok"]]
-    return {"passed": not failures, "checks": checks, "failures": failures}
+    glued = dict.fromkeys([*fs.gamma1, *(t for t, _ in fs.x if len(t) == 3)])
+    return _run_checks([[
+        ("x_fibres", fs.x, x_fibre),
+        ("e_act_bijection", e_act, e_act_bijection),
+        ("concat_equivariance",
+         [k for k in e_act if len(k[0]) == 3 and k[1][2] - k[1][1] == 1],
+         concat_equivariance),
+        ("transport_equivariance", [k for k in x_act if len(k[0]) == 2],
+         transport_equivariance),
+        ("glue_naturality", glued, glue_naturality),
+    ]], fail_fast=False)

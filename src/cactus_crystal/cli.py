@@ -319,9 +319,7 @@ def cmd_rsk(args):
     p, q = rsk(word)
     payload = _report("rsk", True, word=list(word),
                       insertion=[list(r) for r in p],
-                      recording=[list(r) for r in q],
-                      P=[list(r) for r in p],
-                      Q=[list(r) for r in q])
+                      recording=[list(r) for r in q])
     return _emit(args, payload)
 
 

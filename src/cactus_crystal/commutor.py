@@ -86,9 +86,14 @@ class CrystalBijection:
 def schutzenberger(graph):
     """The involution xi of a normal crystal, as a CrystalBijection.
 
-    Computed on the first call and kept on the graph; a graph that is not
-    normal raises on every call.
+    A graph that is not normal raises on every call.
     """
+    return CrystalBijection(graph, graph, _xi_mapping(graph))
+
+
+def _xi_mapping(graph):
+    """The mapping tuple of xi, computed on the first call and kept on the
+    graph; a bare tuple, so that graph and xi form no reference cycle."""
     if graph._xi is not None:
         return graph._xi
     cartan = graph.cartan
@@ -122,8 +127,10 @@ def schutzenberger(graph):
                     raise CrystalError("xi recursion is inconsistent")
     if any(v is None for v in xi):
         raise CrystalError("crystal is not generated from its heads by f_i")
-    graph._xi = CrystalBijection(graph, graph, tuple(xi))
-    return graph._xi
+    mapping = tuple(xi)
+    CrystalBijection(graph, graph, mapping)    # raises unless a bijection
+    graph._xi = mapping
+    return mapping
 
 
 def commutor(left, right):
@@ -139,9 +146,7 @@ def commutor_on(left, right, domain, codomain):
     has id a * |right| + b, which is also its id in a flat product of the
     same factors, since the tensor rule is associative on ids.
     """
-    xl = schutzenberger(left).mapping
-    xr = schutzenberger(right).mapping
-    xc = schutzenberger(codomain).mapping
+    xl, xr, xc = _xi_mapping(left), _xi_mapping(right), _xi_mapping(codomain)
     nl = left.size
     mapping = tuple(xc[yb * nl + ya] for ya in xl for yb in xr)
     return CrystalBijection(domain, codomain, mapping)

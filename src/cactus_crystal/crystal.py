@@ -60,7 +60,7 @@ class CrystalGraph:
     _heads: tuple = field(default=None, init=False, repr=False, compare=False)
     _heads_by_wt: dict = field(default=None, init=False, repr=False,
                                compare=False)
-    _xi: object = field(default=None, init=False, repr=False, compare=False)
+    _xi: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.labels is None:
@@ -447,30 +447,43 @@ def _subgraph(graph, members):
     return CrystalGraph(graph.cartan, wts, f_maps, e_maps, labels=labels)
 
 
-def crystal_isomorphic(graph, reference, start, ref_start):
-    """Does f-edge BFS from the given heads give a full bijection?"""
-    if graph.size != reference.size:
-        return False
-    partner = {start: ref_start}
+def walk_in_step(graph, other, start, other_start):
+    """Walk f-edges of two crystals in step from start and other_start.
+
+    Returns the partner map from the elements of graph reached from start to
+    the elements of other reached along the same f-paths, or None when two
+    partners differ in weight or in which f_i are defined, or when two paths
+    to one element give it different partners.
+    """
+    moves = [(graph.f_maps[i], other.f_maps[i]) for i in graph.index_range()]
+    wts, other_wts = graph.wts, other.wts
+    partner = {start: other_start}
     frontier = [start]
     while frontier:
         b = frontier.pop()
-        rb = partner[b]
-        if graph.wt(b) != reference.wt(rb):
-            return False
-        for i in graph.index_range():
-            c, rc = graph.f(i, b), reference.f(i, rb)
-            if (c is None) != (rc is None):
-                return False
-            if c is None:
-                continue
-            if c in partner:
-                if partner[c] != rc:
-                    return False
-            else:
-                partner[c] = rc
+        ob = partner[b]
+        if wts[b] != other_wts[ob]:
+            return None
+        for f_map, other_f in moves:
+            c, oc = f_map[b], other_f[ob]
+            if c is None or oc is None:
+                if c is not oc:
+                    return None
+            elif c not in partner:
+                partner[c] = oc
                 frontier.append(c)
-    return len(partner) == graph.size and len(set(partner.values())) == graph.size
+            elif partner[c] != oc:
+                return None
+    return partner
+
+
+def crystal_isomorphic(graph, reference, start, ref_start):
+    """Does the in-step walk from the given heads give a full bijection?"""
+    if graph.size != reference.size:
+        return False
+    partner = walk_in_step(graph, reference, start, ref_start)
+    return partner is not None and \
+        len(partner) == len(set(partner.values())) == graph.size
 
 
 def normality_report(graph):
@@ -482,15 +495,17 @@ def normality_report(graph):
     if not _is_type_a_matrix(graph.cartan):
         return {"status": "unverifiable",
                 "detail": "no reference construction for this Cartan matrix"}
-    for head, sub in components(graph):
+    for head, members in component_members(graph):
         wt = graph.wt(head)
         if any(c < 0 for c in wt):
             return {"status": "not_normal", "head": head,
                     "detail": "highest weight %r is not dominant" % (wt,)}
         reference = build_irreducible(graph.cartan, wt)
-        sub_head = sub.index_of_label(graph.labels[head])
-        ref_head = reference.highest_weight_elements()[0]
-        if not crystal_isomorphic(sub, reference, sub_head, ref_head):
+        partner = walk_in_step(graph, reference, head,
+                               reference.highest_weight_elements()[0])
+        size = reference.size
+        if (partner is None or len(members) != size or len(partner) != size
+                or len(set(partner.values())) != size):
             return {"status": "not_normal", "head": head,
                     "detail": "component at %d is not B(%r)" % (head, wt)}
     return {"status": "normal"}

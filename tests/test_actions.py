@@ -5,7 +5,6 @@ import pytest
 
 from cactus_crystal import actions
 from cactus_crystal.actions import (
-    ActionContext,
     CompiledAction,
     DEFAULT_MAX_POINTS,
     LabeledPoint,
@@ -22,6 +21,7 @@ from cactus_crystal.actions import (
     weight_orderings,
 )
 from cactus_crystal.cartan import cartan_type_a
+from cactus_crystal.crystal import build_irreducible
 from cactus_crystal.groups import (
     AffineR,
     AffineS,
@@ -177,13 +177,12 @@ def test_count_and_orderings():
     assert len(weight_orderings(W111)) == 1
 
 
-def test_action_context_helpers():
-    ctx = ActionContext(A1, W112)
-    assert ctx.n == 3
-    assert ctx.factor(3).size == 3
-    assert len(list(ctx.points())) == 12
+def test_point_helpers():
+    assert len(W112) == 3
+    assert build_irreducible(A1, W112[2]).size == 3
+    assert count_points(A1, W112) == len(list(iter_points(A1, W112))) == 12
     p = LabeledPoint(W112, (0, 0, 0))
-    assert ctx.act(CactusGen(1, 2), p) == act(A1, CactusGen(1, 2), p)
+    assert act_word(A1, [CactusGen(1, 2)], p) == act(A1, CactusGen(1, 2), p)
 
 
 def test_verify_relations_c3_report():
@@ -336,7 +335,6 @@ def test_alternating_check_capped():
 
 def test_verify_accepts_parse_word_cycles():
     # a full r-orbit of intervals straightens consistently
-    ctx = ActionContext(A1, W111)
     w = parse_word("r s1_2 r r", "AC", 3)
     p = LabeledPoint(W111, (0, 1, 1))
-    assert ctx.act_word(w, p) == act(A1, AffineS(2, 3), p)
+    assert act_word(A1, w, p) == act(A1, AffineS(2, 3), p)

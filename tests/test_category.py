@@ -316,6 +316,49 @@ def test_from_crystals_output_is_frozen(core_data):
         == FROZEN_CATEGORY_DIGESTS[core_data.core_colours[0]]
 
 
+def _validator_inputs(data):
+    """The core, its mutants for seeds 0..19, and the core with one cl, one
+    sigma and one assoc entry deleted (the middle key in repr order)."""
+    yield data
+    for seed in range(20):
+        yield mutate_category(data, seed=seed)[0]
+    for name in ("cl", "sigma", "assoc"):
+        table = dict(getattr(data, name))
+        del table[sorted(table, key=repr)[len(table) // 2]]
+        yield replace(data, **{name: table})
+
+
+# sha256 of the sorted-key JSON dump of the list of validate reports over
+# _validator_inputs(core), by first core colour and fail_fast
+FROZEN_REPORT_DIGESTS = {
+    (CORE_A1[0], False):
+        "55dced1c123c9a82d737c65dc5bc6baeac23f00899c6bf8cb35e4f2cbd57016a",
+    (CORE_A1[0], True):
+        "5e7e8439245ea2836a857d41c91ae1e14282ec25abcee4e27e35721d3ccbad96",
+    (CORE_A2[0], False):
+        "e5ead633e8df5f1efce83faf615128cf4c0dfda8c78739893b35e2ff4128774f",
+    (CORE_A2[0], True):
+        "aa339c32efd91e83128b12e36a540d607770e160b119251b44df91f10f642883",
+}
+
+
+@pytest.mark.parametrize("fail_fast", [False, True])
+def test_validator_reports_are_frozen(core_data, fail_fast):
+    reports = [validate(data, fail_fast=fail_fast)
+               for data in _validator_inputs(core_data)]
+    assert sum(not rep["passed"] for rep in reports) == len(reports) - 1
+    text = json.dumps(reports, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() \
+        == FROZEN_REPORT_DIGESTS[(core_data.core_colours[0], fail_fast)]
+
+
+def test_full_report_lists_each_instance_once(core_data):
+    for data in _validator_inputs(core_data):
+        failures = [(f["check"], f["instance"])
+                    for f in validate(data)["failures"]]
+        assert len(failures) == len(set(failures)), failures
+
+
 def test_comp_index_matches_scan(core_data):
     _assert_comp_matches_scan(core_data)
 

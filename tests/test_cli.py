@@ -238,7 +238,9 @@ def test_verify_choices_requires_n(capsys):
 def test_rsk_perm_flag(capsys):
     code, payload, _ = run(capsys, ["rsk", "--perm", "2,1,3"])
     assert code == 0
-    assert payload["P"] == [[1, 3], [2]] and payload["Q"] == [[1, 3], [2]]
+    assert payload["insertion"] == [[1, 3], [2]]
+    assert payload["recording"] == [[1, 3], [2]]
+    assert "P" not in payload and "Q" not in payload
     code, _, captured = run(capsys, ["rsk", "--perm", "2,2,3"])
     assert code == 2  # not a permutation
     code, _, captured = run(capsys, ["rsk"])

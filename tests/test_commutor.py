@@ -1,3 +1,4 @@
+import gc
 from itertools import product
 
 import pytest
@@ -205,8 +206,23 @@ def test_xi_matches_plain_loop(cartan, left_weights, right_weight, flatten):
 def test_xi_is_computed_once_per_graph():
     graph = _graph(A2, ((1, 0),), (0, 1), False)
     xi = schutzenberger(graph)
-    assert schutzenberger(graph) is xi
+    assert schutzenberger(graph).mapping is xi.mapping
     assert xi.domain is graph and xi.codomain is graph
+
+
+def test_commutor_leaves_no_reference_cycles():
+    # the cached xi is a bare tuple, so a fresh tensor dies with its last
+    # reference instead of waiting for the cyclic collector
+    left, right = build_irreducible(A2, (1, 1)), build_irreducible(A2, (2, 1))
+    commutor(left, right)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(50):
+            commutor(left, right)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_xi_cache_leaves_equality_alone():

@@ -3,6 +3,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cactus_crystal import crystal as crystal_module
 from cactus_crystal.cartan import (
     cartan_explicit,
     cartan_type_a,
@@ -28,6 +29,7 @@ from cactus_crystal.crystal import (
     tensor,
     tensor_many,
     to_dot,
+    walk_in_step,
 )
 from cactus_crystal.tableaux import semistandard_tableaux
 
@@ -343,6 +345,55 @@ def test_normality_report_unverifiable_outside_type_a():
     assert rep["status"] == "unverifiable"
     with pytest.raises(CrystalError):
         is_normal(g)
+
+
+# graphs whose single component is not normal, with the report's detail
+NOT_NORMAL = [
+    # one element of weight (1,): B(1) has two
+    (CrystalGraph(cartan=A1, wts=((1,),), f_maps={1: (None,)}),
+     "component at 0 is not B((1,))"),
+    (CrystalGraph(cartan=A1, wts=((-1,),), f_maps={1: (None,)}),
+     "highest weight (-1,) is not dominant"),
+    # the size of B(1,0), but f_2 is defined on the head
+    (CrystalGraph(cartan=A2, wts=((1, 0), (-1, 1), (2, -2)),
+                  f_maps={1: (1, None, None), 2: (2, None, None)}),
+     "component at 0 is not B((1, 0))"),
+]
+
+
+@pytest.mark.parametrize("graph,detail", NOT_NORMAL)
+def test_normality_report_names_the_bad_component(graph, detail):
+    assert normality_report(graph) == {"status": "not_normal", "head": 0,
+                                       "detail": detail}
+    assert not is_normal(graph)
+
+
+def test_normality_report_builds_no_sub_crystal(monkeypatch):
+    def no_subgraph(*args):
+        raise AssertionError("normality_report built a sub-crystal")
+
+    monkeypatch.setattr(crystal_module, "_subgraph", no_subgraph)
+    t = tensor(build_irreducible(A2, (1, 1)), build_irreducible(A2, (1, 0)))
+    assert normality_report(t) == {"status": "normal"}
+
+
+def test_walk_in_step_maps_a_component_onto_its_reference():
+    t = tensor(build_irreducible(A2, W1), build_irreducible(A2, W2))
+    ref = build_irreducible(A2, (1, 1))
+    head, = multiplicity_set(t, (1, 1))
+    ref_head = ref.highest_weight_elements()[0]
+    partner = walk_in_step(t, ref, head, ref_head)
+    assert sorted(partner.values()) == list(ref.elements())
+    members = dict(crystal_module.component_members(t))[head]
+    assert sorted(partner) == members
+    for b, rb in partner.items():
+        assert t.wt(b) == ref.wt(rb)
+    # the other way round the partner map is the inverse
+    back = walk_in_step(ref, t, ref_head, head)
+    assert back == {rb: b for b, rb in partner.items()}
+    # heads of different weight are not partners
+    low, = multiplicity_set(t, (0, 0))
+    assert walk_in_step(t, ref, low, ref_head) is None
 
 
 def test_build_rejects_non_dominant():
