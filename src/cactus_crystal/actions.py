@@ -1,29 +1,32 @@
 """Actions of the cactus family on products of irreducible crystals.
 
 A point carries the tuple of highest weights of the factors together with one
-element id per factor.  Interval generators s_ij apply the cached reversal of
-the subproduct i..j to the entries and reverse the weight labels; permutation
-generators act by pulling: entry k of the image is entry w(k) of the source.
-Affine letters are straightened into virtual ones first.  act and act_word
-are the definition of the action on a single point.
+element id per factor.  What a letter does depends only on the weights, so
+_resolve turns a letter and a weight tuple into the image weights and steps on
+the entries: s_ij applies the cached reversal of the subproduct i..j, a
+permutation pulls (entry k of the image is entry w(k) of the source), t_i
+swaps factors i and i+1, and affine letters are straightened into virtual
+ones.  act and act_word run those steps on a single point.
 
-verify_relations runs on a compiled form of the same action.  CompiledAction
-lists every point of the closure of the supplied weight tuples under
-reordering once, since every generator maps that set to itself, and turns
-each generator letter, on first use, into the flat list of the ids of its
-images, computed by act.  A word then acts on a list of ids by composing
-lists, and a relation holds when both sides send every supplied point to the
-same id.  The point budget counts the points of that closure, which is what
-the engine holds, not only the supplied points.
+verify_relations runs on CompiledAction.  It lists every point of the closure
+of the supplied weight tuples under reordering, which every letter maps to
+itself, in one block per weight tuple, and turns each letter on first use into
+the list of the ids of its images, resolving it once per block.  A word acts
+on ids by composing lists; a relation holds when both sides send every
+supplied point to the same id.  The point budget counts the whole closure.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
+from functools import partial
 from itertools import permutations, product
+from math import prod
+from operator import itemgetter
 
+from . import DEFAULT_MAX_POINTS, MAX_POINTS_ENV, check_budget  # noqa: F401
+from . import point_budget as _point_budget
 from .cartan import cartan_to_json
 from .commutor import reversal_table
 from .crystal import build_irreducible
@@ -41,21 +44,7 @@ from .groups import (
 )
 from .perms import check_perm, mulclose, parity, transposition
 
-MAX_POINTS_ENV = "CACTUS_CRYSTAL_MAX_POINTS"
-DEFAULT_MAX_POINTS = 10 ** 6
-
-
-def point_budget():
-    raw = os.environ.get(MAX_POINTS_ENV)
-    if raw is None:
-        return DEFAULT_MAX_POINTS
-    try:
-        value = int(raw)
-    except ValueError:
-        raise GroupError("bad %s value %r" % (MAX_POINTS_ENV, raw)) from None
-    if value <= 0:
-        raise GroupError("%s must be positive" % MAX_POINTS_ENV)
-    return value
+point_budget = partial(_point_budget, GroupError)
 
 
 @dataclass(frozen=True)
@@ -68,52 +57,69 @@ class LabeledPoint:
             raise GroupError("weights and entries disagree in length")
 
 
-def check_point(cartan, point):
-    """Raise GroupError unless every entry lies in the range of its factor."""
+def check_point(cartan, point, budget=None):
+    """Raise GroupError unless every entry lies in the range of its factor
+    and the product of the factors is within the point budget."""
+    total = 1
     for k, (w, e) in enumerate(zip(point.weights, point.entries), 1):
         size = build_irreducible(cartan, w).size
         if not 0 <= e < size:
             raise GroupError("point entry %d of factor %d is out of range "
                              "0..%d" % (e, k, size - 1))
+        total *= size
+    check_budget(total, "point space", budget, GroupError)
 
 
-def act(cartan, gen, point):
-    """One letter on one point.  Entries are not range-checked here, as
-    CompiledAction calls this once per point; act_word and orbit check."""
-    n = len(point.weights)
-    if isinstance(gen, CactusGen):
-        if gen.j > n:
-            raise GroupError("generator %s exceeds %d factors" % (gen, n))
-        i, j = gen.i, gen.j
-        table = reversal_table(cartan, point.weights[i - 1:j])
-        new_entries = point.entries[:i - 1] + table[point.entries[i - 1:j]] \
-            + point.entries[j:]
-        new_weights = point.weights[:i - 1] + point.weights[i - 1:j][::-1] \
-            + point.weights[j:]
-        return LabeledPoint(new_weights, new_entries)
-    if isinstance(gen, PermGen):
-        w = gen.perm
-        if len(w) != n:
-            raise GroupError("generator %s wants %d factors, point has %d"
-                             % (gen, len(w), n))
-        return LabeledPoint(tuple(point.weights[w[k] - 1] for k in range(n)),
-                            tuple(point.entries[w[k] - 1] for k in range(n)))
+def _resolve(cartan, gen, weights):
+    """Image weights of gen on points with these weights, and its steps: pull
+    tuples p (entry k becomes entry p[k]) or (i, j, table) on entries i..j-1."""
+    n = len(weights)
     if isinstance(gen, MirabolicT):
         if gen.i == 0:
             raise GroupError("t0 does not act on the factors")
-        return act(cartan, PermGen(transposition(n, gen.i, gen.i + 1)), point)
+        gen = PermGen(transposition(n, gen.i, gen.i + 1))
+    if isinstance(gen, CactusGen):
+        if gen.j > n:
+            raise GroupError("generator %s exceeds %d factors" % (gen, n))
+        i, j = gen.i - 1, gen.j
+        return (weights[:i] + weights[i:j][::-1] + weights[j:],
+                ((i, j, reversal_table(cartan, weights[i:j])),))
+    if isinstance(gen, PermGen):
+        if len(gen.perm) != n:
+            raise GroupError("generator %s wants %d factors, point has %d"
+                             % (gen, len(gen.perm), n))
+        pull = tuple(k - 1 for k in gen.perm)
+        return tuple(weights[k] for k in pull), (pull,)
     if isinstance(gen, (AffineS, AffineR)):
+        steps = ()
         for g in _affine_gen_to_vc(gen, n):
-            point = act(cartan, g, point)
-        return point
+            weights, more = _resolve(cartan, g, weights)
+            steps += more
+        return weights, steps
     raise GroupError("unknown generator %r" % (gen,))
+
+
+def _apply(steps, entries):
+    """Run the steps of a resolved letter on one entry tuple."""
+    for step in steps:
+        if len(step) == 3 and isinstance(step[2], dict):
+            i, j, table = step
+            entries = entries[:i] + table[entries[i:j]] + entries[j:]
+        else:
+            entries = tuple(map(entries.__getitem__, step))
+    return entries
+
+
+def act(cartan, gen, point):
+    """One letter on one point, unchecked; act_word and orbit check points."""
+    weights, steps = _resolve(cartan, gen, point.weights)
+    return LabeledPoint(weights, _apply(steps, point.entries))
 
 
 def act_word(cartan, word, point):
     """Leftmost letter acts first."""
     check_point(cartan, point)
-    gens = word.gens if isinstance(word, GroupWord) else tuple(word)
-    for g in gens:
+    for g in (word.gens if isinstance(word, GroupWord) else word):
         point = act(cartan, g, point)
     return point
 
@@ -126,10 +132,7 @@ def iter_points(cartan, weights):
 
 
 def count_points(cartan, weights):
-    total = 1
-    for w in weights:
-        total *= build_irreducible(cartan, tuple(w)).size
-    return total
+    return prod(build_irreducible(cartan, tuple(w)).size for w in weights)
 
 
 def weight_orderings(weights):
@@ -139,38 +142,41 @@ def weight_orderings(weights):
 class CompiledAction:
     """The action on the reordering closure of some weight tuples, as arrays.
 
-    points lists every point of the closure once and index maps a point to
-    its id.  table(g) is the list [index[act(cartan, g, p)] for p in points],
-    built on first use; image(word, ids) composes those lists.  The closure
-    is checked against the point budget before any point is listed.
+    points lists the closure in one block per weight tuple; blocks maps each
+    weight tuple to its entry tuple -> id dict.  table(g), the ids of the
+    images of points under g, resolves g once per block on first use;
+    image(word, ids) composes tables.  The budget is checked first.
     """
 
     def __init__(self, cartan, weight_tuples, max_points=None):
-        budget = max_points if max_points is not None else point_budget()
         closure = sorted({o for t in weight_tuples for o in weight_orderings(t)})
-        total = sum(count_points(cartan, t) for t in closure)
-        if total > budget:
-            raise GroupError(
-                "point space has %d points, over the budget of %d; "
-                "raise %s to override" % (total, budget, MAX_POINTS_ENV))
+        check_budget(sum(count_points(cartan, t) for t in closure),
+                     "point space", max_points, GroupError)
         self.cartan = cartan
         self.points = [p for t in closure for p in iter_points(cartan, t)]
-        self.index = {p: k for k, p in enumerate(self.points)}
+        self.blocks = {t: {} for t in closure}
+        for k, p in enumerate(self.points):
+            self.blocks[p.weights][p.entries] = k
         self._tables = {}
 
     def table(self, gen):
         table = self._tables.get(gen)
         if table is None:
-            index = self.index
-            table = [index[act(self.cartan, gen, p)] for p in self.points]
+            table = []
+            for weights, block in self.blocks.items():
+                image, steps = _resolve(self.cartan, gen, weights)
+                target = self.blocks[image]
+                table.extend(target[_apply(steps, e)] for e in block)
             self._tables[gen] = table
         return table
 
     def image(self, word, ids):
         """Ids of the images of the points ids under word, leftmost first."""
+        ids = tuple(ids)
         for g in word.gens:
             table = self.table(g)
-            ids = [table[k] for k in ids]
+            ids = (itemgetter(*ids)(table) if len(ids) > 1
+                   else tuple(table[k] for k in ids))
         return ids
 
 
@@ -196,7 +202,7 @@ def verify_relations(cartan, kind, n, weight_tuples, max_points=None,
     relations = (mc_relation_suite(n) if kind == "MC"
                  else defining_relation_families(kind, n))
     points = engine.points
-    sources = [engine.index[p] for t in tuples for p in iter_points(cartan, t)]
+    sources = [k for t in tuples for k in engine.blocks[t].values()]
 
     families = {}
     failures = []
@@ -234,10 +240,8 @@ def verify_relations(cartan, kind, n, weight_tuples, max_points=None,
 def orbit(cartan, gens, point, max_points=None):
     """Deterministic BFS orbit under a list of generators or words."""
     budget = max_points if max_points is not None else point_budget()
-    check_point(cartan, point)
-    flat = []
-    for g in gens:
-        flat.append(tuple(g.gens) if isinstance(g, GroupWord) else (g,))
+    check_point(cartan, point, budget)
+    flat = [tuple(g.gens) if isinstance(g, GroupWord) else (g,) for g in gens]
     seen = {point}
     frontier = [point]
     while frontier:

@@ -11,8 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import prod
 
-from . import CactusError, __version__
+from . import CactusError, __version__, check_budget
 
 
 class UsageError(CactusError):
@@ -140,7 +141,9 @@ def cmd_tensor(args):
 
     cartan = _parse_cartan(args)
     weights = _parse_weights(args.weights, cartan.rank)
-    graph = tensor_many([build_irreducible(cartan, w) for w in weights])
+    factors = [build_irreducible(cartan, w) for w in weights]
+    check_budget(prod(f.size for f in factors), "the product")
+    graph = tensor_many(factors)
     comps = components(graph)
     norm = normality_report(graph)
     payload = _report("tensor", True, graph=export_graph(graph),
@@ -158,6 +161,7 @@ def cmd_commutor(args):
     cartan = _parse_cartan(args)
     left = build_irreducible(cartan, _parse_weight(args.left, cartan.rank))
     right = build_irreducible(cartan, _parse_weight(args.right, cartan.rank))
+    check_budget(left.size * right.size, "the product")
     bij = commutor(left, right)
     payload = _report("commutor", True,
                       left=args.left, right=args.right,

@@ -312,7 +312,7 @@ def rsk_crosscheck(n):
     Returns a report dict; report["passed"] demands a unique coherent story.
     The n! words are checked against the point budget before any work.
     """
-    from .actions import MAX_POINTS_ENV, LabeledPoint, act, point_budget
+    from .actions import MAX_POINTS_ENV, _apply, _resolve, point_budget
     from .cartan import cartan_type_a, fundamental_weight
     from .groups import CactusGen, PermGen
     from .perms import all_perms, compose
@@ -323,23 +323,25 @@ def rsk_crosscheck(n):
                            "over the budget of %d; raise %s to override"
                            % (n, factorial(n), budget, MAX_POINTS_ENV))
     cartan = cartan_type_a(n - 1)
-    w1 = fundamental_weight(cartan, 1)
-    weights = (w1,) * n
+    weights = (fundamental_weight(cartan, 1),) * n
     words = all_perms(n)
+    word_of = {tuple(v - 1 for v in a): a for a in words}
     rsk_of = lru_cache(maxsize=None)(rsk)
     cactus_of = lru_cache(maxsize=None)(bk_cactus_act)
 
-    def to_point(a):
-        return LabeledPoint(weights, tuple(v - 1 for v in a))
-
-    def to_word(p):
-        return tuple(e + 1 for e in p.entries)
+    def images(g):  # (word, image word) pairs; g is resolved once
+        _, steps = _resolve(cartan, g, weights)
+        for entries, a in word_of.items():
+            out = _apply(steps, entries)
+            if out not in word_of:
+                raise TableauError("letter %s maps the permutation word %s to "
+                                   "%s, which is not a permutation"
+                                   % (g, a, tuple(e + 1 for e in out)))
+            yield a, word_of[out]
 
     perm_rules = {"precompose": True, "postcompose": True}
-    for w in all_perms(n):
-        g = PermGen(w)
-        for a in words:
-            out = to_word(act(cartan, g, to_point(a)))
+    for w in words:
+        for a, out in images(PermGen(w)):
             if out != compose(a, w):
                 perm_rules["precompose"] = False
             if out != compose(w, a):
@@ -349,9 +351,7 @@ def rsk_crosscheck(n):
                for ident in ("one-line", "inverse") for factor in ("P", "Q")}
     for i in range(1, n):
         for j in range(i + 1, n + 1):
-            g = CactusGen(i, j)
-            for a in words:
-                out = to_word(act(cartan, g, to_point(a)))
+            for a, out in images(CactusGen(i, j)):
                 for ident in ("one-line", "inverse"):
                     src = a if ident == "one-line" else inverse(a)
                     dst = out if ident == "one-line" else inverse(out)

@@ -35,7 +35,9 @@ from cactus_crystal.groups import (
     project_to_symmetric,
     word,
 )
-from cactus_crystal.perms import compose, long_cycle
+from cactus_crystal.commutor import reversal_table
+from cactus_crystal.groups import _affine_gen_to_vc
+from cactus_crystal.perms import compose, long_cycle, transposition
 
 A1 = cartan_type_a(1)
 A2 = cartan_type_a(2)
@@ -138,6 +140,34 @@ def test_orbit_budget_enforced():
     p = LabeledPoint(W112, (0, 0, 0))
     with pytest.raises(GroupError, match="budget"):
         orbit(A1, [CactusGen(1, 3)], p, max_points=1)
+
+
+def test_orbit_budget_counts_the_orbit_and_the_point_space():
+    # the orbit of (1, 1, 1) meets all six orderings: 36 points, from a
+    # point space of 24
+    gens = [CactusGen(1, 2), CactusGen(1, 3), PermGen((2, 3, 1))]
+    p = LabeledPoint(((1,), (2,), (3,)), (1, 1, 1))
+    assert len(orbit(A1, gens, p)) == 36
+    with pytest.raises(GroupError, match="orbit exceeded the budget of 30"):
+        orbit(A1, gens, p, max_points=30)
+    with pytest.raises(GroupError, match="point space has 24 points, over "
+                                         "the budget of 23; raise " +
+                                         MAX_POINTS_ENV):
+        orbit(A1, gens, p, max_points=23)
+
+
+def test_act_word_and_orbit_respect_the_point_budget(monkeypatch):
+    p = LabeledPoint(((10,), (10,), (10,)), (0, 0, 0))
+    monkeypatch.setenv(MAX_POINTS_ENV, "1000")
+    for run in (lambda: act_word(A1, [CactusGen(1, 3)], p),
+                lambda: orbit(A1, [CactusGen(1, 3)], p)):
+        with pytest.raises(GroupError, match="1331 points.*" + MAX_POINTS_ENV):
+            run()
+    monkeypatch.setenv(MAX_POINTS_ENV, "1331")
+    image = act_word(A1, [CactusGen(1, 3)], p)
+    assert image == act(A1, CactusGen(1, 3), p)
+    assert orbit(A1, [CactusGen(1, 3)], p) == sorted(
+        {p, image}, key=lambda r: (r.weights, r.entries))
 
 
 OUT_OF_RANGE = LabeledPoint(((1,), (2,)), (0, -1))
@@ -252,7 +282,7 @@ def test_compiled_images_match_act_word(cartan, kind, choices):
     tuples = sorted(set(product(choices, repeat=3)))
     engine = CompiledAction(cartan, tuples)
     sources = [p for t in tuples for p in iter_points(cartan, t)]
-    ids = [engine.index[p] for p in sources]
+    ids = [engine.blocks[p.weights][p.entries] for p in sources]
     for _, lhs, rhs in _relations(kind, 3):
         for w in (lhs, rhs):
             got = [engine.points[k] for k in engine.image(w, ids)]
@@ -306,6 +336,109 @@ def test_verify_vc5_exhaustive():
     assert set(rep["families"]) == {"involution", "disjoint", "nesting",
                                     "perm_table", "cabled"}
     assert elapsed < 30, "vC n=5 took %.1fs, bound 30s" % elapsed
+
+
+def _reference_act(cartan, gen, point):
+    """The single-point action as written before letters were resolved per
+    weight tuple: an independent plain path for the kernel."""
+    n = len(point.weights)
+    if isinstance(gen, CactusGen):
+        if gen.j > n:
+            raise GroupError("generator %s exceeds %d factors" % (gen, n))
+        i, j = gen.i, gen.j
+        table = reversal_table(cartan, point.weights[i - 1:j])
+        new_entries = point.entries[:i - 1] + table[point.entries[i - 1:j]] \
+            + point.entries[j:]
+        new_weights = point.weights[:i - 1] + point.weights[i - 1:j][::-1] \
+            + point.weights[j:]
+        return LabeledPoint(new_weights, new_entries)
+    if isinstance(gen, PermGen):
+        w = gen.perm
+        if len(w) != n:
+            raise GroupError("generator %s wants %d factors, point has %d"
+                             % (gen, len(w), n))
+        return LabeledPoint(tuple(point.weights[w[k] - 1] for k in range(n)),
+                            tuple(point.entries[w[k] - 1] for k in range(n)))
+    if isinstance(gen, MirabolicT):
+        if gen.i == 0:
+            raise GroupError("t0 does not act on the factors")
+        return _reference_act(cartan,
+                              PermGen(transposition(n, gen.i, gen.i + 1)),
+                              point)
+    if isinstance(gen, (AffineS, AffineR)):
+        for g in _affine_gen_to_vc(gen, n):
+            point = _reference_act(cartan, g, point)
+        return point
+    raise GroupError("unknown generator %r" % (gen,))
+
+
+EXTRA_LETTERS = {"C": [], "vC": [], "MC": [MirabolicT(1), MirabolicT(2)],
+                 "AC": [AffineS(3, 1), AffineS(2, 1), AffineS(3, 2),
+                        AffineS(1, 3), AffineR()]}
+
+
+@pytest.mark.parametrize("cartan, kind, choices", [
+    (A1, "C", [(1,), (2,)]),
+    (A1, "vC", [(1,), (2,)]),
+    (A1, "MC", [(1,), (2,)]),
+    (A1, "AC", [(1,), (2,)]),
+    (A2, "vC", [(1, 0), (0, 1)]),
+])
+def test_every_letter_matches_the_reference_action(cartan, kind, choices):
+    letters = {g for _, lhs, rhs in _relations(kind, 3)
+               for g in lhs.gens + rhs.gens}
+    assert set(EXTRA_LETTERS[kind]) <= letters
+    tuples = sorted(set(product(choices, repeat=3)))
+    engine = CompiledAction(cartan, tuples)
+    assert len(engine.points) == sum(count_points(cartan, t) for t in tuples)
+    for g in sorted(letters, key=str):
+        table = engine.table(g)
+        for k, p in enumerate(engine.points):
+            expected = _reference_act(cartan, g, p)
+            assert act(cartan, g, p) == expected, (str(g), p)
+            assert engine.points[table[k]] == expected, (str(g), p)
+
+
+@pytest.mark.parametrize("kind", ["C", "vC", "MC", "AC"])
+def test_verify_relations_on_a_one_point_space(kind):
+    rep = verify_relations(A1, kind, 3, [((0,),) * 3])
+    assert rep["passed"] is True and rep["failures"] == []
+    assert rep["points"] == 1
+    assert rep["relations"] == len(_relations(kind, 3))
+    assert sum(f["instances"] for f in rep["families"].values()) \
+        == rep["relations"]
+
+
+@pytest.mark.parametrize("kind", ["C", "vC", "MC", "AC"])
+def test_image_of_a_single_id_is_a_tuple(kind):
+    engine = CompiledAction(A1, [W112])
+    every = range(len(engine.points))
+    for _, lhs, rhs in _relations(kind, 3):
+        for w in (lhs, rhs):
+            images = engine.image(w, every)
+            assert engine.image(w, []) == ()
+            for k in every:
+                assert engine.image(w, [k]) == (images[k],)
+
+
+@pytest.mark.parametrize("kind", ["C", "vC", "MC", "AC"])
+def test_verify_relations_on_a_single_supplied_tuple(monkeypatch, kind):
+    # 12 supplied points in a closure of 36; a wrong table gives the
+    # witnesses of a point-by-point sweep
+    rep = verify_relations(A1, kind, 3, [W112])
+    assert rep["passed"] is True and rep["points"] == 12
+    right = actions.reversal_table
+
+    def wrong(cartan, weights):
+        table = dict(right(cartan, weights))
+        a, b = sorted(table)[-2:]
+        table[a], table[b] = table[b], table[a]
+        return table
+
+    monkeypatch.setattr(actions, "reversal_table", wrong)
+    rep = verify_relations(A1, kind, 3, [W112], max_failures=40)
+    assert rep["passed"] is False
+    assert rep["failures"] == _plain_failures(A1, kind, 3, [W112], 40)
 
 
 def test_verify_relations_shape_mismatch():

@@ -385,6 +385,29 @@ def test_crosscheck_respects_point_budget(capsys, monkeypatch):
     assert code == 0 and payload["passed"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ["tensor", "--weights", "10 10 10"],
+    ["commutor", "--left", "10", "--right", "120"],
+    ["act", "--weights", "10 10 10", "--word", "s1_3", "--point", "0,0,0"],
+    ["orbit", "--weights", "10 10 10", "--gens", "s1_3", "--point", "0,0,0"],
+], ids=["tensor", "commutor", "act", "orbit"])
+def test_products_respect_point_budget(capsys, monkeypatch, argv):
+    # each builds or acts on a product of 11 * 11 * 11 = 1331 points
+    monkeypatch.setenv("CACTUS_CRYSTAL_MAX_POINTS", "1000")
+    code, payload, captured = run(capsys, argv)
+    assert code == 2 and payload is None
+    assert "1331 points" in captured.err
+    assert "CACTUS_CRYSTAL_MAX_POINTS" in captured.err
+    assert "Traceback" not in captured.err
+    monkeypatch.setenv("CACTUS_CRYSTAL_MAX_POINTS", "zero")
+    code, payload, captured = run(capsys, argv)
+    assert code == 2 and payload is None
+    assert "CACTUS_CRYSTAL_MAX_POINTS must be a positive integer" in captured.err
+    monkeypatch.setenv("CACTUS_CRYSTAL_MAX_POINTS", "2000")
+    code, payload, _ = run(capsys, argv)
+    assert code == 0 and payload["ok"] is True
+
+
 def test_seed_is_only_an_option_of_mutate(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["rsk", "--perm", "2,1", "--seed", "3"])

@@ -3,6 +3,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cactus_crystal import actions
 from cactus_crystal.groups import defining_relations, format_word
 from cactus_crystal.tableaux import (
     TableauError,
@@ -232,3 +233,21 @@ def test_rsk_crosscheck_matches_recorded_report(n):
     assert list(rep) == ["n", "perm_rule", "perm_formula", "stories",
                          "winners", "passed"]
     assert list(rep["stories"]) == list(RECORDED_CROSSCHECK["stories"])
+
+
+def test_rsk_crosscheck_fails_loudly_when_a_word_leaves_the_permutations(
+        monkeypatch):
+    right = actions.reversal_table
+
+    def collapsing(cartan, weights):
+        # every entry tuple goes to the image of the first one
+        table = right(cartan, weights)
+        return {k: table[min(table)] for k in table}
+
+    monkeypatch.setattr(actions, "reversal_table", collapsing)
+    with pytest.raises(TableauError, match=r"letter s1_2 maps the permutation "
+                                           r"word \(1, 2, 3\) to \(1, 1, 3\), "
+                                           r"which is not a permutation"):
+        rsk_crosscheck(3)
+    monkeypatch.setattr(actions, "reversal_table", right)
+    assert rsk_crosscheck(3)["passed"] is True
