@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Record a BENCH_<pr>.json file from runs of perfbench/run.py.
 
-    python3 scripts/record_bench.py --pr 8 --seconds 30 --pairs 3 \\
+    python3 scripts/record_bench.py --pr N --seconds 30 --pairs 3 \\
         --baseline ../parent-checkout
 
 Runs the four workloads at --trace 0, and one --trace 1 run of relations,

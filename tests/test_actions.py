@@ -21,6 +21,7 @@ from cactus_crystal.actions import (
     weight_orderings,
 )
 from cactus_crystal.cartan import cartan_type_a
+from cactus_crystal.commutor import reversal_table
 from cactus_crystal.crystal import build_irreducible
 from cactus_crystal.groups import (
     AffineR,
@@ -29,14 +30,13 @@ from cactus_crystal.groups import (
     GroupError,
     MirabolicT,
     PermGen,
+    _affine_gen_to_vc,
     defining_relation_families,
     mc_relation_suite,
     parse_word,
     project_to_symmetric,
     word,
 )
-from cactus_crystal.commutor import reversal_table
-from cactus_crystal.groups import _affine_gen_to_vc
 from cactus_crystal.perms import compose, long_cycle, transposition
 
 A1 = cartan_type_a(1)
