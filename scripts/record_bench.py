@@ -1,16 +1,21 @@
 #!/usr/bin/env python3
 """Record a BENCH_<pr>.json file from runs of perfbench/run.py.
 
-    python3 scripts/record_bench.py --pr N --seconds 30 --pairs 3 \\
+    python3 scripts/record_bench.py --pr N --seconds 30 --pairs 10 \\
         --baseline ../parent-checkout
 
 Runs the four workloads at --trace 0, and one --trace 1 run of relations,
 for this checkout and, with --baseline, for a second checkout (the parent
-commit), alternating which side runs first.  For each side the file holds
+commit), alternating which side runs first.  Pair k runs seed k, and the
+traced run seed 1.  For each side the file holds
 the run metadata (commit, Python, nproc, src/ line count), the median and
 the per-run values of every end-to-end metric and of failed_ratio for each
-workload, and the per-layer *.s totals of the traced run.  Exits 1 if any
-run reports a wrong result.
+workload, and the per-layer *.s totals of the traced run.  With --baseline,
+"compare" gives for each workload and metric (all lower-is-better) the
+pairs the change wins, the parent's quartiles, and a verdict: "unchanged"
+when the medians differ by no more than the parent's interquartile range,
+else "better" or "worse" when at least 9 in 10 pairs agree, else
+"unresolved".  Exits 1 if any run reports a wrong result.
 """
 
 import argparse
@@ -18,7 +23,7 @@ import json
 import subprocess
 import sys
 from pathlib import Path
-from statistics import median
+from statistics import median, quantiles
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("relations", "category", "crystals", "cli")
@@ -44,13 +49,30 @@ def summarise(runs):
                 "runs": [r[k] for r in runs]} for k in runs[0]}
 
 
+def compare(parent, change):
+    """Wins, parent quartiles and verdict of change against parent."""
+    out = {}
+    for key in parent[0]:
+        old = [r[key] for r in parent]
+        new = [r[key] for r in change]
+        wins = sum(b < a for a, b in zip(old, new))
+        losses = sum(b > a for a, b in zip(old, new))
+        q1, _, q3 = quantiles(old, n=4) if len(old) > 1 else (old[0],) * 3
+        shift = median(new) - median(old)
+        verdict = "unchanged" if abs(shift) <= q3 - q1 else "unresolved"
+        if verdict != "unchanged" and max(wins, losses) * 10 >= 9 * len(old):
+            verdict = "better" if shift < 0 else "worse"
+        out[key] = {"change_wins": wins, "parent_q1": q1, "parent_q3": q3,
+                    "median_shift": shift, "verdict": verdict}
+    return out
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", type=int, required=True)
     parser.add_argument("--seconds", type=float, default=30)
     parser.add_argument("--pairs", type=int, default=1,
-                        help="runs per workload and side, seeds seed..")
-    parser.add_argument("--seed", type=int, default=1)
+                        help="runs per workload and side, seeds 1..pairs")
     parser.add_argument("--baseline", type=Path,
                         help="checkout of the parent commit to run as well")
     parser.add_argument("--out", type=Path,
@@ -68,14 +90,14 @@ def main(argv=None):
         for workload in WORKLOADS:
             for side in order:
                 meta, values, ok = run_bench(sides[side], workload,
-                                             args.seed + k, args.seconds, 0)
+                                             k + 1, args.seconds, 0)
                 metas.setdefault(side, meta)
                 runs[side][workload].append(values)
                 correct &= ok
     record = {"pr": args.pr, "seconds": args.seconds, "pairs": args.pairs,
-              "seeds": list(range(args.seed, args.seed + args.pairs))}
+              "seeds": list(range(1, args.pairs + 1))}
     for side in sides:
-        _, layers, ok = run_bench(sides[side], "relations", args.seed,
+        _, layers, ok = run_bench(sides[side], "relations", 1,
                                   args.seconds, 1)
         correct &= ok
         record[side] = {
@@ -84,6 +106,9 @@ def main(argv=None):
             "per_layer_s": {k: v for k, v in layers.items()
                             if k.endswith(".s")},
         }
+    if args.baseline:
+        record["compare"] = {w: compare(runs["parent"][w], runs["change"][w])
+                             for w in WORKLOADS}
     out = args.out or ROOT / ("BENCH_%d.json" % args.pr)
     out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     return 0 if correct else 1

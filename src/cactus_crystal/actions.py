@@ -6,27 +6,26 @@ _resolve turns a letter and a weight tuple into the image weights and steps on
 the entries: s_ij applies the cached reversal of the subproduct i..j, a
 permutation pulls (entry k of the image is entry w(k) of the source), t_i
 swaps factors i and i+1, and affine letters are straightened into virtual
-ones.  act and act_word run those steps on a single point.
+ones.  act runs those steps on one point; act_word and orbit also check each
+reversal table they need against the point budget before it is built.
 
-verify_relations runs on CompiledAction.  It lists every point of the closure
-of the supplied weight tuples under reordering, which every letter maps to
-itself, in one block per weight tuple, and turns each letter on first use into
-the list of the ids of its images, resolving it once per block.  A word acts
-on ids by composing lists; a relation holds when both sides send every
-supplied point to the same id.  The point budget counts the whole closure.
+verify_relations runs on CompiledAction: the closure of the supplied weight
+tuples under reordering (every letter maps it to itself), one block per weight
+tuple, each letter turned on first use into the list of the ids of its images
+by one resolve per block.  Words compose lists; a relation holds when both
+sides send every supplied point to the same id.  The budget counts the closure.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from itertools import permutations, product
 from math import prod
 from operator import itemgetter
 
-from . import DEFAULT_MAX_POINTS, MAX_POINTS_ENV, check_budget  # noqa: F401
-from . import point_budget as _point_budget
+from . import check_budget, point_budget as _point_budget
 from .cartan import cartan_to_json
 from .commutor import reversal_table
 from .crystal import build_irreducible
@@ -57,22 +56,19 @@ class LabeledPoint:
             raise GroupError("weights and entries disagree in length")
 
 
-def check_point(cartan, point, budget=None):
-    """Raise GroupError unless every entry lies in the range of its factor
-    and the product of the factors is within the point budget."""
-    total = 1
+def check_point(cartan, point):
+    """Raise GroupError unless every entry lies in the range of its factor."""
     for k, (w, e) in enumerate(zip(point.weights, point.entries), 1):
         size = build_irreducible(cartan, w).size
         if not 0 <= e < size:
             raise GroupError("point entry %d of factor %d is out of range "
                              "0..%d" % (e, k, size - 1))
-        total *= size
-    check_budget(total, "point space", budget, GroupError)
 
 
-def _resolve(cartan, gen, weights):
+def _resolve(cartan, gen, weights, budget=None):
     """Image weights of gen on points with these weights, and its steps: pull
-    tuples p (entry k becomes entry p[k]) or (i, j, table) on entries i..j-1."""
+    tuples p (entry k becomes entry p[k]) or (i, j, table) on entries i..j-1.
+    Given a budget, a reversal table over it raises before it is built."""
     n = len(weights)
     if isinstance(gen, MirabolicT):
         if gen.i == 0:
@@ -82,6 +78,9 @@ def _resolve(cartan, gen, weights):
         if gen.j > n:
             raise GroupError("generator %s exceeds %d factors" % (gen, n))
         i, j = gen.i - 1, gen.j
+        if budget is not None:
+            check_budget(count_points(cartan, weights[i:j]), "the reversal of "
+                         "factors %d..%d" % (i + 1, j), budget, GroupError)
         return (weights[:i] + weights[i:j][::-1] + weights[j:],
                 ((i, j, reversal_table(cartan, weights[i:j])),))
     if isinstance(gen, PermGen):
@@ -93,7 +92,7 @@ def _resolve(cartan, gen, weights):
     if isinstance(gen, (AffineS, AffineR)):
         steps = ()
         for g in _affine_gen_to_vc(gen, n):
-            weights, more = _resolve(cartan, g, weights)
+            weights, more = _resolve(cartan, g, weights, budget)
             steps += more
         return weights, steps
     raise GroupError("unknown generator %r" % (gen,))
@@ -110,17 +109,18 @@ def _apply(steps, entries):
     return entries
 
 
-def act(cartan, gen, point):
-    """One letter on one point, unchecked; act_word and orbit check points."""
-    weights, steps = _resolve(cartan, gen, point.weights)
+def act(cartan, gen, point, budget=None):
+    """One letter on one point, unchecked unless a budget bounds its table."""
+    weights, steps = _resolve(cartan, gen, point.weights, budget)
     return LabeledPoint(weights, _apply(steps, point.entries))
 
 
 def act_word(cartan, word, point):
     """Leftmost letter acts first."""
     check_point(cartan, point)
+    budget = point_budget()
     for g in (word.gens if isinstance(word, GroupWord) else word):
-        point = act(cartan, g, point)
+        point = act(cartan, g, point, budget)
     return point
 
 
@@ -240,25 +240,28 @@ def verify_relations(cartan, kind, n, weight_tuples, max_points=None,
 def orbit(cartan, gens, point, max_points=None):
     """Deterministic BFS orbit under a list of generators or words."""
     budget = max_points if max_points is not None else point_budget()
-    check_point(cartan, point, budget)
+    check_point(cartan, point)
     flat = [tuple(g.gens) if isinstance(g, GroupWord) else (g,) for g in gens]
-    seen = {point}
-    frontier = [point]
+    resolve = lru_cache(maxsize=None)(partial(_resolve, cartan, budget=budget))
+    seen = {(point.weights, point.entries)}
+    frontier = list(seen)
     while frontier:
         nxt = []
         for p in frontier:
             for gseq in flat:
-                q = p
+                weights, entries = p
                 for g in gseq:
-                    q = act(cartan, g, q)
+                    weights, steps = resolve(g, weights)
+                    entries = _apply(steps, entries)
+                q = (weights, entries)
                 if q not in seen:
                     seen.add(q)
                     nxt.append(q)
                     if len(seen) > budget:
                         raise GroupError("orbit exceeded the budget of %d points"
                                          % budget)
-        frontier = sorted(nxt, key=lambda r: (r.weights, r.entries))
-    return sorted(seen, key=lambda r: (r.weights, r.entries))
+        frontier = sorted(nxt)
+    return [LabeledPoint(w, e) for w, e in sorted(seen)]
 
 
 def permutation_image(states, maps, limit=None):

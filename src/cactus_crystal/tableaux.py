@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import product
 from math import factorial
 
-from . import CactusError
+from . import CactusError, check_budget
 from .perms import check_perm, inverse
 
 
@@ -312,16 +312,13 @@ def rsk_crosscheck(n):
     Returns a report dict; report["passed"] demands a unique coherent story.
     The n! words are checked against the point budget before any work.
     """
-    from .actions import MAX_POINTS_ENV, _apply, _resolve, point_budget
+    from .actions import _apply, _resolve
     from .cartan import cartan_type_a, fundamental_weight
     from .groups import CactusGen, PermGen
     from .perms import all_perms, compose
 
-    budget = point_budget()
-    if n >= 1 and factorial(n) > budget:
-        raise TableauError("crosscheck at n=%d walks %d permutation words, "
-                           "over the budget of %d; raise %s to override"
-                           % (n, factorial(n), budget, MAX_POINTS_ENV))
+    check_budget(factorial(max(n, 0)), "crosscheck at n=%d" % n,
+                 error=TableauError, unit="permutation words")
     cartan = cartan_type_a(n - 1)
     weights = (fundamental_weight(cartan, 1),) * n
     words = all_perms(n)

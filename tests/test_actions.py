@@ -3,12 +3,10 @@ from itertools import product
 
 import pytest
 
-from cactus_crystal import actions
+from cactus_crystal import DEFAULT_MAX_POINTS, MAX_POINTS_ENV, actions
 from cactus_crystal.actions import (
     CompiledAction,
-    DEFAULT_MAX_POINTS,
     LabeledPoint,
-    MAX_POINTS_ENV,
     act,
     act_word,
     contains_alternating,
@@ -28,6 +26,7 @@ from cactus_crystal.groups import (
     AffineS,
     CactusGen,
     GroupError,
+    GroupWord,
     MirabolicT,
     PermGen,
     _affine_gen_to_vc,
@@ -142,17 +141,17 @@ def test_orbit_budget_enforced():
         orbit(A1, [CactusGen(1, 3)], p, max_points=1)
 
 
-def test_orbit_budget_counts_the_orbit_and_the_point_space():
-    # the orbit of (1, 1, 1) meets all six orderings: 36 points, from a
-    # point space of 24
+def test_orbit_budget_counts_the_orbit_and_the_reversal_tables():
+    # the orbit of (1, 1, 1) meets all six orderings: 36 points; s1_3
+    # reverses all three factors, a table of 24 points
     gens = [CactusGen(1, 2), CactusGen(1, 3), PermGen((2, 3, 1))]
     p = LabeledPoint(((1,), (2,), (3,)), (1, 1, 1))
     assert len(orbit(A1, gens, p)) == 36
     with pytest.raises(GroupError, match="orbit exceeded the budget of 30"):
         orbit(A1, gens, p, max_points=30)
-    with pytest.raises(GroupError, match="point space has 24 points, over "
-                                         "the budget of 23; raise " +
-                                         MAX_POINTS_ENV):
+    with pytest.raises(GroupError, match="reversal of factors 1..3 has 24 "
+                                         "points, over the budget of 23; "
+                                         "raise " + MAX_POINTS_ENV):
         orbit(A1, gens, p, max_points=23)
 
 
@@ -168,6 +167,23 @@ def test_act_word_and_orbit_respect_the_point_budget(monkeypatch):
     assert image == act(A1, CactusGen(1, 3), p)
     assert orbit(A1, [CactusGen(1, 3)], p) == sorted(
         {p, image}, key=lambda r: (r.weights, r.entries))
+
+
+def test_act_word_and_orbit_budget_counts_only_the_tables_built(monkeypatch):
+    # s1_2 reverses a product of 121 points and a permutation builds none,
+    # so neither goes over a budget of 1000 on the 1331-point product
+    p = LabeledPoint(((10,), (10,), (10,)), (3, 1, 4))
+    monkeypatch.setenv(MAX_POINTS_ENV, "1000")
+    for word in ([CactusGen(1, 2)], [PermGen((2, 3, 1))],
+                 [CactusGen(2, 3), PermGen((3, 2, 1))]):
+        expected = p
+        for g in word:
+            expected = _reference_act(A1, g, expected)
+        assert act_word(A1, word, p) == expected
+    swaps = [PermGen((2, 1, 3)), PermGen((1, 3, 2))]
+    assert len(orbit(A1, swaps, p)) == 6
+    # over A1 the commutor of two equal factors is the identity
+    assert len(orbit(A1, [CactusGen(1, 2), PermGen((2, 3, 1))], p)) == 3
 
 
 OUT_OF_RANGE = LabeledPoint(((1,), (2,)), (0, -1))
@@ -397,6 +413,24 @@ def test_every_letter_matches_the_reference_action(cartan, kind, choices):
             expected = _reference_act(cartan, g, p)
             assert act(cartan, g, p) == expected, (str(g), p)
             assert engine.points[table[k]] == expected, (str(g), p)
+
+
+def test_orbit_matches_a_plain_search_with_the_reference_action():
+    gens = [PermGen((2, 3, 1)), CactusGen(1, 2),
+            GroupWord("AC", 3, (AffineS(3, 1), AffineR()))]
+    for p in iter_points(A1, W112):
+        seen, frontier = {p}, [p]
+        while frontier:
+            q = frontier.pop()
+            for g in gens:
+                r = q
+                for letter in (g.gens if isinstance(g, GroupWord) else (g,)):
+                    r = _reference_act(A1, letter, r)
+                if r not in seen:
+                    seen.add(r)
+                    frontier.append(r)
+        assert orbit(A1, gens, p) == sorted(
+            seen, key=lambda r: (r.weights, r.entries))
 
 
 @pytest.mark.parametrize("kind", ["C", "vC", "MC", "AC"])

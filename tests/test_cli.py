@@ -408,6 +408,21 @@ def test_products_respect_point_budget(capsys, monkeypatch, argv):
     assert code == 0 and payload["ok"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ["act", "--weights", "10 10 10", "--word", "s1_2", "--point", "0,0,0"],
+    ["act", "--kind", "vC", "--weights", "10 10 10", "--word", "w[2,3,1]",
+     "--point", "0,1,2"],
+    ["orbit", "--kind", "vC", "--weights", "10 10 10",
+     "--gens", "s1_2;w[2,3,1]", "--point", "0,1,2"],
+], ids=["act-s1_2", "act-perm", "orbit"])
+def test_act_and_orbit_count_only_the_tables_they_build(capsys, monkeypatch,
+                                                        argv):
+    # s1_2 reverses 11 * 11 = 121 points and a permutation builds no table
+    monkeypatch.setenv("CACTUS_CRYSTAL_MAX_POINTS", "1000")
+    code, payload, _ = run(capsys, argv)
+    assert code == 0 and payload["ok"] is True
+
+
 def test_seed_is_only_an_option_of_mutate(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["rsk", "--perm", "2,1", "--seed", "3"])
