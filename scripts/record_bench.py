@@ -15,13 +15,18 @@ workload, and the per-layer *.s totals of the traced run.  With --baseline,
 pairs the change wins, the parent's quartiles, and a verdict: "unchanged"
 when the medians differ by no more than the parent's interquartile range,
 else "better" or "worse" when at least 9 in 10 pairs agree, else
-"unresolved".  Exits 1 if any run reports a wrong result.
+"unresolved".  Each side writes and reads its .pyc files in its own fresh
+PYTHONPYCACHEPREFIX directory (PYTHONDONTWRITEBYTECODE is cleared), so both
+compile once and neither reads .pyc files its checkout already had.  Exits
+1 if any run reports a wrong result.
 """
 
 import argparse
 import json
+import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from statistics import median, quantiles
 
@@ -29,13 +34,14 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("relations", "category", "crystals", "cli")
 
 
-def run_bench(checkout, workload, seed, seconds, trace):
+def run_bench(checkout, env, workload, seed, seconds, trace):
     """One perfbench run: its metadata, metrics and failed ratio."""
     proc = subprocess.run(
         [sys.executable, str(checkout / "perfbench" / "run.py"),
          "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=checkout, capture_output=True, text=True, check=True)
+        cwd=checkout, capture_output=True, text=True, check=True,
+        env=env)
     lines = proc.stdout.splitlines()
     meta = json.loads(next(l for l in lines if l.startswith("# meta "))[7:])
     result = json.loads(lines[-1])
@@ -82,6 +88,10 @@ def main(argv=None):
     sides = {"change": ROOT}
     if args.baseline:
         sides["parent"] = args.baseline.resolve()
+    tmp = tempfile.TemporaryDirectory(prefix="record_bench-")
+    envs = {side: dict(os.environ, PYTHONDONTWRITEBYTECODE="",
+                       PYTHONPYCACHEPREFIX=os.path.join(tmp.name, side))
+            for side in sides}
     metas = {}
     runs = {side: {w: [] for w in WORKLOADS} for side in sides}
     correct = True
@@ -89,15 +99,15 @@ def main(argv=None):
         order = list(sides) if k % 2 == 0 else list(sides)[::-1]
         for workload in WORKLOADS:
             for side in order:
-                meta, values, ok = run_bench(sides[side], workload,
-                                             k + 1, args.seconds, 0)
+                meta, values, ok = run_bench(sides[side], envs[side],
+                                             workload, k + 1, args.seconds, 0)
                 metas.setdefault(side, meta)
                 runs[side][workload].append(values)
                 correct &= ok
     record = {"pr": args.pr, "seconds": args.seconds, "pairs": args.pairs,
               "seeds": list(range(1, args.pairs + 1))}
     for side in sides:
-        _, layers, ok = run_bench(sides[side], "relations", 1,
+        _, layers, ok = run_bench(sides[side], envs[side], "relations", 1,
                                   args.seconds, 1)
         correct &= ok
         record[side] = {
@@ -111,6 +121,7 @@ def main(argv=None):
                              for w in WORKLOADS}
     out = args.out or ROOT / ("BENCH_%d.json" % args.pr)
     out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    tmp.cleanup()
     return 0 if correct else 1
 
 

@@ -27,9 +27,9 @@ def point_budget(error=CactusError):
     return int(raw)
 
 
-def check_budget(total, what, budget=None, error=CactusError, unit="points"):
+def check_budget(total, what, budget=None, error=CactusError):
     """Raise error if what, of total points, is over the budget."""
     budget = point_budget(error) if budget is None else budget
     if total > budget:
-        raise error("%s has %d %s, over the budget of %d; raise %s to "
-                    "override" % (what, total, unit, budget, MAX_POINTS_ENV))
+        raise error("%s has %d points, over the budget of %d; raise %s to "
+                    "override" % (what, total, budget, MAX_POINTS_ENV))

@@ -3,11 +3,12 @@
 A point carries the tuple of highest weights of the factors together with one
 element id per factor.  What a letter does depends only on the weights, so
 _resolve turns a letter and a weight tuple into the image weights and steps on
-the entries: s_ij applies the cached reversal of the subproduct i..j, a
-permutation pulls (entry k of the image is entry w(k) of the source), t_i
-swaps factors i and i+1, and affine letters are straightened into virtual
-ones.  act runs those steps on one point; act_word and orbit also check each
-reversal table they need against the point budget before it is built.
+the entries.  It runs over the vC letters groups.virtual_letters gives (t_i
+becomes the swap of factors i and i+1, affine letters are straightened):
+s_ij applies the cached reversal of the subproduct i..j, and a permutation
+pulls (entry k of the image is entry w(k) of the source).  act runs those
+steps on one point; act_word and orbit also check each reversal table they
+need against the point budget before it is built.
 
 verify_relations runs on CompiledAction: the closure of the supplied weight
 tuples under reordering (every letter maps it to itself), one block per weight
@@ -30,18 +31,14 @@ from .cartan import cartan_to_json
 from .commutor import reversal_table
 from .crystal import build_irreducible
 from .groups import (
-    AffineR,
-    AffineS,
     CactusGen,
     GroupError,
     GroupWord,
-    MirabolicT,
-    PermGen,
-    _affine_gen_to_vc,
     defining_relation_families,
     mc_relation_suite,
+    virtual_letters,
 )
-from .perms import check_perm, mulclose, parity, transposition
+from .perms import check_perm, mulclose, parity
 
 point_budget = partial(_point_budget, GroupError)
 
@@ -70,32 +67,25 @@ def _resolve(cartan, gen, weights, budget=None):
     tuples p (entry k becomes entry p[k]) or (i, j, table) on entries i..j-1.
     Given a budget, a reversal table over it raises before it is built."""
     n = len(weights)
-    if isinstance(gen, MirabolicT):
-        if gen.i == 0:
-            raise GroupError("t0 does not act on the factors")
-        gen = PermGen(transposition(n, gen.i, gen.i + 1))
-    if isinstance(gen, CactusGen):
-        if gen.j > n:
-            raise GroupError("generator %s exceeds %d factors" % (gen, n))
-        i, j = gen.i - 1, gen.j
-        if budget is not None:
-            check_budget(count_points(cartan, weights[i:j]), "the reversal of "
-                         "factors %d..%d" % (i + 1, j), budget, GroupError)
-        return (weights[:i] + weights[i:j][::-1] + weights[j:],
-                ((i, j, reversal_table(cartan, weights[i:j])),))
-    if isinstance(gen, PermGen):
-        if len(gen.perm) != n:
-            raise GroupError("generator %s wants %d factors, point has %d"
-                             % (gen, len(gen.perm), n))
-        pull = tuple(k - 1 for k in gen.perm)
-        return tuple(weights[k] for k in pull), (pull,)
-    if isinstance(gen, (AffineS, AffineR)):
-        steps = ()
-        for g in _affine_gen_to_vc(gen, n):
-            weights, more = _resolve(cartan, g, weights, budget)
-            steps += more
-        return weights, steps
-    raise GroupError("unknown generator %r" % (gen,))
+    steps = ()
+    for g in virtual_letters(gen, n):
+        if isinstance(g, CactusGen):
+            if g.j > n:
+                raise GroupError("generator %s exceeds %d factors" % (g, n))
+            i, j = g.i - 1, g.j
+            if budget is not None:
+                check_budget(count_points(cartan, weights[i:j]), "the reversal "
+                             "of factors %d..%d" % (i + 1, j), budget, GroupError)
+            steps += ((i, j, reversal_table(cartan, weights[i:j])),)
+            weights = weights[:i] + weights[i:j][::-1] + weights[j:]
+        else:
+            if len(g.perm) != n:
+                raise GroupError("generator %s wants %d factors, point has %d"
+                                 % (g, len(g.perm), n))
+            pull = tuple(k - 1 for k in g.perm)
+            steps += (pull,)
+            weights = tuple(weights[k] for k in pull)
+    return weights, steps
 
 
 def _apply(steps, entries):

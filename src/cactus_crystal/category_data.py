@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product
 
 from . import CactusError
-from .commutor import commutor_on
+from .commutor import commutor_table
 from .crystal import (build_irreducible, component_members, multiplicity_set,
-                      tensor, walk_in_step)
+                      product_of_weights, walk_in_step)
 
 
 class CategoryError(CactusError):
@@ -124,19 +125,10 @@ def from_crystals(cartan, core_weights):
     if len(set(core)) != len(core):
         raise CategoryError("repeated colour in the core list")
 
-    graphs = {}
-
-    def graph(w):
-        if w not in graphs:
-            graphs[w] = build_irreducible(cartan, w)
-        return graphs[w]
-
-    tensors = {}
+    graph = partial(build_irreducible, cartan)
 
     def tens(a, b):
-        if (a, b) not in tensors:
-            tensors[(a, b)] = tensor(graph(a), graph(b))
-        return tensors[(a, b)]
+        return product_of_weights(cartan, (a, b))
 
     comp_cache = {}
 
@@ -192,7 +184,7 @@ def from_crystals(cartan, core_weights):
 
     sigma = {}
     for a, b in pairs["sigma"]:
-        comm = commutor_on(graph(a), graph(b), tens(a, b), tens(b, a))
+        comm = commutor_table(cartan, (a,), (b,))
         table = {}
         for t_id in comm.domain.elements():
             x, y = comm.domain.labels[t_id]

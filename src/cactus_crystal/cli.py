@@ -13,7 +13,7 @@ import json
 import sys
 from math import prod
 
-from . import CactusError, __version__, check_budget
+from . import CactusError, __version__, check_budget, point_budget
 
 
 class UsageError(CactusError):
@@ -125,10 +125,11 @@ def _report(command, ok, **payload):
 
 
 def cmd_crystal(args):
-    from .crystal import build_irreducible, export_graph, to_dot
+    from .crystal import build_irreducible, export_graph, to_dot, weyl_dimension
 
     cartan = _parse_cartan(args)
     weight = _parse_weight(args.weight, cartan.rank)
+    check_budget(weyl_dimension(cartan, weight), "the crystal")
     graph = build_irreducible(cartan, weight)
     payload = _report("crystal", True, graph=export_graph(graph),
                       size=graph.size)
@@ -174,8 +175,8 @@ def cmd_commutor(args):
 
 def cmd_group(args):
     from .groups import (cabling, defining_relation_families, format_word,
-                         hom_AC_to_vC, hom_C_to_vC, hom_MC_to_vC, mc_s0j_word,
-                         parse_word, project_to_symmetric)
+                         mc_s0j_word, parse_word, project_to_symmetric,
+                         to_virtual)
     from .perms import PermError, parse_perm
 
     n = args.n
@@ -191,12 +192,8 @@ def cmd_group(args):
                           projection=list(project_to_symmetric(w)))
     elif args.to_virtual is not None:
         w = parse_word(args.to_virtual, args.kind, n)
-        hom = {"C": hom_C_to_vC, "MC": hom_MC_to_vC, "AC": hom_AC_to_vC}
-        if args.kind not in hom:
-            raise UsageError("--to-virtual applies to C, MC or AC words")
         payload = _report("group", True, kind=args.kind, n=n,
-                          word=format_word(w),
-                          image=format_word(hom[args.kind](w)))
+                          word=format_word(w), image=format_word(to_virtual(w)))
     elif args.s0j is not None:
         w = mc_s0j_word(args.s0j, n)
         payload = _report("group", True, kind="MC", n=n, j=args.s0j,
@@ -292,7 +289,7 @@ def cmd_image(args):
         for j in range(i + 1, n + 1):
             gens.append((i, j))
             maps.append({t: bk_cactus_act(i, j, t) for t in states})
-    rep = permutation_image(states, maps)
+    rep = permutation_image(states, maps, limit=point_budget())
     alternating = (contains_alternating(rep["group"], rep["degree"])
                    if rep["degree"] <= 8 else None)
     ok = rep["order"] >= args.min_order and (alternating is not False)

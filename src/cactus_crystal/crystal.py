@@ -244,6 +244,30 @@ def _tableau_weight(tableau, rank):
     return tuple(counts[i] - counts[i + 1] for i in range(1, rank + 1))
 
 
+def _check_weight(cartan, weight):
+    """The shape of a dominant type-A weight; raise CrystalError otherwise."""
+    if len(weight) != cartan.rank:
+        raise CrystalError("weight length does not match rank")
+    if any(c < 0 for c in weight):
+        raise CrystalError("highest weight must be dominant")
+    if not _is_type_a_matrix(cartan):
+        raise CrystalError(
+            "irreducible crystals are only constructed for type A matrices")
+    return shape_of_weight(weight)
+
+
+def weyl_dimension(cartan, weight):
+    """Size of build_irreducible(cartan, weight), by the hook-content formula,
+    without building it."""
+    shape = _check_weight(cartan, weight)
+    num = den = 1
+    for r, length in enumerate(shape):
+        for c in range(length):
+            num *= cartan.rank + 1 + c - r
+            den *= length - c + sum(1 for below in shape[r + 1:] if below > c)
+    return num // den
+
+
 @lru_cache(maxsize=None)
 def build_irreducible(cartan, weight):
     """The connected normal crystal with highest weight ``weight``.
@@ -252,15 +276,8 @@ def build_irreducible(cartan, weight):
     supported.  Elements are sorted by their row tuples, so the ids are stable
     across runs.
     """
-    if len(weight) != cartan.rank:
-        raise CrystalError("weight length does not match rank")
-    if any(c < 0 for c in weight):
-        raise CrystalError("highest weight must be dominant")
-    if not _is_type_a_matrix(cartan):
-        raise CrystalError(
-            "irreducible crystals are only constructed for type A matrices")
+    shape = _check_weight(cartan, weight)
     rank = cartan.rank
-    shape = shape_of_weight(weight)
     tableaux = sorted(semistandard_tableaux(shape, rank + 1))
     order = reading_order(shape)
     index = {t: k for k, t in enumerate(tableaux)}

@@ -15,13 +15,16 @@ intervals, and conjugation of nested intervals.  vC adds the symmetric group
 multiplication table and the cabled relations w s_ij w^{-1} = s(cabling(w)) for
 translations.  AC replaces nesting by its cyclic version and adds r^n = 1 and
 r s_ij r^{-1} = s_{i+1,j+1}.  MC has no known presentation, so asking for its
-relations raises; its verification goes through the vC image instead.
+relations raises; its verification goes through the vC image instead, which
+virtual_letters gives letter by letter and to_virtual word by word.  One
+generator lists the interval relations of every flavour: a standard interval
+is a cyclic one [i, j] with i < j.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
 
 from . import CactusError, perms
 from .perms import (
@@ -82,21 +85,13 @@ class AffineR:
         return "r"
 
 
-KINDS = ("C", "vC", "MC", "AC")
+LETTERS = {"C": (CactusGen,), "vC": (CactusGen, PermGen),
+           "MC": (CactusGen, MirabolicT), "AC": (AffineS, AffineR)}
+KINDS = tuple(LETTERS)
 
 
 def _check_generator(gen, kind, n):
-    if kind == "C":
-        allowed = (CactusGen,)
-    elif kind == "vC":
-        allowed = (CactusGen, PermGen)
-    elif kind == "MC":
-        allowed = (CactusGen, MirabolicT)
-    elif kind == "AC":
-        allowed = (AffineS, AffineR)
-    else:
-        raise GroupError("unknown flavour %r" % (kind,))
-    if not isinstance(gen, allowed):
+    if not isinstance(gen, LETTERS[kind]):
         raise GroupError("%s is not a %s generator" % (gen, kind))
     if isinstance(gen, CactusGen):
         if not 1 <= gen.i < gen.j <= n:
@@ -226,22 +221,33 @@ def cabling(u, i, j, n):
     return check_perm(w)
 
 
-def _standard_pairs(n):
-    return [(i, j) for i, j in combinations(range(1, n + 1), 2)]
+def _interval_relations(kind, n):
+    """The involution, disjoint and nesting relations of the interval letters.
 
+    AC runs over the cyclic intervals [i, j], i != j, read i, i+1, .., j
+    around {1..n}; the other flavours over the standard ones, i < j.
+    """
+    letter = AffineS if kind == "AC" else CactusGen
+    spans = {(i, j): cyclic_interval(n, i, j)
+             for i, j in permutations(range(1, n + 1), 2)
+             if i < j or kind == "AC"}
 
-def _cyclic_pairs(n):
-    return [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-
-
-def _contained_cyclically(n, outer, inner):
-    """Is [k, l] a subinterval of [i, j] in the linear order the latter carries?"""
-    i, j = outer
-    k, l = inner
-    pts = cyclic_interval(n, i, j)
-    if k not in pts or l not in pts:
-        return False
-    return pts.index(k) <= pts.index(l)
+    def w_(*gens):
+        return GroupWord(kind, n, gens)
+    rels = [("involution", w_(letter(*p), letter(*p)), w_()) for p in spans]
+    for (p, a), (q, b) in combinations(spans.items(), 2):
+        if set(a).isdisjoint(b):
+            rels.append(("disjoint", w_(letter(*p), letter(*q)),
+                         w_(letter(*q), letter(*p))))
+    for (i, j), pts in spans.items():
+        for k, l in spans:
+            if (k, l) != (i, j) and k in pts and l in pts \
+                    and pts.index(k) <= pts.index(l):
+                outer = letter(i, j)
+                flipped = letter(_mod1(i + j - l, n), _mod1(i + j - k, n))
+                rels.append(("nesting", w_(outer, letter(k, l), outer),
+                             w_(flipped)))
+    return rels
 
 
 def defining_relation_families(kind, n):
@@ -250,62 +256,32 @@ def defining_relation_families(kind, n):
         raise GroupError("need n >= 2")
     if kind == "MC":
         raise GroupError("the mirabolic flavour has no known presentation")
-    rels = []
-    if kind in ("C", "vC"):
-        def w_(gens):
-            return GroupWord(kind, n, tuple(gens))
-        for i, j in _standard_pairs(n):
-            s = CactusGen(i, j)
-            rels.append(("involution", w_([s, s]), w_([])))
-        for (i, j), (k, l) in combinations(_standard_pairs(n), 2):
-            if set(range(i, j + 1)).isdisjoint(range(k, l + 1)):
-                a, b = CactusGen(i, j), CactusGen(k, l)
-                rels.append(("disjoint", w_([a, b]), w_([b, a])))
-        for i, j in _standard_pairs(n):
-            for k, l in _standard_pairs(n):
-                if (k, l) != (i, j) and i <= k and l <= j:
-                    outer, inner = CactusGen(i, j), CactusGen(k, l)
-                    flipped = CactusGen(i + j - l, i + j - k)
-                    rels.append(("nesting", w_([outer, inner, outer]), w_([flipped])))
+    if kind not in KINDS:
+        raise GroupError("unknown flavour %r" % (kind,))
+    rels = _interval_relations(kind, n)
+
+    def w_(*gens):
+        return GroupWord(kind, n, gens)
     if kind == "vC":
         for u in perms.all_perms(n):
             for v in perms.all_perms(n):
-                rels.append(("perm_table",
-                             w_([PermGen(u), PermGen(v)]),
-                             w_([PermGen(compose(u, v))])))
-        for i, j in _standard_pairs(n):
+                rels.append(("perm_table", w_(PermGen(u), PermGen(v)),
+                             w_(PermGen(compose(u, v)))))
+        for i, j in combinations(range(1, n + 1), 2):
             q = j - i
             for u in perms.all_perms(n - q):
                 w = cabling(u, i, j, n)
                 image = CactusGen(w[i - 1], w[i - 1] + q)
                 rels.append(("cabled",
-                             w_([PermGen(w), CactusGen(i, j), PermGen(inverse(w))]),
-                             w_([image])))
+                             w_(PermGen(w), CactusGen(i, j), PermGen(inverse(w))),
+                             w_(image)))
     if kind == "AC":
-        def a_(gens):
-            return GroupWord("AC", n, tuple(gens))
-        pairs = _cyclic_pairs(n)
-        for i, j in pairs:
-            s = AffineS(i, j)
-            rels.append(("involution", a_([s, s]), a_([])))
-        for (i, j), (k, l) in combinations(pairs, 2):
-            if set(cyclic_interval(n, i, j)).isdisjoint(cyclic_interval(n, k, l)):
-                a, b = AffineS(i, j), AffineS(k, l)
-                rels.append(("disjoint", a_([a, b]), a_([b, a])))
-        for i, j in pairs:
-            for k, l in pairs:
-                if (k, l) != (i, j) and _contained_cyclically(n, (i, j), (k, l)):
-                    outer, inner = AffineS(i, j), AffineS(k, l)
-                    flipped = AffineS(_mod1(i + j - l, n), _mod1(i + j - k, n))
-                    rels.append(("nesting", a_([outer, inner, outer]), a_([flipped])))
-        rels.append(("rotation_order", a_([AffineR()] * n), a_([])))
-        for i, j in pairs:
+        r = AffineR()
+        rels.append(("rotation_order", w_(*[r] * n), w_()))
+        for i, j in permutations(range(1, n + 1), 2):
             shifted = AffineS(_mod1(i + 1, n), _mod1(j + 1, n))
             rels.append(("rotation_shift",
-                         a_([AffineR(), AffineS(i, j)] + [AffineR()] * (n - 1)),
-                         a_([shifted])))
-    if not rels:
-        raise GroupError("unknown flavour %r" % (kind,))
+                         w_(r, AffineS(i, j), *[r] * (n - 1)), w_(shifted)))
     return rels
 
 
@@ -324,24 +300,22 @@ def mc_relation_suite(n):
     if n < 2:
         raise GroupError("need n >= 2")
 
-    def w_(gens):
-        return GroupWord("MC", n, tuple(gens))
+    def w_(*gens):
+        return GroupWord("MC", n, gens)
     rels = []
     for i in range(1, n):
-        rels.append(("t_involution", w_([MirabolicT(i), MirabolicT(i)]), w_([])))
+        rels.append(("t_involution", w_(MirabolicT(i), MirabolicT(i)), w_()))
     for i in range(1, n):
         for j in range(i + 2, n):
             a, b = MirabolicT(i), MirabolicT(j)
-            rels.append(("t_disjoint", w_([a, b]), w_([b, a])))
+            rels.append(("t_disjoint", w_(a, b), w_(b, a)))
     for i in range(1, n):
-        for k, l in _standard_pairs(n):
+        for k, l in combinations(range(1, n + 1), 2):
             if {i, i + 1}.isdisjoint(range(k, l + 1)):
                 t, s = MirabolicT(i), CactusGen(k, l)
-                rels.append(("t_conjugation", w_([t, s, t]), w_([s])))
-    for fam, lhs, rhs in defining_relation_families("C", n):
-        rels.append(("interval_" + fam,
-                     w_(lhs.gens), w_(rhs.gens)))
-    return rels
+                rels.append(("t_conjugation", w_(t, s, t), w_(s)))
+    return rels + [("interval_" + fam, lhs, rhs)
+                   for fam, lhs, rhs in _interval_relations("MC", n)]
 
 
 def mc_s0j_word(j, n):
@@ -359,30 +333,24 @@ def mc_s0j_word(j, n):
     return GroupWord("MC", n, tuple(gens))
 
 
-def hom_C_to_vC(w):
-    if w.kind != "C":
-        raise GroupError("expected a plain cactus word")
-    return GroupWord("vC", w.n, w.gens)
+def virtual_letters(g, n):
+    """The vC letters of one letter of any flavour on n factors, leftmost first.
 
-
-def hom_MC_to_vC(w):
-    """t_i -> the transposition of factors i, i+1; defined only for i >= 1."""
-    if w.kind != "MC":
-        raise GroupError("expected a mirabolic word")
-    out = []
-    for g in w.gens:
-        if isinstance(g, CactusGen):
-            out.append(g)
-        else:
-            if g.i == 0:
-                raise GroupError("t0 has no image among the virtual generators")
-            out.append(PermGen(transposition(w.n, g.i, g.i + 1)))
-    return GroupWord("vC", w.n, tuple(out))
-
-
-def _affine_gen_to_vc(g, n):
+    s_ij and w are their own image; t_i maps to the transposition of factors
+    i, i+1 (t_0 has none); r maps to the long cycle c, and a wrapping AC s_ij
+    to c^{-d} s_{i+d, j+d} c^{d} for the least d that makes the shifted
+    interval standard.
+    """
+    if isinstance(g, (CactusGen, PermGen)):
+        return (g,)
+    if isinstance(g, MirabolicT):
+        if g.i == 0:
+            raise GroupError("t0 has no image among the virtual generators")
+        return (PermGen(transposition(n, g.i, g.i + 1)),)
     if isinstance(g, AffineR):
         return (PermGen(long_cycle(n)),)
+    if not isinstance(g, AffineS):
+        raise GroupError("unknown generator %r" % (g,))
     if g.i < g.j:
         return (CactusGen(g.i, g.j),)
     c = long_cycle(n)
@@ -395,21 +363,15 @@ def _affine_gen_to_vc(g, n):
     raise GroupError("no rotation straightens s%d_%d" % (g.i, g.j))
 
 
-def hom_AC_to_vC(w):
-    """Straighten wrapping intervals by conjugating with the rotation.
-
-    A wrapping s_ij maps to c^{-d} s_{i+d, j+d} c^{d} for the least d that
-    makes the shifted interval standard; r maps to the long cycle.
-    """
-    if w.kind != "AC":
-        raise GroupError("expected an affine word")
-    out = []
-    for g in w.gens:
-        out.extend(_affine_gen_to_vc(g, w.n))
-    return GroupWord("vC", w.n, tuple(out))
+def to_virtual(w):
+    """The image of a C, MC or AC word in vC, letter by letter."""
+    if w.kind == "vC":
+        raise GroupError("the virtual map applies to C, MC or AC words")
+    return GroupWord("vC", w.n, tuple(v for g in w.gens
+                                      for v in virtual_letters(g, w.n)))
 
 
-def generator_projection(g, kind, n):
+def generator_projection(g, n):
     """Image of one generator in the symmetric group on the factors."""
     if isinstance(g, CactusGen):
         return interval_reversal(n, g.i, g.j)
@@ -443,5 +405,5 @@ def project_to_symmetric(w):
         return tuple(acc)
     acc = identity(w.n)
     for g in w.gens:
-        acc = compose(acc, generator_projection(g, w.kind, w.n))
+        acc = compose(acc, generator_projection(g, w.n))
     return acc

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from math import factorial
 
 from . import CactusError, check_budget
 from .perms import check_perm, inverse
@@ -310,15 +309,15 @@ def rsk_crosscheck(n):
     transform the one-line word, and (b) which RSK factor the interval
     generators move, under which identification of words with sequences.
     Returns a report dict; report["passed"] demands a unique coherent story.
-    The n! words are checked against the point budget before any work.
+    The interval letters build the reversal table of the whole product, so
+    its n^n points are checked against the point budget before any work.
     """
     from .actions import _apply, _resolve
     from .cartan import cartan_type_a, fundamental_weight
     from .groups import CactusGen, PermGen
     from .perms import all_perms, compose
 
-    check_budget(factorial(max(n, 0)), "crosscheck at n=%d" % n,
-                 error=TableauError, unit="permutation words")
+    check_budget(n ** n, "crosscheck at n=%d" % n, error=TableauError)
     cartan = cartan_type_a(n - 1)
     weights = (fundamental_weight(cartan, 1),) * n
     words = all_perms(n)

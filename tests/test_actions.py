@@ -29,11 +29,11 @@ from cactus_crystal.groups import (
     GroupWord,
     MirabolicT,
     PermGen,
-    _affine_gen_to_vc,
     defining_relation_families,
     mc_relation_suite,
     parse_word,
     project_to_symmetric,
+    virtual_letters,
     word,
 )
 from cactus_crystal.perms import compose, long_cycle, transposition
@@ -382,7 +382,7 @@ def _reference_act(cartan, gen, point):
                               PermGen(transposition(n, gen.i, gen.i + 1)),
                               point)
     if isinstance(gen, (AffineS, AffineR)):
-        for g in _affine_gen_to_vc(gen, n):
+        for g in virtual_letters(gen, n):
             point = _reference_act(cartan, g, point)
         return point
     raise GroupError("unknown generator %r" % (gen,))

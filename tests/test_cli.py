@@ -381,8 +381,46 @@ def test_crosscheck_respects_point_budget(capsys, monkeypatch):
     code, payload, captured = run(capsys, ["crosscheck", "--n", "5"])
     assert code == 2 and payload is None
     assert "CACTUS_CRYSTAL_MAX_POINTS" in captured.err
+    monkeypatch.setenv("CACTUS_CRYSTAL_MAX_POINTS", "256")
     code, payload, _ = run(capsys, ["crosscheck", "--n", "4"])
     assert code == 0 and payload["passed"] is True
+
+
+def test_crosscheck_counts_the_product_its_letters_build(capsys, monkeypatch):
+    # s1_6 reverses the whole product of six defining crystals, 6^6 points
+    monkeypatch.setenv("CACTUS_CRYSTAL_MAX_POINTS", "1000")
+    code, payload, captured = run(capsys, ["crosscheck", "--n", "6"])
+    assert code == 2 and payload is None
+    assert "46656 points" in captured.err
+
+
+def test_crystal_respects_point_budget(capsys, monkeypatch):
+    monkeypatch.setenv("CACTUS_CRYSTAL_MAX_POINTS", "10")
+    code, payload, _ = run(capsys, ["crystal", "--cartan", "A2",
+                                    "--weight", "1,1"])
+    assert code == 0 and payload["size"] == 8
+    code, payload, captured = run(capsys, ["crystal", "--cartan", "A2",
+                                           "--weight=-1,0"])
+    assert code == 2 and "highest weight must be dominant" in captured.err
+
+    def refuse(*args):
+        raise AssertionError("the crystal was built")
+    monkeypatch.setattr(cactus_crystal.crystal, "build_irreducible", refuse)
+    code, payload, captured = run(capsys, ["crystal", "--cartan", "A2",
+                                           "--weight", "30,30"])
+    assert code == 2 and payload is None
+    assert "29791 points" in captured.err
+    assert "CACTUS_CRYSTAL_MAX_POINTS" in captured.err
+
+
+def test_image_respects_point_budget(capsys, monkeypatch):
+    monkeypatch.setenv("CACTUS_CRYSTAL_MAX_POINTS", "100")
+    code, payload, captured = run(capsys, ["image", "--shape", "3,2"])
+    assert code == 2 and payload is None
+    assert "Traceback" not in captured.err
+    monkeypatch.delenv("CACTUS_CRYSTAL_MAX_POINTS")
+    code, payload, _ = run(capsys, ["image", "--shape", "2,2,1"])
+    assert code == 0 and payload["order"] == 120
 
 
 @pytest.mark.parametrize("argv", [

@@ -28,6 +28,7 @@ from cactus_crystal.crystal import (
     shape_of_weight,
     tensor,
     tensor_many,
+    weyl_dimension,
     to_dot,
     walk_in_step,
 )
@@ -200,6 +201,25 @@ def test_a1_dimensions(k):
                                  (0, 2), (2, 1), (2, 2)])
 def test_a2_dimensions(a, b):
     assert build_irreducible(A2, (a, b)).size == a2_dim(a, b)
+
+
+@pytest.mark.parametrize("cartan, weight", [
+    (A1, (0,)), (A1, (5,)), (A2, (2, 1)), (A2, (0, 3)), (A2, (3, 3)),
+    (A3, (1, 0, 1)), (A3, (0, 2, 0)), (A3, (2, 1, 1)),
+])
+def test_weyl_dimension_is_the_crystal_size(cartan, weight):
+    assert weyl_dimension(cartan, weight) == build_irreducible(cartan, weight).size
+    if cartan is A2:
+        assert weyl_dimension(cartan, weight) == a2_dim(*weight)
+
+
+def test_weyl_dimension_keeps_the_construction_errors():
+    with pytest.raises(CrystalError, match="dominant"):
+        weyl_dimension(A2, (-1, 0))
+    with pytest.raises(CrystalError, match="type A"):
+        weyl_dimension(cartan_explicit([[2, -1], [-2, 2]]), (1, 0))
+    with pytest.raises(CrystalError, match="rank"):
+        weyl_dimension(A2, (1,))
 
 
 def test_defining_crystal_labels_frozen():

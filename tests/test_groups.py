@@ -14,14 +14,12 @@ from cactus_crystal.groups import (
     defining_relation_families,
     defining_relations,
     format_word,
-    hom_AC_to_vC,
-    hom_C_to_vC,
-    hom_MC_to_vC,
     inverse_word,
     mc_relation_suite,
     mc_s0j_word,
     parse_word,
     project_to_symmetric,
+    to_virtual,
     word,
 )
 from cactus_crystal.perms import (
@@ -212,6 +210,48 @@ def test_relations_project_consistently(kind, n):
             "%s != %s" % (format_word(lhs), format_word(rhs))
 
 
+def _plain_interval_relations(n, cyclic):
+    """The involution, disjoint and nesting relations, read off runs of points:
+    [i, j] is the run i, i+1, .., j, wrapping past n only when cyclic."""
+    def run(i, j):
+        return [(i - 1 + t) % n + 1 for t in range((j - i) % n + 1)]
+
+    def s(iv):
+        return "s%d_%d" % iv
+    ivs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)
+           if i < j or (cyclic and i != j)]
+    rels = [("involution", "%s %s" % (s(p), s(p)), "1") for p in ivs]
+    for x, p in enumerate(ivs):
+        for q in ivs[x + 1:]:
+            if not set(run(*p)) & set(run(*q)):
+                rels.append(("disjoint", "%s %s" % (s(p), s(q)),
+                             "%s %s" % (s(q), s(p))))
+    for p in ivs:
+        outer = run(*p)
+        for q in ivs:
+            inner = run(*q)
+            if q != p and any(outer[t:t + len(inner)] == inner
+                              for t in range(len(outer))):
+                image = [outer[::-1][outer.index(v)] for v in inner][::-1]
+                rels.append(("nesting", "%s %s %s" % (s(p), s(q), s(p)),
+                             s((image[0], image[-1]))))
+    return rels
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_interval_relations_match_runs_of_points(n):
+    interval = ("involution", "disjoint", "nesting")
+    for kind in ("C", "vC", "AC"):
+        got = [(f, format_word(l), format_word(r))
+               for f, l, r in defining_relation_families(kind, n)
+               if f in interval]
+        assert got == _plain_interval_relations(n, kind == "AC"), kind
+    got = [(f, format_word(l), format_word(r))
+           for f, l, r in mc_relation_suite(n) if f.startswith("interval_")]
+    assert got == [("interval_" + f, l, r)
+                   for f, l, r in _plain_interval_relations(n, False)]
+
+
 def test_ac_disjoint_family_absent_at_three_points():
     fams = {fam for fam, _, _ in defining_relation_families("AC", 3)}
     assert "disjoint" not in fams
@@ -246,39 +286,39 @@ def test_mc_suite_projects_consistently(n):
 
 def test_hom_c_to_vc_changes_flavour_only():
     w = word("C", 3, [CactusGen(1, 3)])
-    v = hom_C_to_vC(w)
+    v = to_virtual(w)
     assert v.kind == "vC" and v.gens == w.gens
     with pytest.raises(GroupError):
-        hom_C_to_vC(v)
+        to_virtual(v)
 
 
 def test_hom_mc_to_vc_frozen():
     w = parse_word("t1 s2_3", "MC", 3)
-    v = hom_MC_to_vC(w)
+    v = to_virtual(w)
     assert v.gens == (PermGen((2, 1, 3)), CactusGen(2, 3))
 
 
 def test_hom_mc_to_vc_rejects_t0():
     with pytest.raises(GroupError, match="t0"):
-        hom_MC_to_vC(word("MC", 3, [MirabolicT(0)]))
+        to_virtual(word("MC", 3, [MirabolicT(0)]))
 
 
 def test_hom_mc_to_vc_projection_extends_by_fixed_point():
     w = parse_word("t1 s1_3 t2", "MC", 4)
     mcp = project_to_symmetric(w)
-    vcp = project_to_symmetric(hom_MC_to_vC(w))
+    vcp = project_to_symmetric(to_virtual(w))
     assert mcp[0] == 0
     assert tuple(k for k in mcp[1:]) == vcp
 
 
 def test_hom_ac_to_vc_frozen_wraparound():
     c = long_cycle(3)
-    v = hom_AC_to_vC(word("AC", 3, [AffineS(3, 1)]))
+    v = to_virtual(word("AC", 3, [AffineS(3, 1)]))
     assert v.gens == (PermGen(inverse(c)), CactusGen(1, 2), PermGen(c))
 
 
 def test_hom_ac_to_vc_standard_interval_untouched():
-    v = hom_AC_to_vC(word("AC", 4, [AffineS(1, 3), AffineR()]))
+    v = to_virtual(word("AC", 4, [AffineS(1, 3), AffineR()]))
     assert v.gens == (CactusGen(1, 3), PermGen(long_cycle(4)))
 
 
@@ -289,7 +329,7 @@ def test_hom_ac_to_vc_preserves_projection(n):
             if i == j:
                 continue
             w = word("AC", n, [AffineS(i, j)])
-            assert project_to_symmetric(hom_AC_to_vC(w)) == project_to_symmetric(w)
+            assert project_to_symmetric(to_virtual(w)) == project_to_symmetric(w)
 
 
 def test_power_of_rotation_projection():
