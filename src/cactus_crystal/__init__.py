@@ -27,6 +27,16 @@ def point_budget(error=CactusError):
     return int(raw)
 
 
+def clear_caches():
+    """Empty every module-level cache; later calls rebuild what they need."""
+    from . import cartan, commutor, crystal, groups
+    for f in (crystal.build_irreducible, crystal.product_of_weights,
+              commutor.reversal_table, commutor.commutor_table, cartan.star,
+              cartan.weyl_elements, cartan.longest_element,
+              groups._check_generator):
+        f.cache_clear()
+
+
 def check_budget(total, what, budget=None, error=CactusError):
     """Raise error if what, of total points, is over the budget."""
     budget = point_budget(error) if budget is None else budget

@@ -7,13 +7,15 @@ the entries.  It runs over the vC letters groups.virtual_letters gives (t_i
 becomes the swap of factors i and i+1, affine letters are straightened):
 s_ij applies the cached reversal of the subproduct i..j, and a permutation
 pulls (entry k of the image is entry w(k) of the source).  act runs those
-steps on one point; act_word and orbit also check each reversal table they
-need against the point budget before it is built.
+steps on one point, _apply_columns on a block of points as entry columns;
+act_word and orbit check each reversal table against the budget first.
 
 verify_relations runs on CompiledAction: the closure of the supplied weight
 tuples under reordering (every letter maps it to itself), one block per weight
 tuple, each letter turned on first use into the list of the ids of its images
-by one resolve per block.  Words compose lists; a relation holds when both
+by one resolve and one column pass per block.  The relations stream by from
+groups.relation_stream and only a witness makes GroupWords; words compose
+lists, keeping the image of each first letter.  A relation holds when both
 sides send every supplied point to the same id.  The budget counts the closure.
 """
 
@@ -34,8 +36,7 @@ from .groups import (
     CactusGen,
     GroupError,
     GroupWord,
-    defining_relation_families,
-    mc_relation_suite,
+    relation_stream,
     virtual_letters,
 )
 from .perms import check_perm, mulclose, parity
@@ -129,13 +130,26 @@ def weight_orderings(weights):
     return sorted(set(permutations(tuple(tuple(w) for w in weights))))
 
 
+def _apply_columns(steps, columns):
+    """Run the steps of a resolved letter on a block given as entry columns."""
+    columns = list(columns)
+    for step in steps:
+        if len(step) == 3 and isinstance(step[2], dict):
+            i, j, table = step
+            columns[i:j] = zip(*map(table.__getitem__, zip(*columns[i:j])))
+        else:
+            columns = [columns[k] for k in step]
+    return columns
+
+
 class CompiledAction:
     """The action on the reordering closure of some weight tuples, as arrays.
 
     points lists the closure in one block per weight tuple; blocks maps each
     weight tuple to its entry tuple -> id dict.  table(g), the ids of the
-    images of points under g, resolves g once per block on first use;
-    image(word, ids) composes tables.  The budget is checked first.
+    images of points under g, resolves g once per block on first use and runs
+    its steps on the block's entry columns; image(word, ids) composes tables.
+    The budget is checked first.
     """
 
     def __init__(self, cartan, weight_tuples, max_points=None):
@@ -155,19 +169,36 @@ class CompiledAction:
             table = []
             for weights, block in self.blocks.items():
                 image, steps = _resolve(self.cartan, gen, weights)
-                target = self.blocks[image]
-                table.extend(target[_apply(steps, e)] for e in block)
+                rows = zip(*_apply_columns(steps, zip(*block)))
+                table.extend(map(self.blocks[image].__getitem__, rows))
             self._tables[gen] = table
         return table
 
     def image(self, word, ids):
         """Ids of the images of the points ids under word, leftmost first."""
-        ids = tuple(ids)
-        for g in word.gens:
+        return self.images_of(ids)(word.gens)
+
+    def images_of(self, ids):
+        """image(letters), the ids of the images of ids under a letter tuple;
+        the image of each first letter is kept, so a word costs one
+        composition per letter after its first."""
+        ids, heads = tuple(ids), {}
+
+        def pull(g, src):
             table = self.table(g)
-            ids = (itemgetter(*ids)(table) if len(ids) > 1
-                   else tuple(table[k] for k in ids))
-        return ids
+            return (itemgetter(*src)(table) if len(src) > 1
+                    else tuple(table[k] for k in src))
+
+        def image(letters):
+            if not letters:
+                return ids
+            out = heads.get(letters[0])
+            if out is None:
+                out = heads[letters[0]] = pull(letters[0], ids)
+            for g in letters[1:]:
+                out = pull(g, out)
+            return out
+        return image
 
 
 def _point_json(p):
@@ -189,25 +220,22 @@ def verify_relations(cartan, kind, n, weight_tuples, max_points=None,
         if len(t) != n:
             raise GroupError("weight tuple %r does not have %d factors" % (t, n))
     engine = CompiledAction(cartan, tuples, max_points=max_points)
-    relations = (mc_relation_suite(n) if kind == "MC"
-                 else defining_relation_families(kind, n))
     points = engine.points
     sources = [k for t in tuples for k in engine.blocks[t].values()]
+    image = engine.images_of(sources)
 
-    families = {}
+    counts = {}
     failures = []
-    for family, lhs, rhs in relations:
-        left = engine.image(lhs, sources)
-        right = engine.image(rhs, sources)
-        counts = families.setdefault(family, {"relations": 0, "instances": 0})
-        counts["relations"] += 1
-        counts["instances"] += len(sources)
+    for family, lhs, rhs in relation_stream(kind, n):
+        counts[family] = counts.get(family, 0) + 1
+        left, right = image(lhs), image(rhs)
         if left == right or len(failures) >= max_failures:
             continue
         for s, a, b in zip(sources, left, right):
             if a != b:
-                failures.append({"family": family, "lhs": str(lhs),
-                                 "rhs": str(rhs),
+                failures.append({"family": family,
+                                 "lhs": str(GroupWord(kind, n, lhs)),
+                                 "rhs": str(GroupWord(kind, n, rhs)),
                                  "point": _point_json(points[s]),
                                  "got": _point_json(points[a]),
                                  "expected": _point_json(points[b])})
@@ -219,8 +247,9 @@ def verify_relations(cartan, kind, n, weight_tuples, max_points=None,
         "n": n,
         "weight_tuples": [[list(w) for w in t] for t in tuples],
         "points": len(sources),
-        "relations": len(relations),
-        "families": families,
+        "relations": sum(counts.values()),
+        "families": {family: {"relations": c, "instances": c * len(sources)}
+                     for family, c in counts.items()},
         "failures": failures,
         "passed": not failures,
         "duration_s": round(time.monotonic() - start, 3),

@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from itertools import product
 
-from . import CactusError
+from . import CactusError, check_budget, point_budget
 from .commutor import commutor_table
 from .crystal import (build_irreducible, component_members, multiplicity_set,
-                      product_of_weights, walk_in_step)
+                      product_of_weights, walk_in_step, weyl_dimension)
 
 
 class CategoryError(CactusError):
@@ -126,8 +126,12 @@ def from_crystals(cartan, core_weights):
         raise CategoryError("repeated colour in the core list")
 
     graph = partial(build_irreducible, cartan)
+    budget = point_budget(CategoryError)
 
+    @lru_cache(maxsize=None)
     def tens(a, b):
+        check_budget(weyl_dimension(cartan, a) * weyl_dimension(cartan, b),
+                     "the product %s (x) %s" % (a, b), budget, CategoryError)
         return product_of_weights(cartan, (a, b))
 
     comp_cache = {}

@@ -17,13 +17,16 @@ translations.  AC replaces nesting by its cyclic version and adds r^n = 1 and
 r s_ij r^{-1} = s_{i+1,j+1}.  MC has no known presentation, so asking for its
 relations raises; its verification goes through the vC image instead, which
 virtual_letters gives letter by letter and to_virtual word by word.  One
-generator lists the interval relations of every flavour: a standard interval
-is a cyclic one [i, j] with i < j.
+generator lists the interval relations of every flavour (a standard interval
+is a cyclic one [i, j] with i < j), and relation_stream yields every relation
+as letter tuples, each letter checked once when it is interned; the word lists
+are built from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, permutations
 
 from . import CactusError, perms
@@ -90,7 +93,10 @@ LETTERS = {"C": (CactusGen,), "vC": (CactusGen, PermGen),
 KINDS = tuple(LETTERS)
 
 
+@lru_cache(maxsize=None)
 def _check_generator(gen, kind, n):
+    """gen, once it is checked as a letter of the flavour on n factors; the
+    cache interns it, so a letter is checked the first time it is seen."""
     if not isinstance(gen, LETTERS[kind]):
         raise GroupError("%s is not a %s generator" % (gen, kind))
     if isinstance(gen, CactusGen):
@@ -106,6 +112,7 @@ def _check_generator(gen, kind, n):
     elif isinstance(gen, AffineS):
         if gen.i == gen.j or not (1 <= gen.i <= n and 1 <= gen.j <= n):
             raise GroupError("bad cyclic interval s%d_%d for n=%d" % (gen.i, gen.j, n))
+    return gen
 
 
 @dataclass(frozen=True)
@@ -221,68 +228,87 @@ def cabling(u, i, j, n):
     return check_perm(w)
 
 
-def _interval_relations(kind, n):
+def _interval_relations(kind, n, letter):
     """The involution, disjoint and nesting relations of the interval letters.
 
     AC runs over the cyclic intervals [i, j], i != j, read i, i+1, .., j
     around {1..n}; the other flavours over the standard ones, i < j.
     """
-    letter = AffineS if kind == "AC" else CactusGen
+    make = AffineS if kind == "AC" else CactusGen
     spans = {(i, j): cyclic_interval(n, i, j)
              for i, j in permutations(range(1, n + 1), 2)
              if i < j or kind == "AC"}
-
-    def w_(*gens):
-        return GroupWord(kind, n, gens)
-    rels = [("involution", w_(letter(*p), letter(*p)), w_()) for p in spans]
+    s = {p: letter(make(*p)) for p in spans}
+    for p in spans:
+        yield "involution", (s[p], s[p]), ()
     for (p, a), (q, b) in combinations(spans.items(), 2):
         if set(a).isdisjoint(b):
-            rels.append(("disjoint", w_(letter(*p), letter(*q)),
-                         w_(letter(*q), letter(*p))))
+            yield "disjoint", (s[p], s[q]), (s[q], s[p])
     for (i, j), pts in spans.items():
         for k, l in spans:
             if (k, l) != (i, j) and k in pts and l in pts \
                     and pts.index(k) <= pts.index(l):
-                outer = letter(i, j)
-                flipped = letter(_mod1(i + j - l, n), _mod1(i + j - k, n))
-                rels.append(("nesting", w_(outer, letter(k, l), outer),
-                             w_(flipped)))
-    return rels
+                flipped = (_mod1(i + j - l, n), _mod1(i + j - k, n))
+                yield "nesting", (s[i, j], s[k, l], s[i, j]), (s[flipped],)
+
+
+def relation_stream(kind, n):
+    """Yield the relations of the flavour as (family, lhs, rhs) letter tuples:
+    the defining relations of C, vC and AC, the mc_relation_suite of MC."""
+    if n < 2:
+        raise GroupError("need n >= 2")
+    if kind not in KINDS:
+        raise GroupError("unknown flavour %r" % (kind,))
+
+    def letter(g):
+        return _check_generator(g, kind, n)
+    if kind == "MC":
+        t = {i: letter(MirabolicT(i)) for i in range(1, n)}
+        for i in t:
+            yield "t_involution", (t[i], t[i]), ()
+        for i in t:
+            for j in range(i + 2, n):
+                yield "t_disjoint", (t[i], t[j]), (t[j], t[i])
+        for i in t:
+            for k, l in combinations(range(1, n + 1), 2):
+                if {i, i + 1}.isdisjoint(range(k, l + 1)):
+                    s = letter(CactusGen(k, l))
+                    yield "t_conjugation", (t[i], s, t[i]), (s,)
+        for family, lhs, rhs in _interval_relations(kind, n, letter):
+            yield "interval_" + family, lhs, rhs
+        return
+    yield from _interval_relations(kind, n, letter)
+    if kind == "vC":
+        w = {u: letter(PermGen(u)) for u in perms.all_perms(n)}
+        for u in w:
+            for v in w:
+                yield "perm_table", (w[u], w[v]), (w[compose(u, v)],)
+        for i, j in combinations(range(1, n + 1), 2):
+            q = j - i
+            s = letter(CactusGen(i, j))
+            for u in perms.all_perms(n - q):
+                c = cabling(u, i, j, n)
+                image = letter(CactusGen(c[i - 1], c[i - 1] + q))
+                yield "cabled", (w[c], s, w[inverse(c)]), (image,)
+    if kind == "AC":
+        r = letter(AffineR())
+        yield "rotation_order", (r,) * n, ()
+        for i, j in permutations(range(1, n + 1), 2):
+            shifted = letter(AffineS(_mod1(i + 1, n), _mod1(j + 1, n)))
+            yield ("rotation_shift",
+                   (r, letter(AffineS(i, j))) + (r,) * (n - 1), (shifted,))
+
+
+def _word_list(kind, n):
+    return [(family, GroupWord(kind, n, lhs), GroupWord(kind, n, rhs))
+            for family, lhs, rhs in relation_stream(kind, n)]
 
 
 def defining_relation_families(kind, n):
     """List of (family, lhs, rhs) word pairs presenting the flavour."""
-    if n < 2:
-        raise GroupError("need n >= 2")
-    if kind == "MC":
+    if kind == "MC" and n >= 2:
         raise GroupError("the mirabolic flavour has no known presentation")
-    if kind not in KINDS:
-        raise GroupError("unknown flavour %r" % (kind,))
-    rels = _interval_relations(kind, n)
-
-    def w_(*gens):
-        return GroupWord(kind, n, gens)
-    if kind == "vC":
-        for u in perms.all_perms(n):
-            for v in perms.all_perms(n):
-                rels.append(("perm_table", w_(PermGen(u), PermGen(v)),
-                             w_(PermGen(compose(u, v)))))
-        for i, j in combinations(range(1, n + 1), 2):
-            q = j - i
-            for u in perms.all_perms(n - q):
-                w = cabling(u, i, j, n)
-                image = CactusGen(w[i - 1], w[i - 1] + q)
-                rels.append(("cabled",
-                             w_(PermGen(w), CactusGen(i, j), PermGen(inverse(w))),
-                             w_(image)))
-    if kind == "AC":
-        r = AffineR()
-        rels.append(("rotation_order", w_(*[r] * n), w_()))
-        for i, j in permutations(range(1, n + 1), 2):
-            shifted = AffineS(_mod1(i + 1, n), _mod1(j + 1, n))
-            rels.append(("rotation_shift",
-                         w_(r, AffineS(i, j), *[r] * (n - 1)), w_(shifted)))
-    return rels
+    return _word_list(kind, n)
 
 
 def defining_relations(kind, n):
@@ -297,25 +323,7 @@ def mc_relation_suite(n):
     cabled relations whose permutation is a translating transposition), and
     the interval relations inherited from the plain flavour.
     """
-    if n < 2:
-        raise GroupError("need n >= 2")
-
-    def w_(*gens):
-        return GroupWord("MC", n, gens)
-    rels = []
-    for i in range(1, n):
-        rels.append(("t_involution", w_(MirabolicT(i), MirabolicT(i)), w_()))
-    for i in range(1, n):
-        for j in range(i + 2, n):
-            a, b = MirabolicT(i), MirabolicT(j)
-            rels.append(("t_disjoint", w_(a, b), w_(b, a)))
-    for i in range(1, n):
-        for k, l in combinations(range(1, n + 1), 2):
-            if {i, i + 1}.isdisjoint(range(k, l + 1)):
-                t, s = MirabolicT(i), CactusGen(k, l)
-                rels.append(("t_conjugation", w_(t, s, t), w_(s)))
-    return rels + [("interval_" + fam, lhs, rhs)
-                   for fam, lhs, rhs in _interval_relations("MC", n)]
+    return _word_list("MC", n)
 
 
 def mc_s0j_word(j, n):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from . import CactusError
+from . import MAX_POINTS_ENV, CactusError
 
 
 class PermError(CactusError):
@@ -116,7 +116,9 @@ def mulclose(gens, limit=None):
                     seen.add(c)
                     nxt.append(c)
                     if limit is not None and len(seen) > limit:
-                        raise PermError("closure exceeded limit %d" % limit)
+                        raise PermError(
+                            "the closure has more than %d elements; raise %s "
+                            "to override" % (limit, MAX_POINTS_ENV))
         frontier = nxt
     return seen
 

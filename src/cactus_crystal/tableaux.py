@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-from . import CactusError, check_budget
+from . import MAX_POINTS_ENV, CactusError, check_budget, point_budget
 from .perms import check_perm, inverse
 
 
@@ -312,23 +312,28 @@ def rsk_crosscheck(n):
     The interval letters build the reversal table of the whole product, so
     its n^n points are checked against the point budget before any work.
     """
-    from .actions import _apply, _resolve
+    from .actions import _apply_columns, _resolve
     from .cartan import cartan_type_a, fundamental_weight
     from .groups import CactusGen, PermGen
     from .perms import all_perms, compose
 
-    check_budget(n ** n, "crosscheck at n=%d" % n, error=TableauError)
+    budget = point_budget(TableauError)
+    if n > budget.bit_length():  # so n ** n > 2 ** n > budget, left uncomputed
+        raise TableauError("crosscheck at n=%d has n^n points, over the "
+                           "budget of %d; raise %s to override"
+                           % (n, budget, MAX_POINTS_ENV))
+    check_budget(n ** n, "crosscheck at n=%d" % n, budget, TableauError)
     cartan = cartan_type_a(n - 1)
     weights = (fundamental_weight(cartan, 1),) * n
     words = all_perms(n)
     word_of = {tuple(v - 1 for v in a): a for a in words}
+    columns = list(zip(*word_of))
     rsk_of = lru_cache(maxsize=None)(rsk)
     cactus_of = lru_cache(maxsize=None)(bk_cactus_act)
 
-    def images(g):  # (word, image word) pairs; g is resolved once
+    def images(g):  # (word, image word) pairs; g runs once on all columns
         _, steps = _resolve(cartan, g, weights)
-        for entries, a in word_of.items():
-            out = _apply(steps, entries)
+        for a, out in zip(words, zip(*_apply_columns(steps, columns))):
             if out not in word_of:
                 raise TableauError("letter %s maps the permutation word %s to "
                                    "%s, which is not a permutation"

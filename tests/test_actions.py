@@ -1,3 +1,7 @@
+import json
+import os
+import subprocess
+import sys
 import time
 from itertools import product
 
@@ -354,6 +358,37 @@ def test_verify_vc5_exhaustive():
     assert elapsed < 30, "vC n=5 took %.1fs, bound 30s" % elapsed
 
 
+VC6_SWEEP = (
+    "import json, time\n"
+    "start = time.monotonic()\n"
+    "from cactus_crystal.actions import verify_relations\n"
+    "from cactus_crystal.cartan import cartan_type_a\n"
+    "rep = verify_relations(cartan_type_a(1), 'vC', 6, [((1,),) * 6])\n"
+    "print(json.dumps([rep['passed'], rep['relations'], rep['points'],\n"
+    "                  time.monotonic() - start]))\n")
+PEAK_OF_ONE_CHILD = (
+    "import resource, subprocess, sys\n"
+    "out = subprocess.run([sys.executable, '-c', sys.argv[1]], check=True,\n"
+    "                     capture_output=True, text=True).stdout\n"
+    "peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
+    "print(out.strip(), peak)\n")
+
+
+def test_verify_vc6_streams_within_time_and_memory():
+    # the 519,204 relations stream past the verifier, so no word list is held;
+    # a fresh child runs the sweep and its own parent reads its peak RSS alone
+    src = os.path.dirname(os.path.dirname(actions.__file__))
+    proc = subprocess.run([sys.executable, "-c", PEAK_OF_ONE_CHILD, VC6_SWEEP],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report, peak_kb = proc.stdout.rsplit(None, 1)
+    passed, relations, points, elapsed = json.loads(report)
+    assert passed is True and relations == 519204 and points == 64
+    assert elapsed < 8, "vC n=6 took %.1fs, bound 8s" % elapsed
+    assert int(peak_kb) < 100 * 1024, "vC n=6 peaked at %s kB" % peak_kb
+
+
 def _reference_act(cartan, gen, point):
     """The single-point action as written before letters were resolved per
     weight tuple: an independent plain path for the kernel."""
@@ -413,6 +448,19 @@ def test_every_letter_matches_the_reference_action(cartan, kind, choices):
             expected = _reference_act(cartan, g, p)
             assert act(cartan, g, p) == expected, (str(g), p)
             assert engine.points[table[k]] == expected, (str(g), p)
+
+
+@pytest.mark.parametrize("kind", ["C", "vC", "MC", "AC"])
+def test_column_tables_match_the_reference_action_at_n4(kind):
+    # n=3, and vC over A2, are the test above; AC straightens its wrapping
+    # letters into three steps
+    letters = {g for _, lhs, rhs in _relations(kind, 4)
+               for g in lhs.gens + rhs.gens}
+    engine = CompiledAction(A1, sorted(set(product([(1,), (2,)], repeat=4))))
+    for g in sorted(letters, key=str):
+        table = engine.table(g)
+        assert [engine.points[k] for k in table] \
+            == [_reference_act(A1, g, p) for p in engine.points], str(g)
 
 
 def test_orbit_matches_a_plain_search_with_the_reference_action():

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import cactus_crystal
-from cactus_crystal import CactusError
+from cactus_crystal import CactusError, category_data
 from cactus_crystal.actions import LabeledPoint, act_word
 from cactus_crystal.cartan import CartanError, cartan_type_a
 from cactus_crystal.category_data import (
@@ -394,6 +394,15 @@ def test_crosscheck_counts_the_product_its_letters_build(capsys, monkeypatch):
     assert "46656 points" in captured.err
 
 
+def test_crosscheck_refuses_a_long_n_without_computing_its_count(capsys):
+    # 2000 ** 2000 has 6,603 digits, more than Python turns into a string
+    code, payload, captured = run(capsys, ["crosscheck", "--n", "2000"])
+    assert code == 2 and payload is None
+    assert "n=2000 has n^n points" in captured.err
+    assert "CACTUS_CRYSTAL_MAX_POINTS" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_crystal_respects_point_budget(capsys, monkeypatch):
     monkeypatch.setenv("CACTUS_CRYSTAL_MAX_POINTS", "10")
     code, payload, _ = run(capsys, ["crystal", "--cartan", "A2",
@@ -421,6 +430,40 @@ def test_image_respects_point_budget(capsys, monkeypatch):
     monkeypatch.delenv("CACTUS_CRYSTAL_MAX_POINTS")
     code, payload, _ = run(capsys, ["image", "--shape", "2,2,1"])
     assert code == 0 and payload["order"] == 120
+
+
+def test_image_budget_message_names_the_variable(capsys, monkeypatch):
+    monkeypatch.setenv("CACTUS_CRYSTAL_MAX_POINTS", "100")
+    code, payload, captured = run(capsys, ["image", "--shape", "3,2"])
+    assert code == 2 and payload is None
+    assert "more than 100 elements" in captured.err
+    assert "raise CACTUS_CRYSTAL_MAX_POINTS to override" in captured.err
+
+
+def test_category_build_respects_point_budget(capsys, monkeypatch):
+    # the colours a, b of A1 multiply to (a + 1) * (b + 1) points, first
+    # over 10 at 1 and 5; no product over the budget is built
+    monkeypatch.setenv("CACTUS_CRYSTAL_MAX_POINTS", "10")
+
+    built = category_data.product_of_weights
+
+    def refuse_large(cartan, weights):
+        (a,), (b,) = weights
+        assert (a + 1) * (b + 1) <= 10, "built %r" % (weights,)
+        return built(cartan, weights)
+    monkeypatch.setattr(category_data, "product_of_weights", refuse_large)
+    code, payload, captured = run(capsys, ["category", "build", "--colours",
+                                           "0 1 2 3 4 5 6"])
+    assert code == 2 and payload is None
+    assert "12 points" in captured.err
+    assert "CACTUS_CRYSTAL_MAX_POINTS" in captured.err
+    assert "Traceback" not in captured.err
+    monkeypatch.undo()
+    # the largest product the core 0, 1 needs is 2 (x) 2, of 9 points
+    for budget, want in (("8", 2), ("9", 0)):
+        monkeypatch.setenv("CACTUS_CRYSTAL_MAX_POINTS", budget)
+        code, _, _ = run(capsys, ["category", "build", "--colours", "0 1"])
+        assert code == want, budget
 
 
 @pytest.mark.parametrize("argv", [
@@ -548,3 +591,26 @@ def test_category_file_commands_load_no_action_layer(tmp_path, op):
                           "assert main(%r) == 0" % argv)
     assert "category_data" in loaded
     assert not loaded & {"actions", "groups"}, loaded
+
+
+def test_clear_caches_empties_every_module_cache():
+    from cactus_crystal import cartan, commutor, crystal, groups
+    from cactus_crystal.actions import verify_relations
+
+    caches = (crystal.build_irreducible, crystal.product_of_weights,
+              commutor.reversal_table, commutor.commutor_table,
+              cartan.weyl_elements, cartan.longest_element, cartan.star,
+              groups._check_generator)
+    a2 = cartan_type_a(2)
+
+    def results():
+        rep = verify_relations(a2, "vC", 3, [((1, 0), (0, 1), (1, 0))])
+        del rep["duration_s"]
+        return (rep, commutor.reversal_table(a2, ((1, 0), (1, 1))),
+                cartan.longest_element(a2), cartan.star_weight(a2, (2, 1)))
+
+    before = results()
+    assert all(f.cache_info().currsize > 0 for f in caches)
+    cactus_crystal.clear_caches()
+    assert [f.cache_info().currsize for f in caches] == [0] * len(caches)
+    assert results() == before

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cactus_crystal import perms
+from cactus_crystal import groups, perms
 from cactus_crystal.groups import (
     AffineR,
     AffineS,
@@ -19,6 +19,7 @@ from cactus_crystal.groups import (
     mc_s0j_word,
     parse_word,
     project_to_symmetric,
+    relation_stream,
     to_virtual,
     word,
 )
@@ -336,3 +337,38 @@ def test_power_of_rotation_projection():
     w = word("AC", 4, [AffineR()] * 4)
     assert project_to_symmetric(w) == identity(4)
     assert power(long_cycle(4), 4) == identity(4)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("kind", ["C", "vC", "MC", "AC"])
+def test_relation_stream_lists_the_word_relations(kind, n):
+    words = (mc_relation_suite(n) if kind == "MC"
+             else defining_relation_families(kind, n))
+    stream = [(f, format_word(word(kind, n, lhs)),
+               format_word(word(kind, n, rhs)))
+              for f, lhs, rhs in relation_stream(kind, n)]
+    assert stream == [(f, str(lhs), str(rhs)) for f, lhs, rhs in words]
+
+
+def test_relation_stream_refuses_what_the_lists_refuse():
+    for kind, n in (("C", 1), ("XX", 3)):
+        with pytest.raises(GroupError):
+            next(relation_stream(kind, n))
+
+
+def test_a_letter_is_checked_once(monkeypatch):
+    checked = []
+
+    def counting(w):
+        checked.append(tuple(w))
+        return perms.check_perm(w)
+
+    monkeypatch.setattr(groups, "check_perm", counting)
+    groups._check_generator.cache_clear()
+    u = PermGen((2, 4, 1, 3))
+    word("vC", 4, [u, u, CactusGen(1, 2)])
+    assert checked == [(2, 4, 1, 3)]
+    word("vC", 4, [u])
+    assert checked == [(2, 4, 1, 3)]
+    with pytest.raises(GroupError):
+        word("vC", 3, [u])
