@@ -112,14 +112,17 @@ def _check_finite_type(matrix):
                                 for a, b in zip(sym[r][col:], sym[col][col:])]
 
 
-def cartan_type_a(rank):
-    if rank < 1:
-        raise CartanError("type A rank must be >= 1")
-    matrix = tuple(
+def type_a_matrix(rank):
+    return tuple(
         tuple(2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(rank))
         for i in range(rank)
     )
-    return CartanData("A", matrix)
+
+
+def cartan_type_a(rank):
+    if rank < 1:
+        raise CartanError("type A rank must be >= 1")
+    return CartanData("A", type_a_matrix(rank))
 
 
 def cartan_explicit(matrix):

@@ -127,11 +127,12 @@ def from_crystals(cartan, core_weights):
 
     graph = partial(build_irreducible, cartan)
     budget = point_budget(CategoryError)
+    dim = lru_cache(maxsize=None)(partial(weyl_dimension, cartan))
 
     @lru_cache(maxsize=None)
     def tens(a, b):
-        check_budget(weyl_dimension(cartan, a) * weyl_dimension(cartan, b),
-                     "the product %s (x) %s" % (a, b), budget, CategoryError)
+        check_budget(dim(a) * dim(b), "the product %s (x) %s" % (a, b), budget,
+                     CategoryError)
         return product_of_weights(cartan, (a, b))
 
     comp_cache = {}

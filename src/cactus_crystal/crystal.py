@@ -26,8 +26,8 @@ from .cartan import (
     CartanData,
     cartan_from_json,
     cartan_to_json,
-    cartan_type_a,
     simple_root,
+    type_a_matrix,
     weight_add,
     weight_sub,
 )
@@ -189,7 +189,7 @@ def _string_walk(e_map, f_map):
 
 def _is_type_a_matrix(cartan):
     r = cartan.rank
-    return cartan.matrix == cartan_type_a(r).matrix if r >= 1 else False
+    return r >= 1 and cartan.matrix == type_a_matrix(r)
 
 
 def shape_of_weight(weight):
