@@ -181,13 +181,6 @@ def weight_sub(a, b):
     return tuple(map(sub, a, b))
 
 
-def reflect(cartan, weight, i):
-    """Simple reflection s_i(weight) = weight - <weight, alpha_i^vee> alpha_i."""
-    c = weight[i - 1]
-    alpha = simple_root(cartan, i)
-    return tuple(w - c * a for w, a in zip(weight, alpha))
-
-
 # ---------------------------------------------------------------------------
 # Weyl group closure and the star involution
 

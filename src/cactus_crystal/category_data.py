@@ -455,19 +455,6 @@ def is_valid(data):
     return validate(data, fail_fast=True)["passed"]
 
 
-def terminal_category():
-    """One colour, one element, one morphism everywhere."""
-    star = UNIT_X
-    return CategoryData(
-        core_colours=(star,),
-        cl={star: ("0",)},
-        mult={(star, star, star): ("0",)},
-        sigma={(star, star): {("0", "0"): ("0", "0")}},
-        phi={(star, star): {(star, "0", "0"): ("0", "0")}},
-        assoc={(star, star, star): {(star, star, "0", "0"): (star, star, "0", "0")}},
-    )
-
-
 def mutate_category(data, rng=None, seed=None):
     """Swap two values inside one stored bijection; returns (mutant, note)."""
     if rng is None:

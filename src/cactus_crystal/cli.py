@@ -237,8 +237,8 @@ def cmd_verify(args):
 
     cartan = _parse_cartan(args)
     if args.choices:
-        if args.n is None:
-            raise UsageError("--choices needs an explicit --n")
+        if args.n is None or args.n < 1:
+            raise UsageError("--choices needs an explicit positive --n")
         from itertools import product as iproduct
         opts = _parse_weights(args.choices, cartan.rank)
         tuples = sorted(set(iproduct(opts, repeat=args.n)))
@@ -339,6 +339,8 @@ def cmd_bk(args):
     from .tableaux import bender_knuth, bk_braid_witness, bk_cactus_act
 
     if args.braid_witness:
+        if args.max_cells < 1 or args.max_entry < 1:
+            raise UsageError("--max-cells and --max-entry must be positive")
         w = bk_braid_witness(max_cells=args.max_cells, max_entry=args.max_entry)
         found = w is not None
         payload = _report("bk", found, witness=(
@@ -349,6 +351,8 @@ def cmd_bk(args):
                 "lhs": [list(r) for r in w["lhs"]],
                 "rhs": [list(r) for r in w["rhs"]]}))
         return _emit(args, payload)
+    if args.tableau is None:
+        raise UsageError("--i and --interval need a --tableau")
     t = _parse_tableau(args.tableau)
     if args.interval:
         try:
@@ -418,6 +422,8 @@ def cmd_category(args):
                           fiber_failures=fs_rep["failures"][:10])
         return _emit(args, payload)
     if args.cat_op == "mutate":
+        if args.count < 0:
+            raise UsageError("--count must not be negative")
         data = _load_category(args.input)
         caught = 0
         notes = []

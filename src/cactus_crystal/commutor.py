@@ -5,9 +5,10 @@ extending through xi(f_i b) = e_{i*}(xi b).  The commutor is
 
     sigma(b1 (x) b2) = xi( xi(b2) (x) xi(b1) )
 
-and the reversal of an m-fold product peels the first factor:
+and the longest interval of the cactus group reverses an m-fold product with
+one xi per factor and one on the reversed product (Henriques-Kamnitzer):
 
-    sigma_m = sigma_{B1, Bm (x) .. (x) B2} o (id (x) sigma_{m-1}).
+    b_1 (x) .. (x) b_m  |->  xi( xi(b_m) (x) .. (x) xi(b_1) ).
 """
 
 from __future__ import annotations
@@ -55,32 +56,8 @@ class CrystalBijection:
         return CrystalBijection(other.domain, self.codomain,
                                 tuple(self.mapping[c] for c in other.mapping))
 
-    def is_involution(self):
-        return self.domain is self.codomain and all(
-            self.mapping[self.mapping[b]] == b for b in self.domain.elements())
-
     def to_pairs(self):
         return [[b, self.mapping[b]] for b in self.domain.elements()]
-
-    def label_map(self):
-        return {self.domain.labels[b]: self.codomain.labels[c]
-                for b, c in enumerate(self.mapping)}
-
-    def is_strict_morphism(self):
-        """Check weight, e and f are all intertwined edge by edge."""
-        dom, cod = self.domain, self.codomain
-        for b in dom.elements():
-            if dom.wt(b) != cod.wt(self.mapping[b]):
-                return False
-            for i in dom.index_range():
-                for op in ("f", "e"):
-                    c = getattr(dom, op)(i, b)
-                    c2 = getattr(cod, op)(i, self.mapping[b])
-                    if (c is None) != (c2 is None):
-                        return False
-                    if c is not None and self.mapping[c] != c2:
-                        return False
-        return True
 
 
 def schutzenberger(graph):
@@ -157,20 +134,14 @@ def reversal_table(cartan, weights):
     """Flat-tuple reversal map for B(w_1) (x) .. (x) B(w_m), cached by weights.
 
     Returns a dict from entry tuples to entry tuples; the output entries index
-    the factors in reversed order.
+    the factors in reversed order.  The target label (c_m, .., c_1) comes from
+    the domain entries (xi c_1, .., xi c_m) and goes to its own xi.
     """
-    if len(weights) == 1:
-        size = build_irreducible(cartan, weights[0]).size
-        return {(a,): (a,) for a in range(size)}
-    domain = product_of_weights(cartan, weights)
-    sub = reversal_table(cartan, weights[1:])
-    rest = tuple(reversed(weights[1:]))
-    right = product_of_weights(cartan, rest)
-    comm = commutor_table(cartan, (weights[0],), rest)
-    out_labels = comm.codomain.labels
-    return {flat: out_labels[comm(flat[0] * right.size
-                                  + right.index_of_label(sub[flat[1:]]))]
-            for flat in domain.labels}
+    target = product_of_weights(cartan, weights[::-1])
+    xis = [_xi_mapping(build_irreducible(cartan, w)) for w in weights]
+    xi, labels = _xi_mapping(target), target.labels
+    return {tuple(x[c] for x, c in zip(xis, label[::-1])): labels[xi[u]]
+            for u, label in enumerate(labels)}
 
 
 def hexagon_holds(cartan, lam, mu, nu):

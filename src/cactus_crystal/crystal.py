@@ -24,7 +24,6 @@ from itertools import compress
 from . import CactusError
 from .cartan import (
     CartanData,
-    cartan_from_json,
     cartan_to_json,
     simple_root,
     type_a_matrix,
@@ -494,15 +493,6 @@ def walk_in_step(graph, other, start, other_start):
     return partner
 
 
-def crystal_isomorphic(graph, reference, start, ref_start):
-    """Does the in-step walk from the given heads give a full bijection?"""
-    if graph.size != reference.size:
-        return False
-    partner = walk_in_step(graph, reference, start, ref_start)
-    return partner is not None and \
-        len(partner) == len(set(partner.values())) == graph.size
-
-
 def normality_report(graph):
     """Compare every component against the reference crystal of its head.
 
@@ -549,7 +539,7 @@ def multiplicity_set(tensor_graph, mu):
 
 
 # ---------------------------------------------------------------------------
-# import/export
+# export
 
 
 def export_graph(graph):
@@ -564,33 +554,6 @@ def export_graph(graph):
         "elements": [{"id": b, "wt": list(graph.wt(b))} for b in graph.elements()],
         "edges": edges,
     }
-
-
-def import_graph(obj):
-    """Build a crystal from JSON data, validating the four axioms."""
-    cartan = cartan_from_json(obj["cartan"])
-    elements = obj["elements"]
-    ids = [el["id"] for el in elements]
-    if sorted(ids) != list(range(len(ids))):
-        raise CrystalError("element ids must be 0..n-1")
-    wts = [None] * len(ids)
-    for el in elements:
-        wt = tuple(el["wt"])
-        if len(wt) != cartan.rank:
-            raise CrystalError("weight length does not match rank")
-        wts[el["id"]] = wt
-    f_maps = {i: [None] * len(ids) for i in cartan.index_range()}
-    for edge in obj["edges"]:
-        i, src, dst = edge["i"], edge["from"], edge["to"]
-        if i not in f_maps:
-            raise CrystalError("edge colour %r out of range" % (i,))
-        if not (0 <= src < len(ids) and 0 <= dst < len(ids)):
-            raise CrystalError("edge endpoint out of range")
-        if f_maps[i][src] is not None:
-            raise CrystalError("f_%d defined twice at element %d" % (i, src))
-        f_maps[i][src] = dst
-    f_maps = {i: tuple(arr) for i, arr in f_maps.items()}
-    return CrystalGraph(cartan, tuple(wts), f_maps)
 
 
 _DOT_COLOURS = ["red", "blue", "darkgreen", "orange", "purple", "brown", "cyan4"]

@@ -145,19 +145,6 @@ def word(kind, n, gens):
     return GroupWord(kind, n, tuple(gens))
 
 
-def inverse_word(w):
-    """Formal inverse; every generator is an involution except r."""
-    out = []
-    for g in reversed(w.gens):
-        if isinstance(g, PermGen):
-            out.append(PermGen(inverse(g.perm)))
-        elif isinstance(g, AffineR):
-            out.extend([AffineR()] * (w.n - 1))
-        else:
-            out.append(g)
-    return GroupWord(w.kind, w.n, tuple(out))
-
-
 def format_word(w):
     return " ".join(str(g) for g in w.gens) if w.gens else "1"
 

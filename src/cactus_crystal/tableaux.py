@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import product
 
 from . import MAX_POINTS_ENV, CactusError, check_budget, point_budget
-from .perms import check_perm, inverse
+from .perms import inverse
 
 
 class TableauError(CactusError):

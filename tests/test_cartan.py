@@ -15,7 +15,6 @@ from cactus_crystal.cartan import (
     is_dominant,
     longest_element,
     pairing,
-    reflect,
     simple_root,
     star,
     star_weight,
@@ -24,6 +23,7 @@ from cactus_crystal.cartan import (
     weyl_elements,
     zero_weight,
 )
+from cactus_crystal.cartan import _mat_apply, _reflection_matrix
 
 
 def test_type_a_shape():
@@ -113,8 +113,9 @@ def test_fundamental_weights_dual_to_coroots():
 def test_reflection_formula():
     c = cartan_type_a(2)
     w = fundamental_weight(c, 1)
-    assert reflect(c, w, 1) == weight_sub(w, simple_root(c, 1))
-    assert reflect(c, w, 2) == w
+    s1, s2 = (_reflection_matrix(c, i) for i in (1, 2))
+    assert _mat_apply(s1, w) == weight_sub(w, simple_root(c, 1))
+    assert _mat_apply(s2, w) == w
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3])

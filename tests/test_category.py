@@ -18,7 +18,6 @@ from cactus_crystal.category_data import (
     mutate_category,
     needed_pairs,
     needed_triples,
-    terminal_category,
     validate,
     verify_fiber_system,
 )
@@ -41,8 +40,23 @@ def a1_cover(a1_data):
     return covering_from_category(a1_data)
 
 
-def test_terminal_category_is_valid():
-    data = terminal_category()
+@pytest.fixture
+def terminal_category():
+    """One colour, one element, one morphism everywhere."""
+    star = UNIT_X
+    return CategoryData(
+        core_colours=(star,),
+        cl={star: ("0",)},
+        mult={(star, star, star): ("0",)},
+        sigma={(star, star): {("0", "0"): ("0", "0")}},
+        phi={(star, star): {(star, "0", "0"): ("0", "0")}},
+        assoc={(star, star, star): {(star, star, "0", "0"):
+                                    (star, star, "0", "0")}},
+    )
+
+
+def test_terminal_category_is_valid(terminal_category):
+    data = terminal_category
     assert is_valid(data)
     assert category_from_covering(covering_from_category(data)) == data
 

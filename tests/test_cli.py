@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import cactus_crystal
 from cactus_crystal import CactusError, category_data
@@ -222,6 +225,29 @@ def test_bk_braid_witness(capsys):
     assert code == 1 and payload["witness"] is None
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--max-cells", "-1"), ("--max-cells", "0"), ("--max-entry", "-3"),
+])
+def test_bk_non_positive_limit_is_usage_error(capsys, flag, value):
+    code, payload, captured = run(capsys, ["bk", "--braid-witness",
+                                           flag, value])
+    assert code == 2 and payload is None
+    assert flag in captured.err
+
+
+def test_mutate_negative_count_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "data.json"
+    data = from_crystals(cartan_type_a(1), [(0,), (1,)])
+    path.write_text(json.dumps(category_to_json(data)))
+    code, payload, captured = run(capsys, ["category", "mutate", "--input",
+                                           str(path), "--count", "-1"])
+    assert code == 2 and payload is None
+    assert "--count" in captured.err
+    code, payload, _ = run(capsys, ["category", "mutate", "--input",
+                                    str(path), "--count", "0"])
+    assert code == 0 and payload["count"] == 0
+
+
 def test_type_is_an_alias_for_cartan(capsys):
     # the flag spelling and inferred --n from the weight list
     code, payload, _ = run(capsys, ["verify", "--kind", "vC", "--type", "A1",
@@ -232,6 +258,9 @@ def test_type_is_an_alias_for_cartan(capsys):
 def test_verify_choices_requires_n(capsys):
     code, _, captured = run(capsys, ["verify", "--kind", "C",
                                      "--choices", "1,2"])
+    assert code == 2 and "--n" in captured.err
+    code, _, captured = run(capsys, ["verify", "--kind", "C",
+                                     "--choices", "1,2", "--n", "-1"])
     assert code == 2 and "--n" in captured.err
 
 
@@ -607,6 +636,7 @@ def test_clear_caches_empties_every_module_cache():
         rep = verify_relations(a2, "vC", 3, [((1, 0), (0, 1), (1, 0))])
         del rep["duration_s"]
         return (rep, commutor.reversal_table(a2, ((1, 0), (1, 1))),
+                commutor.commutor_table(a2, ((1, 0),), ((1, 1),)).mapping,
                 cartan.longest_element(a2), cartan.star_weight(a2, (2, 1)))
 
     before = results()
@@ -614,3 +644,88 @@ def test_clear_caches_empties_every_module_cache():
     cactus_crystal.clear_caches()
     assert [f.cache_info().currsize for f in caches] == [0] * len(caches)
     assert results() == before
+
+
+# -- argv fuzzing --------------------------------------------------------------
+
+# small, often malformed option values: numbers, weight lists, points, words,
+# tableaux and permutations, good and bad
+FUZZ_TOKENS = ["0", "1", "2", "3", "-1", "x", "", " ", "1,2", "0,1", "1,0",
+               "2,1", "1,1", "1 2", "1,0 0,1", "0 1 2", "1,x", ",", ";",
+               "1,2;3", "1;2", "s1_2", "s1_3", "s2_3 t1", "w[2,1,3]", "r",
+               "t0", "w[2,3,1];2,3", "2,1,3", "3,2", "2,2,1", "A1", "A2",
+               "B2", "A0", "1,2,1,2"]
+FUZZ_INTS = ["-2", "-1", "0", "1", "2", "3", "4", "x"]
+FUZZ_SPECS = {
+    ("crystal",): {"--cartan": FUZZ_TOKENS, "--weight": FUZZ_TOKENS,
+                   "--emit": ["json", "dot"]},
+    ("tensor",): {"--cartan": FUZZ_TOKENS, "--weights": FUZZ_TOKENS},
+    ("commutor",): {"--cartan": FUZZ_TOKENS, "--left": FUZZ_TOKENS,
+                    "--right": FUZZ_TOKENS},
+    ("group",): {"--kind": ["C", "vC", "MC", "AC"], "--n": FUZZ_INTS,
+                 "--relations": None, "--project": FUZZ_TOKENS,
+                 "--to-virtual": FUZZ_TOKENS, "--s0j": FUZZ_INTS,
+                 "--cabling": FUZZ_TOKENS},
+    ("act",): {"--kind": ["C", "vC", "MC", "AC"], "--weights": FUZZ_TOKENS,
+               "--word": FUZZ_TOKENS, "--point": FUZZ_TOKENS},
+    ("verify",): {"--kind": ["C", "vC", "MC", "AC"], "--n": FUZZ_INTS,
+                  "--weights": FUZZ_TOKENS, "--all-orderings": None,
+                  "--choices": FUZZ_TOKENS, "--cartan": FUZZ_TOKENS},
+    ("orbit",): {"--kind": ["C", "vC", "MC", "AC"], "--weights": FUZZ_TOKENS,
+                 "--gens": FUZZ_TOKENS, "--point": FUZZ_TOKENS},
+    ("image",): {"--shape": FUZZ_TOKENS, "--min-order": FUZZ_INTS,
+                 "--report": ["contains-alternating"]},
+    ("rsk",): {"--word": FUZZ_TOKENS, "--perm": FUZZ_TOKENS},
+    ("evac",): {"--tableau": FUZZ_TOKENS, "--partial": FUZZ_INTS},
+    ("bk",): {"--tableau": FUZZ_TOKENS, "--i": FUZZ_INTS,
+              "--interval": FUZZ_TOKENS, "--braid-witness": None,
+              "--max-cells": FUZZ_INTS, "--max-entry": FUZZ_INTS},
+    ("crosscheck",): {"--n": FUZZ_INTS},
+    ("category", "build"): {"--cartan": FUZZ_TOKENS,
+                            "--colours": FUZZ_TOKENS},
+    ("category", "validate"): {"--input": ["DATA", "NONE"]},
+    ("category", "roundtrip"): {"--input": ["DATA", "NONE"]},
+    ("category", "mutate"): {"--input": ["DATA", "NONE"], "--count": FUZZ_INTS,
+                             "--seed": FUZZ_INTS},
+}
+
+
+@st.composite
+def fuzz_argv(draw):
+    command = draw(st.sampled_from(sorted(FUZZ_SPECS)))
+    argv = list(command)
+    for flag, values in FUZZ_SPECS[command].items():
+        if draw(st.booleans()):
+            argv.append(flag)
+            if values is not None:
+                argv.append(draw(st.sampled_from(values)))
+    return argv
+
+
+@pytest.fixture
+def fuzz_data(tmp_path):
+    path = tmp_path / "data.json"
+    data = from_crystals(cartan_type_a(1), [(0,), (1,)])
+    path.write_text(json.dumps(category_to_json(data)))
+    return {"DATA": str(path), "NONE": str(tmp_path / "missing.json")}
+
+
+@given(argv=fuzz_argv())
+@settings(deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fuzzed_argv_keeps_the_exit_code_contract(monkeypatch, fuzz_data,
+                                                  argv):
+    monkeypatch.setenv(cactus_crystal.MAX_POINTS_ENV, "40")
+    argv = [fuzz_data.get(a, a) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:      # argparse rejects the argv
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert json.loads(out.getvalue())["ok"] is False, argv
+    if code == 2:
+        assert out.getvalue() == "", argv

@@ -17,9 +17,7 @@ from cactus_crystal.crystal import (
     build_irreducible,
     component_ids,
     components,
-    crystal_isomorphic,
     export_graph,
-    import_graph,
     is_normal,
     multiplicity_set,
     normality_report,
@@ -299,47 +297,31 @@ def test_product_of_weights_cached():
     assert a is b
 
 
-def test_crystal_isomorphic_on_matching_components():
-    t12 = tensor(build_irreducible(A2, W1), build_irreducible(A2, W2))
-    ref = build_irreducible(A2, (1, 1))
-    heads = multiplicity_set(t12, (1, 1))
-    assert len(heads) == 1
-    sub = dict(components(t12))[heads[0]]
-    assert crystal_isomorphic(sub, ref,
-                              sub.index_of_label(t12.labels[heads[0]]),
-                              ref.highest_weight_elements()[0])
-    assert not crystal_isomorphic(sub, build_irreducible(A2, (3, 0)),
-                                  0, 0)
-
-
 def test_export_import_roundtrip():
+    # the exported edges and weights rebuild the same f_maps
     g = build_irreducible(A2, (1, 1))
     doc = export_graph(g)
-    h = import_graph(doc)
-    assert h.size == g.size
+    assert [el["id"] for el in doc["elements"]] == list(g.elements())
+    f_maps = {i: [None] * g.size for i in g.index_range()}
+    for edge in doc["edges"]:
+        f_maps[edge["i"]][edge["from"]] = edge["to"]
+    h = CrystalGraph(cartan=A2,
+                     wts=tuple(tuple(el["wt"]) for el in doc["elements"]),
+                     f_maps={i: tuple(m) for i, m in f_maps.items()})
     assert h.wts == g.wts
     assert h.f_maps == g.f_maps
+    assert h.e_maps == g.e_maps
 
 
-def test_import_rejects_duplicate_targets():
-    doc = {
-        "cartan": {"type": "A", "rank": 1},
-        "elements": [{"id": 0, "wt": [1]}, {"id": 1, "wt": [1]},
-                     {"id": 2, "wt": [-1]}],
-        "edges": [{"i": 1, "from": 0, "to": 2}, {"i": 1, "from": 1, "to": 2}],
-    }
+def test_constructor_rejects_duplicate_targets():
     with pytest.raises(CrystalError, match=r"axiom \(3\)"):
-        import_graph(doc)
+        CrystalGraph(cartan=A1, wts=((1,), (1,), (-1,)),
+                     f_maps={1: (2, 2, None)})
 
 
-def test_import_rejects_weight_mismatch():
-    doc = {
-        "cartan": {"type": "A", "rank": 1},
-        "elements": [{"id": 0, "wt": [1]}, {"id": 1, "wt": [0]}],
-        "edges": [{"i": 1, "from": 0, "to": 1}],
-    }
+def test_constructor_rejects_weight_mismatch():
     with pytest.raises(CrystalError, match=r"axiom"):
-        import_graph(doc)
+        CrystalGraph(cartan=A1, wts=((1,), (0,)), f_maps={1: (1, None)})
 
 
 @pytest.mark.parametrize("wts,f_maps,e_maps,message", [

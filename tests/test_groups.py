@@ -14,7 +14,6 @@ from cactus_crystal.groups import (
     defining_relation_families,
     defining_relations,
     format_word,
-    inverse_word,
     mc_relation_suite,
     mc_s0j_word,
     parse_word,
@@ -99,27 +98,11 @@ def test_parse_respects_flavour():
         parse_word("t1", "C", 3)
 
 
-# -- inverses and projection -------------------------------------------------
-
-def test_inverse_of_rotation_expands():
-    w = word("AC", 4, [AffineR()])
-    assert inverse_word(w).gens == (AffineR(),) * 3
-
+# -- projection -------------------------------------------------
 
 def test_projection_fold_is_left_to_right():
     w = word("C", 3, [CactusGen(1, 2), CactusGen(1, 3)])
     assert project_to_symmetric(w) == (3, 1, 2)
-
-
-@given(st.data())
-@settings(deadline=None, max_examples=40)
-def test_inverse_word_projects_to_inverse(data):
-    n = data.draw(st.integers(3, 5))
-    pool = [CactusGen(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
-    pool += [PermGen(p) for p in perms.all_perms(n)[:6]]
-    gens = data.draw(st.lists(st.sampled_from(pool), max_size=5))
-    w = word("vC", n, gens)
-    assert project_to_symmetric(w * inverse_word(w)) == identity(n)
 
 
 def test_mc_projection_lives_on_extra_point():
