@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add, sub
 
-from . import CactusError
+from . import CactusError, check_budget
 
 Weight = tuple
 
@@ -122,6 +122,8 @@ def type_a_matrix(rank):
 def cartan_type_a(rank):
     if rank < 1:
         raise CartanError("type A rank must be >= 1")
+    # the matrix and its finite-type check grow with rank^2
+    check_budget(rank * rank, "the Cartan matrix of A%d" % rank, error=CartanError)
     return CartanData("A", type_a_matrix(rank))
 
 

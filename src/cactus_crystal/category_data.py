@@ -28,8 +28,8 @@ from itertools import product
 
 from . import CactusError, check_budget, point_budget
 from .commutor import commutor_table
-from .crystal import (build_irreducible, component_members, multiplicity_set,
-                      product_of_weights, walk_in_step, weyl_dimension)
+from .crystal import (build_irreducible, product_heads, product_of_weights,
+                      walk_in_step, weyl_dimension)
 
 
 class CategoryError(CactusError):
@@ -130,19 +130,13 @@ def from_crystals(cartan, core_weights):
     dim = lru_cache(maxsize=None)(partial(weyl_dimension, cartan))
 
     @lru_cache(maxsize=None)
-    def tens(a, b):
+    def heads(a, b):
         check_budget(dim(a) * dim(b), "the product %s (x) %s" % (a, b), budget,
                      CategoryError)
-        return product_of_weights(cartan, (a, b))
-
-    comp_cache = {}
+        return product_heads(cartan, a, b)
 
     def comp(a, b):
-        if (a, b) not in comp_cache:
-            t = tens(a, b)
-            comp_cache[(a, b)] = sorted({t.wt(h)
-                                         for h, _ in component_members(t)})
-        return comp_cache[(a, b)]
+        return sorted(heads(a, b))
 
     pairs = needed_pairs(core, comp)
     triples = needed_triples(core, comp)
@@ -157,33 +151,29 @@ def from_crystals(cartan, core_weights):
 
     mult = {}
     for a, b in pairs["mult"]:
-        t = tens(a, b)
         for mu in comp(a, b):
-            mult[(a, b, mu)] = tuple(str(m) for m in multiplicity_set(t, mu))
+            mult[(a, b, mu)] = tuple(str(m) for m in heads(a, b)[mu])
 
-    emb_cache = {}
-
+    # the whole product is built only here, for the phi pairs, and inside
+    # commutor_table, for the sigma pairs; product labels are divmod(id, dim)
+    @lru_cache(maxsize=None)
     def emb(a, b, mu, m):
-        key = (a, b, mu, m)
-        if key not in emb_cache:
-            ref = graph(mu)
-            walk = walk_in_step(ref, tens(a, b),
-                                ref.highest_weight_elements()[0], m)
-            if walk is None:
-                raise CategoryError(
-                    "component does not carry the reference crystal")
-            emb_cache[key] = walk
-        return emb_cache[key]
+        ref = graph(mu)
+        walk = walk_in_step(ref, product_of_weights(cartan, (a, b)),
+                            ref.highest_weight_elements()[0], m)
+        if walk is None:
+            raise CategoryError(
+                "component does not carry the reference crystal")
+        return walk
 
     phi = {}
     for a, b in pairs["phi"]:
-        t = tens(a, b)
         table = {}
         for mu in comp(a, b):
-            for m in multiplicity_set(t, mu):
+            for m in heads(a, b)[mu]:
                 e = emb(a, b, mu, m)
                 for x in graph(mu).elements():
-                    p, q = t.labels[e[x]]
+                    p, q = divmod(e[x], dim(b))
                     table[(mu, str(m), str(x))] = (str(p), str(q))
         phi[(a, b)] = table
 
@@ -201,23 +191,21 @@ def from_crystals(cartan, core_weights):
     for a, b, c in triples:
         left = {}
         for g in comp(a, b):
-            for m1 in multiplicity_set(tens(a, b), g):
+            for m1 in heads(a, b)[g]:
                 e1 = emb(a, b, g, m1)
-                t_gc = tens(g, c)
                 for rho in comp(g, c):
-                    for m2 in multiplicity_set(t_gc, rho):
-                        gg, z = t_gc.labels[m2]
-                        p, q = tens(a, b).labels[e1[gg]]
+                    for m2 in heads(g, c)[rho]:
+                        gg, z = divmod(m2, dim(c))
+                        p, q = divmod(e1[gg], dim(b))
                         left[(g, rho, str(m1), str(m2))] = (str(p), str(q), str(z))
         right = {}
         for t in comp(b, c):
-            for m4 in multiplicity_set(tens(b, c), t):
+            for m4 in heads(b, c)[t]:
                 e2 = emb(b, c, t, m4)
-                t_at = tens(a, t)
                 for rho in comp(a, t):
-                    for m3 in multiplicity_set(t_at, rho):
-                        x, tt = t_at.labels[m3]
-                        y, z = tens(b, c).labels[e2[tt]]
+                    for m3 in heads(a, t)[rho]:
+                        x, tt = divmod(m3, dim(t))
+                        y, z = divmod(e2[tt], dim(c))
                         right[(str(x), str(y), str(z))] = (rho, t, str(m3), str(m4))
         if len(left) != len(right):
             raise CategoryError("bracketed head counts disagree for %r" % ((a, b, c),))
@@ -653,61 +641,43 @@ def covering_from_category(data):
         e_act[(triple, _skey(2, 3))] = t23
         e_act[(triple, _skey(1, 3))] = t13
 
-    # expansion of a triple fibre element: outer pair (g, c) first, then (a, b)
-    def expand3(triple, elt, mu, xx):
-        a, b, c = triple
+    # expansion of a fibre element through phi; for a triple, the outer pair
+    # (g, c) first, then (a, b)
+    def expand(tup, mu, elt, xx):
+        if len(tup) == 2:
+            return data.phi[tup][(mu, elt, xx)]
+        a, b, c = tup
         g, m1, m2 = elt
         gx, z = data.phi[(g, c)][(mu, m2, xx)]
-        p, q = data.phi[(a, b)][(g, m1, gx)]
-        return (p, q, z)
+        return data.phi[(a, b)][(g, m1, gx)] + (z,)
+
+    def descend(act, src, dst, mus):
+        """The fibre element over dst that act carries each one over src to."""
+        table = {}
+        for mu in mus:
+            for elt in x.get((src, mu), ()):
+                matches = [cand for cand in x.get((dst, mu), ())
+                           if all(expand(dst, mu, cand, xx)
+                                  == act[expand(src, mu, elt, xx)]
+                                  for xx in data.cl[mu])]
+                if len(matches) != 1:
+                    raise CategoryError(
+                        "the action over %r matches %d fibre elements over %r, "
+                        "not one" % (src, len(matches), (dst, mu)))
+                table[(mu, elt)] = (mu, matches[0])
+        return table
 
     x_act = {}
     for (a, b) in data.sigma:
-        if (a, b) not in data.phi or (b, a) not in data.phi:
-            continue
-        table = {}
-        for mu in data.comp(a, b):
-            for m in data.mult[(a, b, mu)]:
-                match = None
-                for m2 in data.mult.get((b, a, mu), ()):
-                    if all(data.phi[(b, a)][(mu, m2, xx)]
-                           == data.sigma[(a, b)][data.phi[(a, b)][(mu, m, xx)]]
-                           for xx in data.cl[mu]):
-                        if match is not None:
-                            raise CategoryError(
-                                "commutor matches several multiplicity labels")
-                        match = m2
-                if match is None:
-                    raise CategoryError(
-                        "commutor does not descend to the multiplicity sets "
-                        "for %r" % ((a, b),))
-                table[(mu, m)] = (mu, match)
-        x_act[((a, b), _skey(1, 2))] = table
+        if (a, b) in data.phi and (b, a) in data.phi:
+            x_act[((a, b), _skey(1, 2))] = descend(
+                data.sigma[(a, b)], (a, b), (b, a), data.comp(a, b))
     for a, b, c in product(sorted(core, key=_ckey), repeat=3):
         triple = (a, b, c)
         for (i, j), target in (((1, 2), (b, a, c)), ((2, 3), (a, c, b)),
                                ((1, 3), (c, b, a))):
-            table = {}
-            eact = e_act[(triple, _skey(i, j))]
-            for mu in data.cl:
-                elts = x.get((triple, mu), ())
-                for elt in elts:
-                    match = None
-                    for cand in x.get((target, mu), ()):
-                        if all(expand3(target, cand, mu, xx)
-                               == eact[expand3(triple, elt, mu, xx)]
-                               for xx in data.cl[mu]):
-                            if match is not None:
-                                raise CategoryError(
-                                    "interval action matches several fibre "
-                                    "elements over %r" % (triple,))
-                            match = cand
-                    if match is None:
-                        raise CategoryError(
-                            "interval action does not descend to the fibre "
-                            "over %r" % (triple,))
-                    table[(mu, elt)] = (mu, match)
-            x_act[(triple, _skey(i, j))] = table
+            key = (triple, _skey(i, j))
+            x_act[key] = descend(e_act[key], triple, target, data.cl)
 
     return FiberSystem(core_colours=data.core_colours, depth=3, e1=e1, x=x,
                        transport=transport, gamma1=gamma1, gamma2=gamma2,

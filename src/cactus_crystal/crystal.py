@@ -9,6 +9,9 @@ Conventions, fixed once and used everywhere:
   eps_i(b1) > phi_i(b2), and f_i acts on the first factor iff
   eps_i(b1) >= phi_i(b2); otherwise they act on the second factor.  A move
   into an undefined operator makes the whole move undefined.
+* So a (x) b is highest exactly when b is the highest element of its factor
+  B(mu) and eps_i(a) <= phi_i(b) for every i: the highest elements of
+  B(lambda) (x) B(mu) are read off B(lambda) alone (``product_heads``).
 
 The product rule determines a bracket rule on words in the defining crystal:
 mark i as '+' and i+1 as '-', cancel adjacent "-+" pairs, then e_i raises the
@@ -52,13 +55,11 @@ class CrystalGraph:
     f_maps: dict          # i -> tuple, entry None or target id
     e_maps: dict = field(default=None)
     labels: tuple = None
-    _eps: dict = field(default=None, repr=False)
-    _phi: dict = field(default=None, repr=False)
+    _eps: dict = field(default=None, init=False, repr=False, compare=False)
+    _phi: dict = field(default=None, init=False, repr=False, compare=False)
     _label_index: dict = field(default=None, init=False, repr=False,
                                compare=False)
     _heads: tuple = field(default=None, init=False, repr=False, compare=False)
-    _heads_by_wt: dict = field(default=None, init=False, repr=False,
-                               compare=False)
     _xi: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -411,8 +412,22 @@ def product_of_weights(cartan, weights):
     return tensor_many([build_irreducible(cartan, w) for w in weights])
 
 
+def product_heads(cartan, left, right):
+    """{weight: ascending ids} of the highest elements of B(left) (x) B(right),
+    without building the product: a (x) head has id a * |B(right)| + head."""
+    graph, ref = build_irreducible(cartan, left), build_irreducible(cartan, right)
+    head, = ref.highest_weight_elements()
+    bounds = [(graph._eps[i], ref.phi(i, head)) for i in graph.index_range()]
+    heads = {}
+    for a in graph.elements():
+        if all(eps[a] <= bound for eps, bound in bounds):
+            heads.setdefault(weight_add(graph.wts[a], right), []).append(
+                a * ref.size + head)
+    return {wt: tuple(ids) for wt, ids in heads.items()}
+
+
 # ---------------------------------------------------------------------------
-# components, normality, multiplicity
+# components and normality
 
 
 def components(graph):
@@ -523,19 +538,6 @@ def is_normal(graph):
     if report["status"] == "unverifiable":
         raise CrystalError("normality unverifiable: " + report["detail"])
     return report["status"] == "normal"
-
-
-def multiplicity_set(tensor_graph, mu):
-    """Ids of highest elements of weight mu, e.g. in a tensor product.
-
-    The weight -> heads index is built on the first call and kept on the graph.
-    """
-    if tensor_graph._heads_by_wt is None:
-        index = {}
-        for b in tensor_graph.highest_weight_elements():
-            index.setdefault(tensor_graph.wts[b], []).append(b)
-        tensor_graph._heads_by_wt = {w: tuple(bs) for w, bs in index.items()}
-    return tensor_graph._heads_by_wt.get(mu, ())
 
 
 # ---------------------------------------------------------------------------

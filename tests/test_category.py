@@ -1,9 +1,11 @@
 import hashlib
 import json
+import time
 from dataclasses import replace
 
 import pytest
 
+from cactus_crystal import clear_caches
 from cactus_crystal.cartan import cartan_type_a
 from cactus_crystal.category_data import (
     CategoryData,
@@ -21,13 +23,17 @@ from cactus_crystal.category_data import (
     validate,
     verify_fiber_system,
 )
-from cactus_crystal.crystal import build_irreducible, tensor
+from cactus_crystal.crystal import (build_irreducible, product_heads,
+                                    product_of_weights, tensor)
 
 A1 = cartan_type_a(1)
 A2 = cartan_type_a(2)
+A3 = cartan_type_a(3)
 
 CORE_A1 = [(0,), (1,), (2,)]
 CORE_A2 = [(0, 0), (1, 0), (0, 1), (1, 1)]
+# the minuscule colours of A3 with the adjoint
+CORE_A3 = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1)]
 
 
 @pytest.fixture(scope="module")
@@ -410,18 +416,47 @@ def _scan_heads(graph):
             if all(graph.e(i, b) is None for i in graph.index_range())]
 
 
-def test_highest_weight_cache_matches_scan(core_data):
-    data = core_data
+@pytest.fixture(scope="module")
+def a3_data():
+    return from_crystals(A3, CORE_A3)
+
+
+@pytest.mark.parametrize("core", ["A1", "A2", "A3"])
+def test_highest_weight_cache_matches_scan(core, request):
+    data = request.getfixturevalue(core.lower() + "_data")
     cartan = cartan_type_a(len(data.core_colours[0]))
     pairs = needed_pairs(data.core_colours, data.comp)["mult"]
     assert pairs
     for a, b in pairs:
         t = tensor(build_irreducible(cartan, a), build_irreducible(cartan, b))
+        scan = _scan_heads(t)
         heads = t.highest_weight_elements()
-        assert heads == _scan_heads(t), (a, b)
+        assert heads == scan, (a, b)
         heads.append(-1)
-        assert t.highest_weight_elements() == _scan_heads(t)
-        assert sorted(data.comp(a, b)) == sorted({t.wt(h) for h in heads[:-1]})
+        assert t.highest_weight_elements() == scan
+        by_weight = {}
+        for h in scan:
+            by_weight.setdefault(t.wt(h), []).append(h)
+        assert product_heads(cartan, a, b) \
+            == {wt: tuple(hs) for wt, hs in by_weight.items()}, (a, b)
+        assert sorted(data.comp(a, b)) == sorted(by_weight)
+
+
+def test_a3_adjoint_core_builds_validates_and_round_trips():
+    clear_caches()
+    start = time.monotonic()
+    data = from_crystals(A3, CORE_A3)
+    assert validate(data)["passed"] is True
+    fs = covering_from_category(data)
+    assert verify_fiber_system(fs)["passed"] is True
+    assert category_from_covering(fs) == data
+    elapsed = time.monotonic() - start
+    text = json.dumps(category_to_json(data), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() \
+        == "5e95e8bfca532019bedf44cc503b57b0a46bade748ec7a209a9d16189219e1d9"
+    # the cached products stand in for memory: only the phi and sigma pairs
+    assert product_of_weights.cache_info().currsize <= 135
+    assert elapsed < 15, elapsed
 
 
 def test_highest_weight_cache_leaves_equality_alone():

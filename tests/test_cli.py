@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -403,6 +404,23 @@ def test_cartan_file(tmp_path, capsys):
     code, payload, _ = run(capsys, ["crystal", "--cartan-file", str(path),
                                     "--weight", "1,0"])
     assert code == 0 and payload["size"] == 3
+
+
+@pytest.mark.parametrize("source", ["name", "file"])
+def test_large_type_a_rank_is_refused_before_the_matrix(tmp_path, capsys,
+                                                        source):
+    # A100000 has 10^10 matrix entries, over the default budget of 10^6
+    argv = ["--cartan", "A100000"]
+    if source == "file":
+        path = tmp_path / "cartan.json"
+        path.write_text('{"type": "A", "rank": 100000}')
+        argv = ["--cartan-file", str(path)]
+    start = time.monotonic()
+    code, payload, captured = run(capsys, ["crystal", *argv, "--weight", "1"])
+    assert time.monotonic() - start < 1
+    assert code == 2 and payload is None
+    assert "the Cartan matrix of A100000 has 10000000000 points" in captured.err
+    assert "CACTUS_CRYSTAL_MAX_POINTS" in captured.err
 
 
 def test_crosscheck_respects_point_budget(capsys, monkeypatch):

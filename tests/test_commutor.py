@@ -25,7 +25,6 @@ from cactus_crystal.crystal import (
     CrystalGraph,
     build_irreducible,
     component_ids,
-    multiplicity_set,
     product_of_weights,
     tensor,
     tensor_many,
@@ -143,7 +142,8 @@ def matched_component_bijection(src, dst):
     """
     mapping = [None] * src.size
     for h in src.highest_weight_elements():
-        targets = multiplicity_set(dst, src.wt(h))
+        targets = [d for d in dst.highest_weight_elements()
+                   if dst.wt(d) == src.wt(h)]
         assert len(targets) == 1, "oracle needs a multiplicity-free product"
         pair = {h: targets[0]}
         frontier = [h]
