@@ -22,7 +22,7 @@ are mutually inverse on the nose, which the roundtrip check exercises.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
 from itertools import product
 
@@ -146,8 +146,7 @@ def from_crystals(cartan, core_weights):
         colours.add(a)
         colours.add(b)
         colours.update(comp(a, b))
-    cl = {c: tuple(str(k) for k in range(graph(c).size))
-          for c in sorted(colours)}
+    cl = {c: tuple(str(k) for k in range(dim(c))) for c in sorted(colours)}
 
     mult = {}
     for a, b in pairs["mult"]:
@@ -172,7 +171,7 @@ def from_crystals(cartan, core_weights):
         for mu in comp(a, b):
             for m in heads(a, b)[mu]:
                 e = emb(a, b, mu, m)
-                for x in graph(mu).elements():
+                for x in range(dim(mu)):
                     p, q = divmod(e[x], dim(b))
                     table[(mu, str(m), str(x))] = (str(p), str(q))
         phi[(a, b)] = table
@@ -260,12 +259,12 @@ def sigma_left_composite(data, pair, c):
 
 
 def _check_bijection(table, domain, codomain):
-    if set(table) != domain:
+    if table.keys() != domain:
         return "domain mismatch"
-    values = list(table.values())
-    if len(set(values)) != len(values):
+    values = set(table.values())
+    if len(values) != len(table):
         return "not injective"
-    if set(values) != codomain:
+    if values != codomain:
         return "codomain mismatch"
     return None
 
@@ -444,7 +443,11 @@ def is_valid(data):
 
 
 def mutate_category(data, rng=None, seed=None):
-    """Swap two values inside one stored bijection; returns (mutant, note)."""
+    """Swap two values inside one stored bijection; returns (mutant, note).
+
+    Only the patched table is copied; the mutant shares every other table
+    with data, which is safe as CategoryData is treated as immutable.
+    """
     if rng is None:
         rng = random.Random(seed)
     targets = []
@@ -464,17 +467,9 @@ def mutate_category(data, rng=None, seed=None):
     table = dict(source[where])
     k1, k2 = rng.sample(sorted(table, key=repr), 2)
     table[k1], table[k2] = table[k2], table[k1]
-    patched = {k: (table if k == where else dict(v)) for k, v in source.items()}
-    fields = {"core_colours": data.core_colours,
-              "cl": dict(data.cl),
-              "mult": dict(data.mult),
-              "sigma": {k: dict(v) for k, v in data.sigma.items()},
-              "phi": {k: dict(v) for k, v in data.phi.items()},
-              "assoc": {k: dict(v) for k, v in data.assoc.items()}}
-    fields[kind] = patched
     note = {"kind": kind, "where": repr(where),
             "swapped": [repr(k1), repr(k2)]}
-    return CategoryData(**fields), note
+    return replace(data, **{kind: {**source, where: table}}), note
 
 
 def _colour_to_str(c):
@@ -489,6 +484,14 @@ def _colour_from_str(s):
         return tuple(int(p) for p in parts)
     except ValueError:
         return s
+
+
+class _Colours(dict):
+    """Colour strings to colours, each parsed once."""
+
+    def __missing__(self, s):
+        self[s] = _colour_from_str(s)
+        return self[s]
 
 
 def category_to_json(data):
@@ -527,31 +530,23 @@ def category_from_json(doc):
     for key in ("core_colours", "cl", "mult", "sigma", "phi", "assoc"):
         if key not in doc:
             raise CategoryError("category data document has no %r" % key)
-    colours = {}
-
-    def f(s):
-        if s not in colours:
-            colours[s] = _colour_from_str(s)
-        return colours[s]
-
+    # every entry is unpacked to its exact arity, so extra fields are malformed
+    f = _Colours()
     try:
-        cl = {f(k): tuple(v) for k, v in doc["cl"].items()}
-        mult = {(f(a), f(b), f(mu)): tuple(ids)
+        cl = {f[k]: tuple(v) for k, v in doc["cl"].items()}
+        mult = {(f[a], f[b], f[mu]): tuple(ids)
                 for a, b, mu, ids in doc["mult"]}
-        sigma = {}
-        for a, b, entries in doc["sigma"]:
-            sigma[(f(a), f(b))] = {tuple(k): tuple(v) for k, v in entries}
-        phi = {}
-        for a, b, entries in doc["phi"]:
-            phi[(f(a), f(b))] = {(f(k[0]), k[1], k[2]): tuple(v)
-                                 for k, v in entries}
-        assoc = {}
-        for a, b, c, entries in doc["assoc"]:
-            assoc[(f(a), f(b), f(c))] = {
-                (f(k[0]), f(k[1]), k[2], k[3]): (f(v[0]), f(v[1]), v[2], v[3])
-                for k, v in entries}
-        core = tuple(f(x) for x in doc["core_colours"])
-    except (AttributeError, IndexError, TypeError, ValueError) as exc:
+        sigma = {(f[a], f[b]): {tuple(k): tuple(v) for k, v in entries}
+                 for a, b, entries in doc["sigma"]}
+        phi = {(f[a], f[b]): {(f[mu], m, x): tuple(v)
+                              for (mu, m, x), v in entries}
+               for a, b, entries in doc["phi"]}
+        assoc = {(f[a], f[b], f[c]): {
+            (f[g], f[rho], m1, m2): (f[rho2], f[t], m3, m4)
+            for (g, rho, m1, m2), (rho2, t, m3, m4) in entries}
+            for a, b, c, entries in doc["assoc"]}
+        core = tuple(f[x] for x in doc["core_colours"])
+    except (AttributeError, TypeError, ValueError) as exc:
         raise CategoryError("malformed category data: %s" % exc) from None
     return CategoryData(core_colours=core, cl=cl, mult=mult, sigma=sigma,
                         phi=phi, assoc=assoc)

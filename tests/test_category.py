@@ -24,7 +24,8 @@ from cactus_crystal.category_data import (
     verify_fiber_system,
 )
 from cactus_crystal.crystal import (build_irreducible, product_heads,
-                                    product_of_weights, tensor)
+                                    product_of_weights, tensor,
+                                    weyl_dimension)
 
 A1 = cartan_type_a(1)
 A2 = cartan_type_a(2)
@@ -254,6 +255,22 @@ def test_json_malformed_tables_are_category_errors(a1_data, patch):
         category_from_json(doc)
 
 
+# one extra field in a phi key, an assoc key or an assoc value
+@pytest.mark.parametrize("table, path", [
+    ("phi", (0, 2, 0, 0)),
+    ("assoc", (0, 3, 0, 0)),
+    ("assoc", (0, 3, 0, 1)),
+], ids=["phi_key", "assoc_key", "assoc_value"])
+def test_json_extra_entry_fields_are_category_errors(a1_data, table, path):
+    doc = json.loads(json.dumps(category_to_json(a1_data)))
+    entry = doc[table]
+    for k in path:
+        entry = entry[k]
+    entry.append("junk")
+    with pytest.raises(CategoryError, match="malformed category data"):
+        category_from_json(doc)
+
+
 def test_validate_reports_missing_sigma_table(a1_data):
     sigma = dict(a1_data.sigma)
     del sigma[((1,), (2,))]
@@ -311,6 +328,27 @@ def a2_data():
 @pytest.fixture(params=["A1", "A2"])
 def core_data(request, a1_data, a2_data):
     return {"A1": a1_data, "A2": a2_data}[request.param]
+
+
+def test_mutant_shares_every_table_it_does_not_patch(a2_data):
+    before = category_to_json(a2_data)
+    kinds = set()
+    for seed in range(8):
+        mutant, note = mutate_category(a2_data, seed=seed)
+        kinds.add(note["kind"])
+        assert category_to_json(a2_data) == before, seed
+        for name in ("cl", "mult", "sigma", "phi", "assoc"):
+            tables, original = getattr(mutant, name), getattr(a2_data, name)
+            if name != note["kind"]:
+                assert tables is original, (seed, name)
+                continue
+            assert tables is not original and tables.keys() == original.keys()
+            for key, table in tables.items():
+                if repr(key) == note["where"]:
+                    assert table is not original[key] and table != original[key]
+                else:
+                    assert table is original[key], (seed, key)
+    assert kinds == {"sigma", "phi", "assoc"}
 
 
 def test_full_report_never_marks_a_failed_check_ok(core_data):
@@ -457,6 +495,19 @@ def test_a3_adjoint_core_builds_validates_and_round_trips():
     # the cached products stand in for memory: only the phi and sigma pairs
     assert product_of_weights.cache_info().currsize <= 135
     assert elapsed < 15, elapsed
+
+
+@pytest.mark.parametrize("cartan, core, built", [(A2, CORE_A2, 20),
+                                                  (A3, CORE_A3, 38)],
+                         ids=["A2", "A3"])
+def test_from_crystals_builds_only_the_irreducibles_it_walks(cartan, core,
+                                                             built):
+    clear_caches()
+    data = from_crystals(cartan, core)
+    # colour sets are sized by the Weyl dimension, not by a built crystal
+    assert build_irreducible.cache_info().currsize == built
+    for colour, ids in data.cl.items():
+        assert len(ids) == weyl_dimension(cartan, colour), colour
 
 
 def test_highest_weight_cache_leaves_equality_alone():

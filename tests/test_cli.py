@@ -328,6 +328,18 @@ def test_category_validate_rejects_corruption(tmp_path, capsys):
     assert payload["failures"]
 
 
+def test_category_entry_with_extra_field_is_usage_error(tmp_path, capsys):
+    doc = category_to_json(from_crystals(cartan_type_a(1), [(0,), (1,)]))
+    doc["phi"][0][2][0][0].append("junk")
+    path = tmp_path / "junk.json"
+    path.write_text(json.dumps(doc))
+    code, payload, captured = run(capsys, ["category", "validate",
+                                           "--input", str(path)])
+    assert code == 2 and payload is None and captured.out == ""
+    assert captured.err.startswith("error: malformed category data")
+    assert "Traceback" not in captured.err
+
+
 def test_missing_input_file(capsys):
     code, _, captured = run(capsys, ["category", "validate",
                                      "--input", "/no/such/file.json"])
