@@ -22,13 +22,12 @@ sides send every supplied point to the same id.  The budget counts the closure.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import permutations, product
 from math import prod
 from operator import itemgetter
 
-from . import check_budget, point_budget as _point_budget
+from . import Frozen, check_budget, point_budget as _point_budget, setfield
 from .cartan import cartan_to_json
 from .commutor import reversal_table
 from .crystal import build_irreducible
@@ -44,14 +43,15 @@ from .perms import check_perm, mulclose, parity
 point_budget = partial(_point_budget, GroupError)
 
 
-@dataclass(frozen=True)
-class LabeledPoint:
-    weights: tuple
-    entries: tuple
+class LabeledPoint(Frozen):
+    __slots__ = ("weights", "entries")
 
-    def __post_init__(self):
-        if len(self.weights) != len(self.entries):
+    def __init__(self, weights, entries):
+        if len(weights) != len(entries):
             raise GroupError("weights and entries disagree in length")
+        setfield(self, "weights", weights)
+        setfield(self, "entries", entries)
+        setfield(self, "_key", (weights, entries))
 
 
 def check_point(cartan, point):

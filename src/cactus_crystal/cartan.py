@@ -9,12 +9,10 @@ additionally gets the closed form i* = r + 1 - i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from operator import add, sub
 
-from . import CactusError, check_budget
+from . import CactusError, Frozen, check_budget, setfield
 
 Weight = tuple
 
@@ -26,18 +24,24 @@ class CartanError(CactusError):
     pass
 
 
-@dataclass(frozen=True)
-class CartanData:
+class CartanData(Frozen):
     """A finite-type generalized Cartan matrix, rows a_ij = <alpha_j, alpha_i^vee>."""
 
-    ctype: str
-    matrix: tuple
+    __slots__ = ("ctype", "matrix", "_hash")
 
-    def __post_init__(self):
-        if self.ctype not in ("A", "explicit"):
-            raise CartanError("unknown Cartan type %r" % (self.ctype,))
-        _check_gcm(self.matrix)
-        _check_finite_type(self.matrix)
+    def __init__(self, ctype, matrix):
+        if ctype not in ("A", "explicit"):
+            raise CartanError("unknown Cartan type %r" % (ctype,))
+        _check_gcm(matrix)
+        _check_finite_type(matrix)
+        setfield(self, "ctype", ctype)
+        setfield(self, "matrix", matrix)
+        setfield(self, "_key", (ctype, matrix))
+        # every lru_cache call hashes the Cartan data
+        setfield(self, "_hash", hash(self._key))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def rank(self):
@@ -55,7 +59,7 @@ def _check_gcm(matrix):
         if len(row) != n:
             raise CartanError("Cartan matrix is not square")
         for a in row:
-            if not isinstance(a, int):
+            if type(a) is not int:
                 raise CartanError("Cartan matrix entries must be integers")
     for i in range(n):
         if matrix[i][i] != 2:
@@ -69,47 +73,63 @@ def _check_gcm(matrix):
                 raise CartanError("a_%d%d = 0 but a_%d%d != 0" % (i + 1, j + 1, j + 1, i + 1))
 
 
-def _symmetrizer(matrix):
-    """Positive rationals d_i with d_i a_ij = d_j a_ji, or None."""
+def _is_symmetrizable(matrix):
+    """Are there positive d_i with d_i a_ij = d_j a_ji?  Each d_i is kept as
+    an integer pair num/den, and pairs are compared cross-multiplied."""
     n = len(matrix)
     d = [None] * n
     for start in range(n):
         if d[start] is not None:
             continue
-        d[start] = Fraction(1)
+        d[start] = (1, 1)
         stack = [start]
         while stack:
             i = stack.pop()
+            num, den = d[i]
             for j in range(n):
                 if matrix[i][j] == 0 or i == j:
                     continue
-                want = d[i] * matrix[i][j] / matrix[j][i]
+                want = (num * matrix[i][j], den * matrix[j][i])
                 if d[j] is None:
                     d[j] = want
                     stack.append(j)
-                elif d[j] != want:
-                    return None
-    return d
+                elif d[j][0] * want[1] != want[0] * d[j][1]:
+                    return False
+    return True
 
 
 def _check_finite_type(matrix):
-    d = _symmetrizer(matrix)
-    if d is None:
+    """Raise unless DA, for D the positive diagonal symmetrizer, is positive
+    definite: its k-th leading principal minor is d_1..d_k times that of A,
+    so every leading principal minor of A must be positive.  They are the
+    pivots of integer Bareiss elimination.  A step whose pivot column is
+    zero in a row only rescales it, so the row is rescaled when next read."""
+    if not _is_symmetrizable(matrix):
         raise CartanError("Cartan matrix is not symmetrizable")
     n = len(matrix)
-    sym = [[d[i] * matrix[i][j] for j in range(n)] for i in range(n)]
-    # positive definite iff every pivot of elimination without row swaps is
-    # positive: the k-th pivot is the ratio of the k-th and (k-1)-th leading
-    # principal minors
-    for col in range(n):
-        pivot = sym[col][col]
+    rows = [list(row) for row in matrix]
+    minors = [1]       # minors[k]: the leading principal minor of order k
+    at = [0] * n       # rows[i] holds its entries after at[i] steps
+
+    def row_after(i, k):
+        if at[i] != k:
+            rows[i] = [a * minors[k] // minors[at[i]] for a in rows[i]]
+            at[i] = k
+        return rows[i]
+
+    for k in range(n):
+        top = row_after(k, k)
+        pivot = top[k]
         if pivot <= 0:
             raise CartanError("Cartan matrix is not of finite type")
-        for r in range(col + 1, n):
-            factor = sym[r][col] / pivot
-            if factor:
-                sym[r][col:] = [a - factor * b
-                                for a, b in zip(sym[r][col:], sym[col][col:])]
+        minors.append(pivot)
+        for i in range(k + 1, n):
+            if rows[i][k]:
+                row = row_after(i, k)
+                lead = row[k]
+                rows[i] = [(a * pivot - lead * b) // minors[k]
+                           for a, b in zip(row, top)]
+                at[i] = k + 1
 
 
 def type_a_matrix(rank):

@@ -22,7 +22,8 @@ are mutually inverse on the nose, which the roundtrip check exercises.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from copy import copy
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import product
 
@@ -446,7 +447,8 @@ def mutate_category(data, rng=None, seed=None):
     """Swap two values inside one stored bijection; returns (mutant, note).
 
     Only the patched table is copied; the mutant shares every other table
-    with data, which is safe as CategoryData is treated as immutable.
+    with data, which is safe as CategoryData is treated as immutable, and
+    the comp index too, as mult is one of the shared tables.
     """
     if rng is None:
         rng = random.Random(seed)
@@ -469,7 +471,9 @@ def mutate_category(data, rng=None, seed=None):
     table[k1], table[k2] = table[k2], table[k1]
     note = {"kind": kind, "where": repr(where),
             "swapped": [repr(k1), repr(k2)]}
-    return replace(data, **{kind: {**source, where: table}}), note
+    mutant = copy(data)
+    setattr(mutant, kind, {**source, where: table})
+    return mutant, note
 
 
 def _colour_to_str(c):
@@ -484,6 +488,14 @@ def _colour_from_str(s):
         return tuple(int(p) for p in parts)
     except ValueError:
         return s
+
+
+def _not_lists(*values):
+    """Raise for a string or object where a JSON list belongs, which tuple()
+    and unpacking would read as its characters or keys.  The loader tests
+    types inline and calls this only on failure, to keep entries cheap."""
+    raise TypeError("expected a list, not %s" % ", ".join(
+        repr(v) for v in values if type(v) is not list))
 
 
 class _Colours(dict):
@@ -530,22 +542,35 @@ def category_from_json(doc):
     for key in ("core_colours", "cl", "mult", "sigma", "phi", "assoc"):
         if key not in doc:
             raise CategoryError("category data document has no %r" % key)
-    # every entry is unpacked to its exact arity, so extra fields are malformed
+    # every entry is unpacked to its exact arity, so extra fields are
+    # malformed, and every list is type-tested inline (see _not_lists)
     f = _Colours()
     try:
-        cl = {f[k]: tuple(v) for k, v in doc["cl"].items()}
+        cl = {f[k]: tuple(v) for k, v in doc["cl"].items()
+              if type(v) is list or _not_lists(v)}
         mult = {(f[a], f[b], f[mu]): tuple(ids)
-                for a, b, mu, ids in doc["mult"]}
-        sigma = {(f[a], f[b]): {tuple(k): tuple(v) for k, v in entries}
+                for a, b, mu, ids in doc["mult"]
+                if type(ids) is list or _not_lists(ids)}
+        sigma = {(f[a], f[b]): {tuple(k): tuple(v) for k, v in entries
+                                if type(k) is type(v) is list
+                                or _not_lists(k, v)}
                  for a, b, entries in doc["sigma"]}
         phi = {(f[a], f[b]): {(f[mu], m, x): tuple(v)
-                              for (mu, m, x), v in entries}
+                              for key, v in entries
+                              if type(key) is type(v) is list
+                              or _not_lists(key, v)
+                              for mu, m, x in [key]}
                for a, b, entries in doc["phi"]}
         assoc = {(f[a], f[b], f[c]): {
             (f[g], f[rho], m1, m2): (f[rho2], f[t], m3, m4)
-            for (g, rho, m1, m2), (rho2, t, m3, m4) in entries}
+            for key, value in entries
+            if type(key) is type(value) is list or _not_lists(key, value)
+            for (g, rho, m1, m2), (rho2, t, m3, m4) in [(key, value)]}
             for a, b, c, entries in doc["assoc"]}
-        core = tuple(f[x] for x in doc["core_colours"])
+        colours = doc["core_colours"]
+        if type(colours) is not list:
+            _not_lists(colours)
+        core = tuple(f[x] for x in colours)
     except (AttributeError, TypeError, ValueError) as exc:
         raise CategoryError("malformed category data: %s" % exc) from None
     return CategoryData(core_colours=core, cl=cl, mult=mult, sigma=sigma,

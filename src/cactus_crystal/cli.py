@@ -380,9 +380,13 @@ def cmd_crosscheck(args):
 
 
 def _load_category(path):
+    """Category data from a data document or a category build report."""
     from .category_data import category_from_json
 
-    return category_from_json(_read_json(path, "category data"))
+    doc = _read_json(path, "category data")
+    if isinstance(doc, dict) and doc.get("command") == "category build":
+        doc = doc.get("data")
+    return category_from_json(doc)
 
 
 def cmd_category(args):

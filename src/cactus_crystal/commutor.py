@@ -13,13 +13,12 @@ one xi per factor and one on the reversed product (Henriques-Kamnitzer):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
+from . import fields_repr
 from .cartan import star
 from .crystal import (
     CrystalError,
-    CrystalGraph,
     build_irreducible,
     component_ids,
     group_by_component,
@@ -28,19 +27,25 @@ from .crystal import (
 )
 
 
-@dataclass
 class CrystalBijection:
-    """A bijection between element sets of two crystal graphs."""
+    """A bijection between element sets of two crystal graphs; equal when
+    domain, codomain and mapping are, and unhashable."""
 
-    domain: CrystalGraph
-    codomain: CrystalGraph
-    mapping: tuple
-
-    def __post_init__(self):
-        if len(self.mapping) != self.domain.size:
+    def __init__(self, domain, codomain, mapping):
+        if len(mapping) != domain.size:
             raise CrystalError("bijection does not cover the domain")
-        if sorted(self.mapping) != list(range(self.codomain.size)):
+        if sorted(mapping) != list(range(codomain.size)):
             raise CrystalError("mapping is not a bijection onto the codomain")
+        self.domain, self.codomain, self.mapping = domain, codomain, mapping
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.domain, self.codomain, self.mapping)
+                == (other.domain, other.codomain, other.mapping))
+
+    def __repr__(self):
+        return fields_repr(self, ("domain", "codomain", "mapping"))
 
     def __call__(self, b):
         return self.mapping[b]

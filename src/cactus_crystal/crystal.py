@@ -20,13 +20,11 @@ leftmost surviving '-' and f_i lowers the rightmost surviving '+'.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import compress
 
-from . import CactusError
+from . import CactusError, fields_repr
 from .cartan import (
-    CartanData,
     cartan_to_json,
     simple_root,
     type_a_matrix,
@@ -40,40 +38,40 @@ class CrystalError(CactusError):
     pass
 
 
-@dataclass
 class CrystalGraph:
     """A finite set with weights and partial raising/lowering maps.
 
     Treated as immutable after construction; ids are 0..size-1 and stable.
     ``labels`` carries an arbitrary hashable per element (tableaux for
     irreducibles, id tuples for products) so that derived graphs remember
-    where their elements came from.
+    where their elements came from.  ``f_maps`` and ``e_maps`` map i to a
+    tuple of target ids or None.  Graphs are equal when their fields are,
+    whatever they have cached, and unhashable.
     """
 
-    cartan: CartanData
-    wts: tuple
-    f_maps: dict          # i -> tuple, entry None or target id
-    e_maps: dict = field(default=None)
-    labels: tuple = None
-    _eps: dict = field(default=None, init=False, repr=False, compare=False)
-    _phi: dict = field(default=None, init=False, repr=False, compare=False)
-    _label_index: dict = field(default=None, init=False, repr=False,
-                               compare=False)
-    _heads: tuple = field(default=None, init=False, repr=False, compare=False)
-    _xi: tuple = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.labels is None:
-            self.labels = tuple(range(self.size))
-        if self.e_maps is None:
-            self.e_maps = {i: _invert_partial(self.f_maps[i], self.size, i)
-                           for i in self.f_maps}
+    def __init__(self, cartan, wts, f_maps, e_maps=None, labels=None):
+        self.cartan, self.wts, self.f_maps = cartan, wts, f_maps
+        self.labels = tuple(range(self.size)) if labels is None else labels
+        self.e_maps = e_maps if e_maps is not None else {
+            i: _invert_partial(f_maps[i], self.size, i) for i in f_maps}
+        self._label_index = self._heads = self._xi = None
         if len(set(self.labels)) != self.size:
             raise CrystalError("element labels are not distinct")
         self._check_axioms()
         self._eps, self._phi = {}, {}
         for i in self.index_range():
             self._eps[i], self._phi[i] = _string_walk(self.e_maps[i], self.f_maps[i])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.cartan, self.wts, self.f_maps, self.e_maps, self.labels)
+                == (other.cartan, other.wts, other.f_maps, other.e_maps,
+                    other.labels))
+
+    def __repr__(self):
+        return fields_repr(self, ("cartan", "wts", "f_maps", "e_maps",
+                                  "labels"))
 
     # -- basic access ------------------------------------------------------
 

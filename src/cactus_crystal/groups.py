@@ -25,11 +25,10 @@ are built from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from . import CactusError, perms
+from . import CactusError, Frozen, perms, setfield
 from .perms import (
     check_perm,
     compose,
@@ -48,42 +47,56 @@ class GroupError(CactusError):
     pass
 
 
-@dataclass(frozen=True)
-class CactusGen:
-    i: int
-    j: int
+class CactusGen(Frozen):
+    __slots__ = ("i", "j")
+
+    def __init__(self, i, j):
+        setfield(self, "i", i)
+        setfield(self, "j", j)
+        setfield(self, "_key", (i, j))
 
     def __str__(self):
         return "s%d_%d" % (self.i, self.j)
 
 
-@dataclass(frozen=True)
-class PermGen:
-    perm: tuple
+class PermGen(Frozen):
+    __slots__ = ("perm",)
+
+    def __init__(self, perm):
+        setfield(self, "perm", perm)
+        setfield(self, "_key", (perm,))
 
     def __str__(self):
         return perms.format_perm(self.perm)
 
 
-@dataclass(frozen=True)
-class MirabolicT:
-    i: int
+class MirabolicT(Frozen):
+    __slots__ = ("i",)
+
+    def __init__(self, i):
+        setfield(self, "i", i)
+        setfield(self, "_key", (i,))
 
     def __str__(self):
         return "t%d" % self.i
 
 
-@dataclass(frozen=True)
-class AffineS:
-    i: int
-    j: int
+class AffineS(Frozen):
+    __slots__ = ("i", "j")
+
+    def __init__(self, i, j):
+        setfield(self, "i", i)
+        setfield(self, "j", j)
+        setfield(self, "_key", (i, j))
 
     def __str__(self):
         return "s%d_%d" % (self.i, self.j)
 
 
-@dataclass(frozen=True)
-class AffineR:
+class AffineR(Frozen):
+    __slots__ = ()
+    _key = ()
+
     def __str__(self):
         return "r"
 
@@ -115,19 +128,20 @@ def _check_generator(gen, kind, n):
     return gen
 
 
-@dataclass(frozen=True)
-class GroupWord:
-    kind: str
-    n: int
-    gens: tuple
+class GroupWord(Frozen):
+    __slots__ = ("kind", "n", "gens")
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise GroupError("unknown flavour %r" % (self.kind,))
-        if self.n < 2:
+    def __init__(self, kind, n, gens):
+        if kind not in KINDS:
+            raise GroupError("unknown flavour %r" % (kind,))
+        if n < 2:
             raise GroupError("need n >= 2")
-        for g in self.gens:
-            _check_generator(g, self.kind, self.n)
+        for g in gens:
+            _check_generator(g, kind, n)
+        setfield(self, "kind", kind)
+        setfield(self, "n", n)
+        setfield(self, "gens", gens)
+        setfield(self, "_key", (kind, n, gens))
 
     def __mul__(self, other):
         if (self.kind, self.n) != (other.kind, other.n):

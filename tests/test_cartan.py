@@ -1,5 +1,6 @@
 import math
 import time
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -23,7 +24,7 @@ from cactus_crystal.cartan import (
     weyl_elements,
     zero_weight,
 )
-from cactus_crystal.cartan import _mat_apply, _reflection_matrix
+from cactus_crystal.cartan import _check_gcm, _mat_apply, _reflection_matrix
 
 
 def test_type_a_shape():
@@ -84,6 +85,88 @@ def test_finite_type_matches_leading_minors():
         else:
             with pytest.raises(CartanError, match="not of finite type"):
                 cartan_explicit(matrix)
+
+
+def _fraction_outcome(matrix):
+    """The message of the rational finite-type check, or None: symmetrizer
+    and pivots of DA as Fractions, the way the check was first written."""
+    _check_gcm(matrix)
+    n = len(matrix)
+    d = [None] * n
+    for start in range(n):
+        if d[start] is not None:
+            continue
+        d[start] = Fraction(1)
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for j in range(n):
+                if matrix[i][j] == 0 or i == j:
+                    continue
+                want = d[i] * matrix[i][j] / matrix[j][i]
+                if d[j] is None:
+                    d[j] = want
+                    stack.append(j)
+                elif d[j] != want:
+                    return "Cartan matrix is not symmetrizable"
+    sym = [[d[i] * matrix[i][j] for j in range(n)] for i in range(n)]
+    for col in range(n):
+        pivot = sym[col][col]
+        if pivot <= 0:
+            return "Cartan matrix is not of finite type"
+        for r in range(col + 1, n):
+            factor = sym[r][col] / pivot
+            sym[r][col:] = [a - factor * b
+                            for a, b in zip(sym[r][col:], sym[col][col:])]
+    return None
+
+
+def _gcms(n):
+    """Every n x n matrix with 2 on the diagonal and off-diagonal entries in
+    0, -1, -2, -3."""
+    off = [(i, j) for i in range(n) for j in range(n) if i != j]
+    for values in product(range(0, -4, -1), repeat=len(off)):
+        m = [[2] * n for _ in range(n)]
+        for (i, j), v in zip(off, values):
+            m[i][j] = v
+        yield m
+
+
+# the matrices the other tests of this file build
+FILE_MATRICES = [
+    [[1, -1], [-1, 2]], [[2, 1], [1, 2]], [[2, 0], [-1, 2]], [[2, -2], [-2, 2]],
+    [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], [[2, -5], [-1, 2]],
+    [[2, -1], [-1, 2]], [[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
+    [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
+]
+
+
+def test_integer_finite_type_check_matches_fractions():
+    verdicts = set()
+    for m in [*_gcms(2), *_gcms(3), *FILE_MATRICES]:
+        try:
+            cartan_explicit(m)
+            got = None
+        except CartanError as exc:
+            got = str(exc)
+        try:
+            want = _fraction_outcome(m)
+        except CartanError as exc:
+            want = str(exc)
+        assert got == want, m
+        verdicts.add(want)
+    # the sweep reaches every verdict: finite, not symmetrizable, not finite
+    assert {None, "Cartan matrix is not symmetrizable",
+            "Cartan matrix is not of finite type"} <= verdicts
+
+
+@pytest.mark.parametrize("matrix", [[[2, False], [False, 2]],
+                                    [[True, -1], [-1, 2]]])
+def test_rejects_boolean_entries(matrix):
+    with pytest.raises(CartanError, match="entries must be integers"):
+        cartan_explicit(matrix)
+    with pytest.raises(CartanError, match="entries must be integers"):
+        cartan_from_json({"type": "explicit", "matrix": matrix})
 
 
 def test_large_type_a_builds_quickly():

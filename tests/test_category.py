@@ -271,6 +271,38 @@ def test_json_extra_entry_fields_are_category_errors(a1_data, table, path):
         category_from_json(doc)
 
 
+# a JSON string where a list belongs: tuple() and unpacking would read its
+# characters, and each of these would load equal to the clean data
+@pytest.mark.parametrize("path, text", [
+    (("sigma", 0, 2, 0, 0), "00"),
+    (("phi", 0, 2, 0, 1), "00"),
+    (("cl", "1"), "01"),
+    (("mult", 0, 3), "0"),
+    (("phi", 0, 2, 0, 0), "000"),
+    (("assoc", 0, 3, 0, 0), "0000"),
+    (("assoc", 0, 3, 0, 1), "0000"),
+    (("core_colours",), "012"),
+], ids=["sigma_key", "phi_value", "cl_list", "mult_ids", "phi_key",
+        "assoc_key", "assoc_value", "core_colours"])
+def test_json_string_for_a_list_is_a_category_error(a1_data, path, text):
+    doc = category_to_json(a1_data)
+    entry = doc
+    for k in path[:-1]:
+        entry = entry[k]
+    assert "".join(entry[path[-1]]) == text
+    entry[path[-1]] = text
+    with pytest.raises(CategoryError, match="malformed category data: "
+                                            "expected a list, not '%s'" % text):
+        category_from_json(doc)
+
+
+def test_mutant_shares_the_comp_index(a1_data):
+    for seed in range(20):
+        mutant, _ = mutate_category(a1_data, seed=seed)
+        assert mutant._comp is a1_data._comp
+        assert mutant.mult is a1_data.mult
+
+
 def test_validate_reports_missing_sigma_table(a1_data):
     sigma = dict(a1_data.sigma)
     del sigma[((1,), (2,))]

@@ -317,6 +317,28 @@ def test_category_pipeline(tmp_path, capsys):
     assert code == 0 and payload["caught"] == 5
 
 
+def test_category_commands_read_a_build_report(tmp_path, capsys):
+    report = tmp_path / "data.json"
+    code, _, _ = run(capsys, ["category", "build", "--colours", "0 1 2",
+                              "--out", str(report)])
+    assert code == 0
+    for op in ("validate", "roundtrip"):
+        code, payload, _ = run(capsys, ["category", op, "--input",
+                                        str(report)])
+        assert code == 0 and payload["ok"] is True, op
+
+
+def test_category_string_for_a_list_is_usage_error(tmp_path, capsys):
+    doc = category_to_json(from_crystals(cartan_type_a(1), [(0,), (1,)]))
+    doc["sigma"][0][2][0][0] = "00"
+    path = tmp_path / "string.json"
+    path.write_text(json.dumps(doc))
+    code, payload, captured = run(capsys, ["category", "validate",
+                                           "--input", str(path)])
+    assert code == 2 and payload is None and captured.out == ""
+    assert captured.err.startswith("error: malformed category data")
+
+
 def test_category_validate_rejects_corruption(tmp_path, capsys):
     data = from_crystals(cartan_type_a(1), [(0,), (1,)])
     mutant, _ = mutate_category(data, seed=2)
@@ -394,6 +416,8 @@ CARTAN_FILE_CASES = {
     "no rank": '{"type": "A"}',
     "non-integer rank": '{"type": "A", "rank": "x"}',
     "no matrix": '{"type": "explicit"}',
+    "boolean entries": '{"type": "explicit", "matrix": [[2, false], [false, 2]]}',
+    "boolean diagonal": '{"type": "explicit", "matrix": [[true, -1], [-1, 2]]}',
 }
 
 
@@ -408,6 +432,16 @@ def test_bad_cartan_file_is_usage_error(tmp_path, capsys, case):
     assert code == 2 and payload is None
     assert captured.err.startswith("error:")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("case", ["boolean entries", "boolean diagonal"])
+def test_boolean_cartan_entries_are_not_integers(tmp_path, capsys, case):
+    path = tmp_path / "cartan.json"
+    path.write_text(CARTAN_FILE_CASES[case])
+    code, _, captured = run(capsys, ["crystal", "--cartan-file", str(path),
+                                     "--weight", "1,0"])
+    assert code == 2
+    assert captured.err == "error: Cartan matrix entries must be integers\n"
 
 
 def test_cartan_file(tmp_path, capsys):
@@ -586,22 +620,32 @@ def test_error_classes_share_one_base():
 
 
 def loaded_after(code):
-    """Short names of the package modules a fresh interpreter holds after
-    running code; the test session's own imports do not leak in."""
+    """The modules a fresh interpreter holds after running code: the short
+    names of the package modules, and the standard-library modules by full
+    name.  The test session's own imports do not leak in."""
     src = os.path.dirname(os.path.dirname(cactus_crystal.__file__))
-    probe = code + ("\nimport sys\nsys.stderr.write(' '.join(m for m in "
-                    "sys.modules if m.startswith('cactus_crystal')))")
+    probe = code + ("\nimport sys\nsys.stderr.write(' '.join(sys.modules))")
     proc = subprocess.run([sys.executable, "-c", probe],
                           env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     names = proc.stderr.splitlines()[-1].split()
-    return {n.replace("cactus_crystal.", "") for n in names}
+    layers = {n.replace("cactus_crystal.", "") for n in names
+              if n.startswith("cactus_crystal")}
+    stdlib = {n for n in names
+              if n.partition(".")[0] in sys.stdlib_module_names}
+    return layers, stdlib
+
+
+# what dataclasses (with inspect) and fractions (with decimal) pull in at
+# start-up; only the category commands need dataclasses
+HEAVY_STDLIB = {"dataclasses", "inspect", "fractions", "decimal"}
 
 
 def test_importing_the_cli_loads_no_layer():
-    assert loaded_after("import cactus_crystal.cli") == {"cactus_crystal",
-                                                         "cli"}
+    layers, stdlib = loaded_after("import cactus_crystal.cli")
+    assert layers == {"cactus_crystal", "cli"}
+    assert not stdlib & HEAVY_STDLIB, stdlib & HEAVY_STDLIB
 
 
 TABLEAU_ONLY = {"cactus_crystal", "cli", "perms", "tableaux"}
@@ -626,17 +670,21 @@ TABLEAU_ONLY = {"cactus_crystal", "cli", "perms", "tableaux"}
     (["verify", "--kind", "C", "--weights", "1 1 1"], None,
      {"category_data"}),
     (["image", "--shape", "2,1"], None, {"category_data"}),
+    (["crosscheck", "--n", "4"], None, {"category_data"}),
 ], ids=["rsk", "evac", "bk", "group", "crystal", "tensor", "commutor",
-        "category-build", "act", "orbit", "verify", "image"])
+        "category-build", "act", "orbit", "verify", "image", "crosscheck"])
 def test_each_command_loads_only_its_layers(tmp_path, argv, allowed,
                                             forbidden):
     out = tmp_path / "report.json"
-    loaded = loaded_after("from cactus_crystal.cli import main\n"
-                          "assert main(%r) == 0" % (argv + ["--out", str(out)]))
+    loaded, stdlib = loaded_after("from cactus_crystal.cli import main\n"
+                                  "assert main(%r) == 0"
+                                  % (argv + ["--out", str(out)]))
     assert "cli" in loaded
     if allowed is not None:
         assert loaded <= allowed, loaded - allowed
     assert not loaded & forbidden, loaded & forbidden
+    if argv[0] != "category":
+        assert not stdlib & HEAVY_STDLIB, stdlib & HEAVY_STDLIB
 
 
 @pytest.mark.parametrize("op", ["validate", "roundtrip", "mutate"])
@@ -646,8 +694,8 @@ def test_category_file_commands_load_no_action_layer(tmp_path, op):
     data_file.write_text(json.dumps(category_to_json(data)))
     argv = ["category", op, "--input", str(data_file),
             "--out", str(tmp_path / "report.json")]
-    loaded = loaded_after("from cactus_crystal.cli import main\n"
-                          "assert main(%r) == 0" % argv)
+    loaded, _ = loaded_after("from cactus_crystal.cli import main\n"
+                             "assert main(%r) == 0" % argv)
     assert "category_data" in loaded
     assert not loaded & {"actions", "groups"}, loaded
 
