@@ -148,14 +148,14 @@ class CompiledAction:
     points lists the closure in one block per weight tuple; blocks maps each
     weight tuple to its entry tuple -> id dict.  table(g), the ids of the
     images of points under g, resolves g once per block on first use and runs
-    its steps on the block's entry columns; image(word, ids) composes tables.
+    its steps on the block's entry columns; images_of(ids) composes tables.
     The budget is checked first.
     """
 
-    def __init__(self, cartan, weight_tuples, max_points=None):
+    def __init__(self, cartan, weight_tuples):
         closure = sorted({o for t in weight_tuples for o in weight_orderings(t)})
         check_budget(sum(count_points(cartan, t) for t in closure),
-                     "point space", max_points, GroupError)
+                     "point space", error=GroupError)
         self.cartan = cartan
         self.points = [p for t in closure for p in iter_points(cartan, t)]
         self.blocks = {t: {} for t in closure}
@@ -173,10 +173,6 @@ class CompiledAction:
                 table.extend(map(self.blocks[image].__getitem__, rows))
             self._tables[gen] = table
         return table
-
-    def image(self, word, ids):
-        """Ids of the images of the points ids under word, leftmost first."""
-        return self.images_of(ids)(word.gens)
 
     def images_of(self, ids):
         """image(letters), the ids of the images of ids under a letter tuple;
@@ -205,8 +201,7 @@ def _point_json(p):
     return [list(p.weights), list(p.entries)]
 
 
-def verify_relations(cartan, kind, n, weight_tuples, max_points=None,
-                     max_failures=5):
+def verify_relations(cartan, kind, n, weight_tuples, max_failures=5):
     """Exhaustively check every defining relation on every supplied point.
 
     weight_tuples is a list of weight tuples of length n; the point space is
@@ -219,7 +214,7 @@ def verify_relations(cartan, kind, n, weight_tuples, max_points=None,
     for t in tuples:
         if len(t) != n:
             raise GroupError("weight tuple %r does not have %d factors" % (t, n))
-    engine = CompiledAction(cartan, tuples, max_points=max_points)
+    engine = CompiledAction(cartan, tuples)
     points = engine.points
     sources = [k for t in tuples for k in engine.blocks[t].values()]
     image = engine.images_of(sources)
@@ -256,9 +251,9 @@ def verify_relations(cartan, kind, n, weight_tuples, max_points=None,
     }
 
 
-def orbit(cartan, gens, point, max_points=None):
+def orbit(cartan, gens, point):
     """Deterministic BFS orbit under a list of generators or words."""
-    budget = max_points if max_points is not None else point_budget()
+    budget = point_budget()
     check_point(cartan, point)
     flat = [tuple(g.gens) if isinstance(g, GroupWord) else (g,) for g in gens]
     resolve = lru_cache(maxsize=None)(partial(_resolve, cartan, budget=budget))

@@ -1,9 +1,10 @@
 """Command line driver.
 
+Each cmd_* handler returns its JSON run report, or the Graphviz source for
+crystal and tensor under --emit dot; main alone writes it to stdout or --out.
 Exit codes: 0 on success, 1 when a requested check fails (relation suites,
-validation, roundtrips, thresholds), 2 on bad input.  Output is a JSON run
-report on stdout or --out; --emit dot switches graph-producing commands to
-Graphviz source.  CACTUS_CRYSTAL_MAX_POINTS caps exhaustive point spaces.
+validation, roundtrips, thresholds), 2 on bad input, an --out that cannot be
+written included.  CACTUS_CRYSTAL_MAX_POINTS caps exhaustive point spaces.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ def _read_json(path, what):
 def _parse_cartan(args):
     from .cartan import cartan_from_json, cartan_type_a
 
-    if getattr(args, "cartan_file", None):
+    if args.cartan_file:
         return cartan_from_json(_read_json(args.cartan_file, "Cartan data"))
     name = args.cartan
     if not (name.startswith("A") and name[1:].isdigit()):
@@ -102,26 +103,10 @@ def _parse_point(text, weights):
     return LabeledPoint(tuple(weights), entries)
 
 
-def _emit(args, payload, dot=None):
-    """Write the report (or dot) and return its exit code: 0 if ok, else 1."""
-    if getattr(args, "emit", "json") == "dot":
-        if dot is None:
-            raise UsageError("this command has no dot output")
-        text = dot
-    else:
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0 if payload["ok"] else 1
-
-
 def _report(command, ok, **payload):
-    rep = {"command": command, "ok": bool(ok), "version": __version__}
-    rep.update(payload)
-    return rep
+    """A run report; main writes its tuples as JSON lists."""
+    return {"command": command, "ok": bool(ok), "version": __version__,
+            **payload}
 
 
 def cmd_crystal(args):
@@ -131,9 +116,9 @@ def cmd_crystal(args):
     weight = _parse_weight(args.weight, cartan.rank)
     check_budget(weyl_dimension(cartan, weight), "the crystal")
     graph = build_irreducible(cartan, weight)
-    payload = _report("crystal", True, graph=export_graph(graph),
-                      size=graph.size)
-    return _emit(args, payload, dot=to_dot(graph))
+    if args.emit == "dot":
+        return to_dot(graph)
+    return _report("crystal", True, graph=export_graph(graph), size=graph.size)
 
 
 def cmd_tensor(args):
@@ -145,14 +130,13 @@ def cmd_tensor(args):
     factors = [build_irreducible(cartan, w) for w in weights]
     check_budget(prod(f.size for f in factors), "the product")
     graph = tensor_many(factors)
-    comps = components(graph)
-    norm = normality_report(graph)
-    payload = _report("tensor", True, graph=export_graph(graph),
-                      factors=[list(w) for w in weights],
-                      components=[{"head": h, "weight": list(graph.wt(h)),
-                                   "size": sub.size} for h, sub in comps],
-                      normality=norm)
-    return _emit(args, payload, dot=to_dot(graph))
+    if args.emit == "dot":
+        return to_dot(graph)
+    return _report("tensor", True, graph=export_graph(graph), factors=weights,
+                   components=[{"head": h, "weight": graph.wt(h),
+                                "size": sub.size}
+                               for h, sub in components(graph)],
+                   normality=normality_report(graph))
 
 
 def cmd_commutor(args):
@@ -164,13 +148,11 @@ def cmd_commutor(args):
     right = build_irreducible(cartan, _parse_weight(args.right, cartan.rank))
     check_budget(left.size * right.size, "the product")
     bij = commutor(left, right)
-    payload = _report("commutor", True,
-                      left=args.left, right=args.right,
-                      pairs=bij.to_pairs(),
-                      labels=[[repr(bij.domain.labels[b]),
-                               repr(bij.codomain.labels[bij(b)])]
-                              for b in bij.domain.elements()])
-    return _emit(args, payload)
+    return _report("commutor", True, left=args.left, right=args.right,
+                   pairs=bij.to_pairs(),
+                   labels=[[repr(bij.domain.labels[b]),
+                            repr(bij.codomain.labels[bij(b)])]
+                           for b in bij.domain.elements()])
 
 
 def cmd_group(args):
@@ -182,37 +164,33 @@ def cmd_group(args):
     n = args.n
     if args.relations:
         fams = defining_relation_families(args.kind, n)
-        payload = _report("group", True, kind=args.kind, n=n,
-                          relations=[{"family": f, "lhs": format_word(l),
-                                      "rhs": format_word(r)} for f, l, r in fams])
-    elif args.project is not None:
+        return _report("group", True, kind=args.kind, n=n,
+                       relations=[{"family": f, "lhs": format_word(l),
+                                   "rhs": format_word(r)} for f, l, r in fams])
+    if args.project is not None:
         w = parse_word(args.project, args.kind, n)
-        payload = _report("group", True, kind=args.kind, n=n,
-                          word=format_word(w),
-                          projection=list(project_to_symmetric(w)))
-    elif args.to_virtual is not None:
+        return _report("group", True, kind=args.kind, n=n,
+                       word=format_word(w), projection=project_to_symmetric(w))
+    if args.to_virtual is not None:
         w = parse_word(args.to_virtual, args.kind, n)
-        payload = _report("group", True, kind=args.kind, n=n,
-                          word=format_word(w), image=format_word(to_virtual(w)))
-    elif args.s0j is not None:
+        return _report("group", True, kind=args.kind, n=n,
+                       word=format_word(w), image=format_word(to_virtual(w)))
+    if args.s0j is not None:
         w = mc_s0j_word(args.s0j, n)
-        payload = _report("group", True, kind="MC", n=n, j=args.s0j,
-                          word=format_word(w),
-                          projection=list(project_to_symmetric(w)))
-    elif args.cabling is not None:
-        try:
-            utext, interval = args.cabling.split(";")
-            u = parse_perm(utext.strip())
-            i, j = (int(v) for v in interval.split(","))
-        except (ValueError, PermError):
-            raise UsageError("--cabling wants 'w[..];i,j'") from None
-        w = cabling(u, i, j, n)
-        payload = _report("group", True, n=n, u=list(u), i=i, j=j,
-                          cabled=list(w))
-    else:
-        raise UsageError("choose one of --relations/--project/--to-virtual/"
-                         "--s0j/--cabling")
-    return _emit(args, payload)
+        return _report("group", True, kind="MC", n=n, j=args.s0j,
+                       word=format_word(w), projection=project_to_symmetric(w))
+    try:
+        utext, interval = args.cabling.split(";")
+        u = parse_perm(utext.strip())
+        i, j = (int(v) for v in interval.split(","))
+    except (ValueError, PermError):
+        raise UsageError("--cabling wants 'w[..];i,j'") from None
+    return _report("group", True, n=n, u=u, i=i, j=j,
+                   cabled=cabling(u, i, j, n))
+
+
+def _point_json(p):
+    return {"weights": p.weights, "entries": p.entries}
 
 
 def cmd_act(args):
@@ -224,12 +202,8 @@ def cmd_act(args):
     word = parse_word(args.word, args.kind, len(weights))
     point = _parse_point(args.point, weights)
     out = act_word(cartan, word, point)
-    payload = _report("act", True, kind=args.kind, word=format_word(word),
-                      point={"weights": [list(w) for w in point.weights],
-                             "entries": list(point.entries)},
-                      image={"weights": [list(w) for w in out.weights],
-                             "entries": list(out.entries)})
-    return _emit(args, payload)
+    return _report("act", True, kind=args.kind, word=format_word(word),
+                   point=_point_json(point), image=_point_json(out))
 
 
 def cmd_verify(args):
@@ -253,8 +227,7 @@ def cmd_verify(args):
                              % (len(base), args.n))
         tuples = weight_orderings(base) if args.all_orderings else [tuple(base)]
     rep = verify_relations(cartan, args.kind, args.n, tuples)
-    payload = _report("verify", rep["passed"], **rep)
-    return _emit(args, payload)
+    return _report("verify", rep["passed"], **rep)
 
 
 def cmd_orbit(args):
@@ -265,12 +238,9 @@ def cmd_orbit(args):
     weights = _parse_weights(args.weights, cartan.rank)
     words = [parse_word(w, args.kind, len(weights))
              for w in args.gens.split(";")]
-    point = _parse_point(args.point, weights)
-    pts = orbit(cartan, words, point)
-    payload = _report("orbit", True, kind=args.kind, size=len(pts),
-                      points=[{"weights": [list(w) for w in p.weights],
-                               "entries": list(p.entries)} for p in pts])
-    return _emit(args, payload)
+    pts = orbit(cartan, words, _parse_point(args.point, weights))
+    return _report("orbit", True, kind=args.kind, size=len(pts),
+                   points=[_point_json(p) for p in pts])
 
 
 def cmd_image(args):
@@ -283,34 +253,27 @@ def cmd_image(args):
         raise UsageError("bad shape %r" % args.shape) from None
     n = sum(shape)
     states = standard_tableaux(shape)
-    maps = []
-    gens = []
-    for i in range(1, n):
-        for j in range(i + 1, n + 1):
-            gens.append((i, j))
-            maps.append({t: bk_cactus_act(i, j, t) for t in states})
+    gens = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+    maps = [{t: bk_cactus_act(i, j, t) for t in states} for i, j in gens]
     rep = permutation_image(states, maps, limit=point_budget())
     alternating = (contains_alternating(rep["group"], rep["degree"])
                    if rep["degree"] <= 8 else None)
     ok = rep["order"] >= args.min_order and (alternating is not False)
     if args.report == "contains-alternating":
         ok = ok and alternating is True
-    payload = _report("image", ok, shape=list(shape), tableaux=rep["degree"],
-                      generators=["s%d_%d" % g for g in gens],
-                      order=rep["order"], even=rep["even"], odd=rep["odd"],
-                      contains_alternating=alternating,
-                      min_order=args.min_order)
-    return _emit(args, payload)
+    return _report("image", ok, shape=shape, tableaux=rep["degree"],
+                   generators=["s%d_%d" % g for g in gens],
+                   order=rep["order"], even=rep["even"], odd=rep["odd"],
+                   contains_alternating=alternating,
+                   min_order=args.min_order)
 
 
 def cmd_rsk(args):
     from .perms import parse_perm
     from .tableaux import rsk
 
-    if (args.word is None) == (args.perm is None):
-        raise UsageError("give exactly one of --word or --perm")
-    text = args.word if args.word is not None else args.perm
-    sep = None if args.word is not None else ","
+    text, sep = ((args.word, None) if args.word is not None
+                 else (args.perm, ","))
     try:
         word = tuple(int(v) for v in text.split(sep))
     except ValueError:
@@ -318,10 +281,7 @@ def cmd_rsk(args):
     if args.perm is not None:
         parse_perm("w[%s]" % ",".join(str(v) for v in word))
     p, q = rsk(word)
-    payload = _report("rsk", True, word=list(word),
-                      insertion=[list(r) for r in p],
-                      recording=[list(r) for r in q])
-    return _emit(args, payload)
+    return _report("rsk", True, word=word, insertion=p, recording=q)
 
 
 def cmd_evac(args):
@@ -329,10 +289,7 @@ def cmd_evac(args):
 
     t = _parse_tableau(args.tableau)
     out = partial_evacuation(args.partial, t) if args.partial else evacuation(t)
-    payload = _report("evac", True, tableau=[list(r) for r in t],
-                      partial=args.partial,
-                      result=[list(r) for r in out])
-    return _emit(args, payload)
+    return _report("evac", True, tableau=t, partial=args.partial, result=out)
 
 
 def cmd_bk(args):
@@ -342,41 +299,26 @@ def cmd_bk(args):
         if args.max_cells < 1 or args.max_entry < 1:
             raise UsageError("--max-cells and --max-entry must be positive")
         w = bk_braid_witness(max_cells=args.max_cells, max_entry=args.max_entry)
-        found = w is not None
-        payload = _report("bk", found, witness=(
-            None if w is None else {
-                "tableau": [list(r) for r in w["tableau"]],
-                "index": w["index"], "cells": w["cells"],
-                "shape": list(w["shape"]),
-                "lhs": [list(r) for r in w["lhs"]],
-                "rhs": [list(r) for r in w["rhs"]]}))
-        return _emit(args, payload)
+        return _report("bk", w is not None, witness=w)
     if args.tableau is None:
         raise UsageError("--i and --interval need a --tableau")
     t = _parse_tableau(args.tableau)
-    if args.interval:
+    if args.interval is not None:
         try:
             i, j = (int(v) for v in args.interval.split(","))
         except ValueError:
             raise UsageError("--interval wants 'i,j'") from None
-        out = bk_cactus_act(i, j, t)
-        op = "q%d_%d" % (i, j)
-    elif args.i is not None:
-        out = bender_knuth(args.i, t)
-        op = "t%d" % args.i
-    else:
-        raise UsageError("choose --i, --interval or --braid-witness")
-    payload = _report("bk", True, tableau=[list(r) for r in t], op=op,
-                      result=[list(r) for r in out])
-    return _emit(args, payload)
+        return _report("bk", True, tableau=t, op="q%d_%d" % (i, j),
+                       result=bk_cactus_act(i, j, t))
+    return _report("bk", True, tableau=t, op="t%d" % args.i,
+                   result=bender_knuth(args.i, t))
 
 
 def cmd_crosscheck(args):
     from .tableaux import rsk_crosscheck
 
     rep = rsk_crosscheck(args.n)
-    payload = _report("crosscheck", rep["passed"], **rep)
-    return _emit(args, payload)
+    return _report("crosscheck", rep["passed"], **rep)
 
 
 def _load_category(path):
@@ -389,58 +331,57 @@ def _load_category(path):
     return category_from_json(doc)
 
 
-def cmd_category(args):
-    from .category_data import (category_from_covering, category_to_json,
-                                covering_from_category, from_crystals,
-                                mutate_category, validate, verify_fiber_system)
+def cmd_category_build(args):
+    from .category_data import category_to_json, from_crystals, validate
 
-    if args.cat_op == "build":
-        cartan = _parse_cartan(args)
-        colours = _parse_weights(args.colours, cartan.rank)
-        data = from_crystals(cartan, colours)
-        rep = validate(data)
-        payload = _report("category build", rep["passed"],
-                          colours=[list(c) for c in colours],
-                          sizes={"colours": len(data.cl), "mult": len(data.mult),
-                                 "sigma": len(data.sigma), "phi": len(data.phi),
-                                 "assoc": len(data.assoc)},
-                          validation={"passed": rep["passed"],
-                                      "failures": rep["failures"][:5]},
-                          data=category_to_json(data))
-        return _emit(args, payload)
-    if args.cat_op == "validate":
-        data = _load_category(args.input)
-        rep = validate(data)
-        payload = _report("category validate", rep["passed"],
-                          checks=rep["checks"],
-                          failures=rep["failures"][:10])
-        return _emit(args, payload)
-    if args.cat_op == "roundtrip":
-        data = _load_category(args.input)
-        fs = covering_from_category(data)
-        back = category_from_covering(fs)
-        fs_rep = verify_fiber_system(fs)
-        same = back == data
-        payload = _report("category roundtrip", same and fs_rep["passed"],
-                          identical=same, fiber_checks=fs_rep["checks"],
-                          fiber_failures=fs_rep["failures"][:10])
-        return _emit(args, payload)
-    if args.cat_op == "mutate":
-        if args.count < 0:
-            raise UsageError("--count must not be negative")
-        data = _load_category(args.input)
-        caught = 0
-        notes = []
-        for k in range(args.count):
-            mut, note = mutate_category(data, seed=(args.seed or 0) + k)
-            bad = not validate(mut, fail_fast=True)["passed"]
-            caught += bad
-            notes.append({"mutation": note, "caught": bad})
-        ok = caught == args.count
-        payload = _report("category mutate", ok, count=args.count,
-                          caught=caught, mutations=notes)
-        return _emit(args, payload)
-    raise UsageError("unknown category operation %r" % args.cat_op)
+    cartan = _parse_cartan(args)
+    colours = _parse_weights(args.colours, cartan.rank)
+    data = from_crystals(cartan, colours)
+    rep = validate(data)
+    return _report("category build", rep["passed"], colours=colours,
+                   sizes={"colours": len(data.cl), "mult": len(data.mult),
+                          "sigma": len(data.sigma), "phi": len(data.phi),
+                          "assoc": len(data.assoc)},
+                   validation={"passed": rep["passed"],
+                               "failures": rep["failures"][:5]},
+                   data=category_to_json(data))
+
+
+def cmd_category_validate(args):
+    from .category_data import validate
+
+    rep = validate(_load_category(args.input))
+    return _report("category validate", rep["passed"], checks=rep["checks"],
+                   failures=rep["failures"][:10])
+
+
+def cmd_category_roundtrip(args):
+    from .category_data import (category_from_covering, covering_from_category,
+                                verify_fiber_system)
+
+    data = _load_category(args.input)
+    fs = covering_from_category(data)
+    same = category_from_covering(fs) == data
+    fs_rep = verify_fiber_system(fs)
+    return _report("category roundtrip", same and fs_rep["passed"],
+                   identical=same, fiber_checks=fs_rep["checks"],
+                   fiber_failures=fs_rep["failures"][:10])
+
+
+def cmd_category_mutate(args):
+    from .category_data import mutate_category, validate
+
+    if args.count < 0:
+        raise UsageError("--count must not be negative")
+    data = _load_category(args.input)
+    notes = []
+    for k in range(args.count):
+        mut, note = mutate_category(data, seed=(args.seed or 0) + k)
+        notes.append({"mutation": note,
+                      "caught": not validate(mut, fail_fast=True)["passed"]})
+    caught = sum(m["caught"] for m in notes)
+    return _report("category mutate", caught == args.count, count=args.count,
+                   caught=caught, mutations=notes)
 
 
 def build_parser():
@@ -451,136 +392,134 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, cartan=True, emit=True):
+    def command(name, func, help, cartan=True, parent=sub):
+        p = parent.add_parser(name, help=help)
         if cartan:
             p.add_argument("--cartan", "--type", default="A1",
                            help="Cartan name A<rank> (default A1)")
             p.add_argument("--cartan-file",
                            help="JSON file with an explicit Cartan matrix")
-        if emit:
-            p.add_argument("--emit", choices=("json", "dot"), default="json")
-            p.add_argument("--out", help="write output to this file")
+        p.add_argument("--out", help="write output to this file")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("crystal", help="export one irreducible crystal")
-    add_common(p)
+    p = command("crystal", cmd_crystal, "export one irreducible crystal")
     p.add_argument("--weight", required=True, help="comma-joined coefficients")
-    p.set_defaults(func=cmd_crystal)
+    p.add_argument("--emit", choices=("json", "dot"), default="json")
 
-    p = sub.add_parser("tensor", help="product crystal with components")
-    add_common(p)
+    p = command("tensor", cmd_tensor, "product crystal with components")
     p.add_argument("--weights", required=True)
-    p.set_defaults(func=cmd_tensor)
+    p.add_argument("--emit", choices=("json", "dot"), default="json")
 
-    p = sub.add_parser("commutor", help="commutor bijection of a pair")
-    add_common(p)
+    p = command("commutor", cmd_commutor, "commutor bijection of a pair")
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
-    p.set_defaults(func=cmd_commutor)
 
-    p = sub.add_parser("group", help="presentations, projections, cabling")
-    add_common(p, cartan=False)
+    p = command("group", cmd_group, "presentations, projections, cabling",
+                cartan=False)
     p.add_argument("--kind", choices=("C", "vC", "MC", "AC"), default="C")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--relations", action="store_true")
-    p.add_argument("--project", help="word to project to the symmetric group")
-    p.add_argument("--to-virtual", help="word to push through the virtual map")
-    p.add_argument("--s0j", type=int, help="distinguished mirabolic word index")
-    p.add_argument("--cabling", help="'w[..];i,j' to cable a permutation")
-    p.set_defaults(func=cmd_group)
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--relations", action="store_true")
+    mode.add_argument("--project", help="word to project to the symmetric group")
+    mode.add_argument("--to-virtual",
+                      help="word to push through the virtual map")
+    mode.add_argument("--s0j", type=int,
+                      help="distinguished mirabolic word index")
+    mode.add_argument("--cabling", help="'w[..];i,j' to cable a permutation")
 
-    p = sub.add_parser("act", help="apply one word to one point")
-    add_common(p)
+    p = command("act", cmd_act, "apply one word to one point")
     p.add_argument("--kind", choices=("C", "vC", "MC", "AC"), default="C")
     p.add_argument("--weights", required=True)
     p.add_argument("--word", required=True)
     p.add_argument("--point", required=True, help="comma-joined entry ids")
-    p.set_defaults(func=cmd_act)
 
-    p = sub.add_parser("verify", help="exhaustive relation verification")
-    add_common(p)
+    p = command("verify", cmd_verify, "exhaustive relation verification")
     p.add_argument("--kind", choices=("C", "vC", "MC", "AC"), required=True)
     p.add_argument("--n", type=int, default=None,
                    help="factor count; defaults to the --weights length")
     p.add_argument("--weights", help="one weight tuple")
     p.add_argument("--all-orderings", action="store_true")
     p.add_argument("--choices", help="weight set; all n-tuples are used")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("orbit", help="orbit of a point under words")
-    add_common(p)
+    p = command("orbit", cmd_orbit, "orbit of a point under words")
     p.add_argument("--kind", choices=("C", "vC", "MC", "AC"), default="C")
     p.add_argument("--weights", required=True)
     p.add_argument("--gens", required=True, help="';'-separated words")
     p.add_argument("--point", required=True)
-    p.set_defaults(func=cmd_orbit)
 
-    p = sub.add_parser("image", help="permutation image on standard tableaux")
-    add_common(p, cartan=False)
+    p = command("image", cmd_image, "permutation image on standard tableaux",
+                cartan=False)
     p.add_argument("--shape", required=True, help="comma-joined partition")
     p.add_argument("--min-order", type=int, default=1)
     p.add_argument("--report", choices=("contains-alternating",), default=None,
                    help="also gate the exit code on this check")
-    p.set_defaults(func=cmd_image)
 
-    p = sub.add_parser("rsk", help="row insertion of a word")
-    add_common(p, cartan=False)
-    p.add_argument("--word", help="space-separated letters")
-    p.add_argument("--perm", help="comma-joined one-line permutation")
-    p.set_defaults(func=cmd_rsk)
+    p = command("rsk", cmd_rsk, "row insertion of a word", cartan=False)
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--word", help="space-separated letters")
+    mode.add_argument("--perm", help="comma-joined one-line permutation")
 
-    p = sub.add_parser("evac", help="evacuation, optionally partial")
-    add_common(p, cartan=False)
+    p = command("evac", cmd_evac, "evacuation, optionally partial",
+                cartan=False)
     p.add_argument("--tableau", required=True, help="rows 'a,b;c'")
     p.add_argument("--partial", type=int, default=None)
-    p.set_defaults(func=cmd_evac)
 
-    p = sub.add_parser("bk", help="Bender-Knuth moves and interval operators")
-    add_common(p, cartan=False)
+    p = command("bk", cmd_bk, "Bender-Knuth moves and interval operators",
+                cartan=False)
     p.add_argument("--tableau")
-    p.add_argument("--i", type=int, default=None)
-    p.add_argument("--interval", help="'i,j' interval operator")
-    p.add_argument("--braid-witness", action="store_true")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--i", type=int, default=None)
+    mode.add_argument("--interval", help="'i,j' interval operator")
+    mode.add_argument("--braid-witness", action="store_true")
     p.add_argument("--max-cells", type=int, default=6)
     p.add_argument("--max-entry", type=int, default=4)
-    p.set_defaults(func=cmd_bk)
 
-    p = sub.add_parser("crosscheck", help="crystal action vs RSK bookkeeping")
-    add_common(p, cartan=False)
+    p = command("crosscheck", cmd_crosscheck,
+                "crystal action vs RSK bookkeeping", cartan=False)
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_crosscheck)
 
-    p = sub.add_parser("category", help="coboundary category data tools")
-    cat = p.add_subparsers(dest="cat_op", required=True)
-    pb = cat.add_parser("build", help="build data from crystals")
-    add_common(pb)
-    pb.add_argument("--colours", required=True)
-    pb.set_defaults(func=cmd_category)
-    pv = cat.add_parser("validate", help="validate a data file")
-    add_common(pv, cartan=False)
-    pv.add_argument("--input", required=True)
-    pv.set_defaults(func=cmd_category)
-    pr = cat.add_parser("roundtrip", help="cover and reconstruct a data file")
-    add_common(pr, cartan=False)
-    pr.add_argument("--input", required=True)
-    pr.set_defaults(func=cmd_category)
-    pm = cat.add_parser("mutate", help="mutation sweep against the validator")
-    add_common(pm, cartan=False)
-    pm.add_argument("--seed", type=int, default=None)
-    pm.add_argument("--input", required=True)
-    pm.add_argument("--count", type=int, default=10)
-    pm.set_defaults(func=cmd_category)
+    cat = sub.add_parser("category", help="coboundary category data tools")
+    cat = cat.add_subparsers(dest="cat_op", required=True)
+    p = command("build", cmd_category_build, "build data from crystals",
+                parent=cat)
+    p.add_argument("--colours", required=True)
+    p = command("validate", cmd_category_validate, "validate a data file",
+                cartan=False, parent=cat)
+    p.add_argument("--input", required=True)
+    p = command("roundtrip", cmd_category_roundtrip,
+                "cover and reconstruct a data file", cartan=False, parent=cat)
+    p.add_argument("--input", required=True)
+    p = command("mutate", cmd_category_mutate,
+                "mutation sweep against the validator", cartan=False,
+                parent=cat)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--input", required=True)
+    p.add_argument("--count", type=int, default=10)
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (CactusError, FileNotFoundError) as exc:
+        result = args.func(args)
+    except CactusError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
+    text = (result if isinstance(result, str)
+            else json.dumps(result, indent=2, sort_keys=True) + "\n")
+    if not args.out:
+        sys.stdout.write(text)
+    else:
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            sys.stderr.write("error: cannot write %r: %s\n"
+                             % (args.out, exc.strerror or exc))
+            return 2
+    return 0 if isinstance(result, str) or result["ok"] else 1
 
 
 if __name__ == "__main__":

@@ -317,6 +317,8 @@ def rsk_crosscheck(n):
     from .groups import CactusGen, PermGen
     from .perms import all_perms, compose
 
+    if n < 2:
+        raise TableauError("crosscheck needs n >= 2 factors, not n=%d" % n)
     budget = point_budget(TableauError)
     if n > budget.bit_length():  # so n ** n > 2 ** n > budget, left uncomputed
         raise TableauError("crosscheck at n=%d has n^n points, over the "

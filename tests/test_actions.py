@@ -139,24 +139,27 @@ def test_orbits_partition_the_point_space():
     assert set(seen) == set(space)
 
 
-def test_orbit_budget_enforced():
+def test_orbit_budget_enforced(monkeypatch):
     p = LabeledPoint(W112, (0, 0, 0))
+    monkeypatch.setenv(MAX_POINTS_ENV, "1")
     with pytest.raises(GroupError, match="budget"):
-        orbit(A1, [CactusGen(1, 3)], p, max_points=1)
+        orbit(A1, [CactusGen(1, 3)], p)
 
 
-def test_orbit_budget_counts_the_orbit_and_the_reversal_tables():
+def test_orbit_budget_counts_the_orbit_and_the_reversal_tables(monkeypatch):
     # the orbit of (1, 1, 1) meets all six orderings: 36 points; s1_3
     # reverses all three factors, a table of 24 points
     gens = [CactusGen(1, 2), CactusGen(1, 3), PermGen((2, 3, 1))]
     p = LabeledPoint(((1,), (2,), (3,)), (1, 1, 1))
     assert len(orbit(A1, gens, p)) == 36
+    monkeypatch.setenv(MAX_POINTS_ENV, "30")
     with pytest.raises(GroupError, match="orbit exceeded the budget of 30"):
-        orbit(A1, gens, p, max_points=30)
+        orbit(A1, gens, p)
+    monkeypatch.setenv(MAX_POINTS_ENV, "23")
     with pytest.raises(GroupError, match="reversal of factors 1..3 has 24 "
                                          "points, over the budget of 23; "
                                          "raise " + MAX_POINTS_ENV):
-        orbit(A1, gens, p, max_points=23)
+        orbit(A1, gens, p)
 
 
 def test_act_word_and_orbit_respect_the_point_budget(monkeypatch):
@@ -269,18 +272,17 @@ def test_verify_relations_threaded_agrees():
     assert a["families"] == b["families"]
 
 
-def test_verify_relations_budget():
+def test_verify_relations_budget(monkeypatch):
+    monkeypatch.setenv(MAX_POINTS_ENV, "4")
     with pytest.raises(GroupError, match=MAX_POINTS_ENV):
-        verify_relations(A1, "C", 3, [W111], max_points=4)
+        verify_relations(A1, "C", 3, [W111])
 
 
 def test_verify_relations_budget_counts_the_reordering_closure(monkeypatch):
     w123 = ((1,), (2,), (3,))
     assert count_points(A1, w123) == 24
-    with pytest.raises(GroupError, match="144 points"):
-        verify_relations(A1, "C", 3, [w123], max_points=100)
     monkeypatch.setenv(MAX_POINTS_ENV, "100")
-    with pytest.raises(GroupError, match=MAX_POINTS_ENV):
+    with pytest.raises(GroupError, match="144 points.*" + MAX_POINTS_ENV):
         verify_relations(A1, "C", 3, [w123])
     monkeypatch.setenv(MAX_POINTS_ENV, "144")
     assert verify_relations(A1, "C", 3, [w123])["points"] == 24
@@ -305,7 +307,7 @@ def test_compiled_images_match_act_word(cartan, kind, choices):
     ids = [engine.blocks[p.weights][p.entries] for p in sources]
     for _, lhs, rhs in _relations(kind, 3):
         for w in (lhs, rhs):
-            got = [engine.points[k] for k in engine.image(w, ids)]
+            got = [engine.points[k] for k in engine.images_of(ids)(w.gens)]
             assert got == [act_word(cartan, w, p) for p in sources], str(w)
 
 
@@ -497,10 +499,10 @@ def test_image_of_a_single_id_is_a_tuple(kind):
     every = range(len(engine.points))
     for _, lhs, rhs in _relations(kind, 3):
         for w in (lhs, rhs):
-            images = engine.image(w, every)
-            assert engine.image(w, []) == ()
+            images = engine.images_of(every)(w.gens)
+            assert engine.images_of([])(w.gens) == ()
             for k in every:
-                assert engine.image(w, [k]) == (images[k],)
+                assert engine.images_of([k])(w.gens) == (images[k],)
 
 
 @pytest.mark.parametrize("kind", ["C", "vC", "MC", "AC"])

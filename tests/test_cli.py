@@ -23,7 +23,7 @@ from cactus_crystal.cli import UsageError, main
 from cactus_crystal.crystal import CrystalError
 from cactus_crystal.groups import GroupError, parse_word
 from cactus_crystal.perms import PermError
-from cactus_crystal.tableaux import TableauError
+from cactus_crystal.tableaux import TableauError, rsk_crosscheck
 
 
 def run(capsys, argv):
@@ -125,8 +125,56 @@ def test_group_to_virtual(capsys):
 
 
 def test_group_needs_a_mode(capsys):
-    code, _, captured = run(capsys, ["group", "--n", "3"])
-    assert code == 2 and "choose one of" in captured.err
+    with pytest.raises(SystemExit) as exc:
+        main(["group", "--n", "3"])
+    assert exc.value.code == 2
+    assert ("one of the arguments --relations --project --to-virtual --s0j "
+            "--cabling is required") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, first, second", [
+    (["group", "--n", "3", "--relations", "--project", "s1_2"],
+     "--relations", "--project"),
+    (["bk", "--tableau", "1,2;3", "--i", "1", "--interval", "1,3"],
+     "--i", "--interval"),
+    (["rsk", "--word", "1", "--perm", "1"], "--word", "--perm"),
+], ids=["group", "bk", "rsk"])
+def test_two_modes_at_once_are_usage_errors(capsys, argv, first, second):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert ("argument %s: not allowed with argument %s" % (second, first)
+            in captured.err)
+
+
+def test_emit_is_only_an_option_of_crystal_and_tensor(capsys):
+    code, _, captured = run(capsys, ["tensor", "--weights", "1 1",
+                                     "--emit", "dot"])
+    assert code == 0 and captured.out.startswith("digraph")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--kind", "C", "--weights", "1 1 1", "--emit", "dot"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "unrecognized arguments: --emit dot" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["rsk", "--perm", "2,1"],
+    ["crystal", "--weight", "1", "--emit", "dot"],
+    ["image", "--shape", "2,1", "--min-order", "100"],   # a failed check
+], ids=["report", "dot", "failed-check"])
+@pytest.mark.parametrize("where", ["directory", "missing-parent",
+                                   "file-as-parent"])
+def test_unwritable_out_is_usage_error(tmp_path, capsys, argv, where):
+    (tmp_path / "file").write_text("")
+    out = {"directory": tmp_path,
+           "missing-parent": tmp_path / "missing" / "report.json",
+           "file-as-parent": tmp_path / "file" / "report.json"}[where]
+    code, _, captured = run(capsys, argv + ["--out", str(out)])
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: cannot write %r" % str(out))
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
 def test_act_matches_library(capsys):
@@ -273,8 +321,11 @@ def test_rsk_perm_flag(capsys):
     assert "P" not in payload and "Q" not in payload
     code, _, captured = run(capsys, ["rsk", "--perm", "2,2,3"])
     assert code == 2  # not a permutation
-    code, _, captured = run(capsys, ["rsk"])
-    assert code == 2 and "exactly one" in captured.err
+    with pytest.raises(SystemExit) as exc:
+        main(["rsk"])
+    assert exc.value.code == 2
+    assert ("one of the arguments --word --perm is required"
+            in capsys.readouterr().err)
 
 
 def test_image_report_flag(capsys):
@@ -378,6 +429,7 @@ def test_unknown_subcommand_exits_two():
     ["image", "--shape", "2,x"],
     ["bk", "--tableau", "1,2;3", "--interval", "1"],
     ["bk", "--tableau", "1,2;3", "--interval", "1,x"],
+    ["bk", "--tableau", "1,2;3", "--interval", ""],
 ])
 def test_bad_shape_and_interval_are_usage_errors(capsys, argv):
     code, payload, captured = run(capsys, argv)
@@ -484,6 +536,15 @@ def test_crosscheck_counts_the_product_its_letters_build(capsys, monkeypatch):
     code, payload, captured = run(capsys, ["crosscheck", "--n", "6"])
     assert code == 2 and payload is None
     assert "46656 points" in captured.err
+
+
+@pytest.mark.parametrize("n", [-1, 0, 1])
+def test_crosscheck_needs_two_factors(capsys, n):
+    with pytest.raises(TableauError, match="n >= 2 factors, not n=%d" % n):
+        rsk_crosscheck(n)
+    code, payload, captured = run(capsys, ["crosscheck", "--n", str(n)])
+    assert code == 2 and payload is None
+    assert "n >= 2" in captured.err and "rank" not in captured.err
 
 
 def test_crosscheck_refuses_a_long_n_without_computing_its_count(capsys):
@@ -735,7 +796,7 @@ FUZZ_TOKENS = ["0", "1", "2", "3", "-1", "x", "", " ", "1,2", "0,1", "1,0",
 FUZZ_INTS = ["-2", "-1", "0", "1", "2", "3", "4", "x"]
 FUZZ_SPECS = {
     ("crystal",): {"--cartan": FUZZ_TOKENS, "--weight": FUZZ_TOKENS,
-                   "--emit": ["json", "dot"]},
+                   "--emit": ["json", "dot"], "--out": ["DIR", "NODIR"]},
     ("tensor",): {"--cartan": FUZZ_TOKENS, "--weights": FUZZ_TOKENS},
     ("commutor",): {"--cartan": FUZZ_TOKENS, "--left": FUZZ_TOKENS,
                     "--right": FUZZ_TOKENS},
@@ -751,7 +812,8 @@ FUZZ_SPECS = {
     ("orbit",): {"--kind": ["C", "vC", "MC", "AC"], "--weights": FUZZ_TOKENS,
                  "--gens": FUZZ_TOKENS, "--point": FUZZ_TOKENS},
     ("image",): {"--shape": FUZZ_TOKENS, "--min-order": FUZZ_INTS,
-                 "--report": ["contains-alternating"]},
+                 "--report": ["contains-alternating"],
+                 "--out": ["DIR", "NODIR"]},
     ("rsk",): {"--word": FUZZ_TOKENS, "--perm": FUZZ_TOKENS},
     ("evac",): {"--tableau": FUZZ_TOKENS, "--partial": FUZZ_INTS},
     ("bk",): {"--tableau": FUZZ_TOKENS, "--i": FUZZ_INTS,
@@ -784,7 +846,8 @@ def fuzz_data(tmp_path):
     path = tmp_path / "data.json"
     data = from_crystals(cartan_type_a(1), [(0,), (1,)])
     path.write_text(json.dumps(category_to_json(data)))
-    return {"DATA": str(path), "NONE": str(tmp_path / "missing.json")}
+    return {"DATA": str(path), "NONE": str(tmp_path / "missing.json"),
+            "DIR": str(tmp_path), "NODIR": str(tmp_path / "no" / "out.json")}
 
 
 @given(argv=fuzz_argv())
