@@ -64,10 +64,9 @@ def point_budget(error=CactusError):
 
 def clear_caches():
     """Empty every module-level cache; later calls rebuild what they need."""
-    from . import cartan, commutor, crystal, groups
+    from . import commutor, crystal, groups
     for f in (crystal.build_irreducible, crystal.product_of_weights,
-              commutor.reversal_table, commutor.commutor_table, cartan.star,
-              cartan.weyl_elements, cartan.longest_element,
+              commutor.reversal_table, commutor.commutor_table,
               groups._check_generator):
         f.cache_clear()
 

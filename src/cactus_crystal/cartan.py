@@ -1,23 +1,19 @@
 """Cartan data, integral weights, and the involution i -> i* induced by -w0.
 
 Weights are fundamental-weight coefficient vectors, stored as plain tuples of
-ints.  Simple roots are then the columns of the Cartan matrix.  The longest
-Weyl element needed for i* is found by brute-force closure of the simple
-reflections, which is fine at the small ranks this package targets; type A
-additionally gets the closed form i* = r + 1 - i.
+ints.  Simple roots are then the columns of the Cartan matrix.  Any
+finite-type matrix is accepted as Cartan data, but i* is computed for type A
+only, by the closed form i* = r + 1 - i, as the crystals are built in type A
+only.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from operator import add, sub
 
 from . import CactusError, Frozen, check_budget, setfield
 
 Weight = tuple
-
-# guard for the brute-force Weyl closure (F4 has order 1152; E8 would not fit)
-WEYL_CLOSURE_LIMIT = 100_000
 
 
 class CartanError(CactusError):
@@ -139,6 +135,10 @@ def type_a_matrix(rank):
     )
 
 
+def is_type_a(cartan):
+    return cartan.ctype == "A" or cartan.matrix == type_a_matrix(cartan.rank)
+
+
 def cartan_type_a(rank):
     if rank < 1:
         raise CartanError("type A rank must be >= 1")
@@ -173,10 +173,6 @@ def cartan_to_json(cartan):
 # weights
 
 
-def zero_weight(cartan):
-    return (0,) * cartan.rank
-
-
 def fundamental_weight(cartan, i):
     return tuple(1 if j == i - 1 else 0 for j in range(cartan.rank))
 
@@ -184,15 +180,6 @@ def fundamental_weight(cartan, i):
 def simple_root(cartan, i):
     """alpha_i in fundamental-weight coordinates: column i of the Cartan matrix."""
     return tuple(cartan.matrix[j][i - 1] for j in range(cartan.rank))
-
-
-def pairing(cartan, weight, i):
-    """<weight, alpha_i^vee>, i.e. the i-th coefficient."""
-    return weight[i - 1]
-
-
-def is_dominant(cartan, weight):
-    return all(c >= 0 for c in weight)
 
 
 def weight_add(a, b):
@@ -204,81 +191,13 @@ def weight_sub(a, b):
 
 
 # ---------------------------------------------------------------------------
-# Weyl group closure and the star involution
+# the star involution
 
 
-def _reflection_matrix(cartan, i):
-    n = cartan.rank
-    return tuple(
-        tuple((1 if j == k else 0) - (cartan.matrix[j][i - 1] if k == i - 1 else 0)
-              for k in range(n))
-        for j in range(n)
-    )
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-
-
-def _mat_apply(m, v):
-    return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in m)
-
-
-@lru_cache(maxsize=None)
-def weyl_elements(cartan):
-    """All Weyl group elements as matrices acting on coefficient vectors."""
-    gens = [_reflection_matrix(cartan, i) for i in cartan.index_range()]
-    identity = tuple(tuple(1 if i == j else 0 for j in range(cartan.rank))
-                     for i in range(cartan.rank))
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in gens:
-                wg = _mat_mul(g, w)
-                if wg not in seen:
-                    seen.add(wg)
-                    nxt.append(wg)
-        if len(seen) > WEYL_CLOSURE_LIMIT:
-            raise CartanError("Weyl group too large for brute-force closure")
-        frontier = nxt
-    return frozenset(seen)
-
-
-@lru_cache(maxsize=None)
-def longest_element(cartan):
-    """w0 as a matrix, identified by w0(rho) = -rho."""
-    rho = (1,) * cartan.rank
-    neg = tuple(-1 for _ in range(cartan.rank))
-    for w in weyl_elements(cartan):
-        if _mat_apply(w, rho) == neg:
-            return w
-    raise CartanError("no longest element found; matrix is not of finite type")
-
-
-@lru_cache(maxsize=None)
 def star(cartan, i):
-    """The index i* with alpha_{i*} = -w0(alpha_i)."""
+    """The index i* with alpha_{i*} = -w0(alpha_i), in type A only."""
     if not 1 <= i <= cartan.rank:
         raise CartanError("index %d out of range" % i)
-    if cartan.ctype == "A":
-        return cartan.rank + 1 - i
-    w0 = longest_element(cartan)
-    target = tuple(-c for c in _mat_apply(w0, simple_root(cartan, i)))
-    for j in cartan.index_range():
-        if simple_root(cartan, j) == target:
-            return j
-    raise CartanError("-w0 does not permute the simple roots")
-
-
-def star_weight(cartan, weight):
-    """-w0(weight); permutes fundamental-weight coefficients by i -> i*."""
-    out = [0] * cartan.rank
-    for i in cartan.index_range():
-        out[star(cartan, i) - 1] = weight[i - 1]
-    return tuple(out)
+    if not is_type_a(cartan):
+        raise CartanError("i* is computed for type A only")
+    return cartan.rank + 1 - i

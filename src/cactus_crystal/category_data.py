@@ -90,7 +90,8 @@ def needed_triples(core, comp):
 
 
 def needed_pairs(core, comp):
-    """Pairs needing mult, phi and sigma data, as a dict of three lists."""
+    """Pairs needing mult, phi and sigma data and the ``needed_triples``,
+    as a dict of four lists."""
     core = list(core)
     triples = needed_triples(core, comp)
     mult_pairs = set()
@@ -117,7 +118,7 @@ def needed_pairs(core, comp):
     def srt(ps):
         return sorted(ps, key=lambda p: (_ckey(p[0]), _ckey(p[1])))
     return {"mult": srt(mult_pairs), "phi": srt(phi_pairs),
-            "sigma": srt(sigma_pairs)}
+            "sigma": srt(sigma_pairs), "triples": triples}
 
 
 def from_crystals(cartan, core_weights):
@@ -140,7 +141,6 @@ def from_crystals(cartan, core_weights):
         return sorted(heads(a, b))
 
     pairs = needed_pairs(core, comp)
-    triples = needed_triples(core, comp)
 
     colours = set(core)
     for a, b in pairs["mult"]:
@@ -188,7 +188,7 @@ def from_crystals(cartan, core_weights):
         sigma[(a, b)] = table
 
     assoc = {}
-    for a, b, c in triples:
+    for a, b, c in pairs["triples"]:
         left = {}
         for g in comp(a, b):
             for m1 in heads(a, b)[g]:
@@ -220,11 +220,11 @@ def from_crystals(cartan, core_weights):
                         sigma=sigma, phi=phi, assoc=assoc)
 
 
-def _phi_inverse(table):
+def _injective_inverse(table, what):
     inv = {}
     for k, v in table.items():
         if v in inv:
-            raise CategoryError("expansion is not injective")
+            raise CategoryError("%s is not injective" % what)
         inv[v] = k
     return inv
 
@@ -233,7 +233,7 @@ def sigma_right_composite(data, a, pair):
     """sigma_{a, b (x) c} on triples, induced blockwise through phi."""
     b, c = pair
     table = {}
-    inv = _phi_inverse(data.phi[pair])
+    inv = _injective_inverse(data.phi[pair], "expansion")
     for x in data.cl[a]:
         for y in data.cl[b]:
             for z in data.cl[c]:
@@ -248,7 +248,7 @@ def sigma_left_composite(data, pair, c):
     """sigma_{a (x) b, c} on triples, induced blockwise through phi."""
     a, b = pair
     table = {}
-    inv = _phi_inverse(data.phi[pair])
+    inv = _injective_inverse(data.phi[pair], "expansion")
     for x in data.cl[a]:
         for y in data.cl[b]:
             mu, m, w = inv[(x, y)]
@@ -443,15 +443,14 @@ def is_valid(data):
     return validate(data, fail_fast=True)["passed"]
 
 
-def mutate_category(data, rng=None, seed=None):
+def mutate_category(data, seed=None):
     """Swap two values inside one stored bijection; returns (mutant, note).
 
     Only the patched table is copied; the mutant shares every other table
     with data, which is safe as CategoryData is treated as immutable, and
     the comp index too, as mult is one of the shared tables.
     """
-    if rng is None:
-        rng = random.Random(seed)
+    rng = random.Random(seed)
     targets = []
     for pair, table in sorted(data.sigma.items(), key=lambda kv: repr(kv[0])):
         if len(table) >= 2:
@@ -597,7 +596,6 @@ class FiberSystem:
     gamma2: dict
     e_act: dict
     x_act: dict
-    meta: dict = field(default_factory=dict)
 
 
 def _skey(i, j):
@@ -718,11 +716,7 @@ def category_from_covering(fs):
     phi = {pair: dict(t) for pair, t in fs.transport.items()}
     assoc = {}
     for triple, g1 in fs.gamma1.items():
-        g1_inv = {}
-        for k, v in g1.items():
-            if v in g1_inv:
-                raise CategoryError("first glue map is not injective")
-            g1_inv[v] = k
+        g1_inv = _injective_inverse(g1, "first glue map")
         table = {}
         for (rho, _c, elt, _u), v in fs.gamma2[triple].items():
             if v not in g1_inv:

@@ -50,17 +50,6 @@ class CrystalBijection:
     def __call__(self, b):
         return self.mapping[b]
 
-    def inverse(self):
-        inv = [None] * self.codomain.size
-        for b, c in enumerate(self.mapping):
-            inv[c] = b
-        return CrystalBijection(self.codomain, self.domain, tuple(inv))
-
-    def compose(self, other):
-        """self after other (other first)."""
-        return CrystalBijection(other.domain, self.codomain,
-                                tuple(self.mapping[c] for c in other.mapping))
-
     def to_pairs(self):
         return [[b, self.mapping[b]] for b in self.domain.elements()]
 

@@ -26,8 +26,8 @@ from itertools import compress
 from . import CactusError, fields_repr
 from .cartan import (
     cartan_to_json,
+    is_type_a,
     simple_root,
-    type_a_matrix,
     weight_add,
     weight_sub,
 )
@@ -54,7 +54,7 @@ class CrystalGraph:
         self.labels = tuple(range(self.size)) if labels is None else labels
         self.e_maps = e_maps if e_maps is not None else {
             i: _invert_partial(f_maps[i], self.size, i) for i in f_maps}
-        self._label_index = self._heads = self._xi = None
+        self._heads = self._xi = None
         if len(set(self.labels)) != self.size:
             raise CrystalError("element labels are not distinct")
         self._check_axioms()
@@ -99,11 +99,6 @@ class CrystalGraph:
 
     def phi(self, i, b):
         return self._phi[i][b]
-
-    def index_of_label(self, label):
-        if self._label_index is None:
-            self._label_index = {lbl: b for b, lbl in enumerate(self.labels)}
-        return self._label_index[label]
 
     def highest_weight_elements(self):
         if self._heads is None:
@@ -185,11 +180,6 @@ def _string_walk(e_map, f_map):
 # irreducible type-A crystals on semistandard tableaux
 
 
-def _is_type_a_matrix(cartan):
-    r = cartan.rank
-    return r >= 1 and cartan.matrix == type_a_matrix(r)
-
-
 def shape_of_weight(weight):
     """Partition whose column counts are the fundamental coefficients."""
     rank = len(weight)
@@ -248,7 +238,7 @@ def _check_weight(cartan, weight):
         raise CrystalError("weight length does not match rank")
     if any(c < 0 for c in weight):
         raise CrystalError("highest weight must be dominant")
-    if not _is_type_a_matrix(cartan):
+    if not is_type_a(cartan):
         raise CrystalError(
             "irreducible crystals are only constructed for type A matrices")
     return shape_of_weight(weight)
@@ -432,8 +422,8 @@ def components(graph):
     """Connected components as (highest element id, sub-crystal) pairs.
 
     Every component must contain exactly one element killed by all e_i.
-    Sub-crystals inherit the parent labels, so parent ids are recoverable via
-    ``index_of_label``.
+    Sub-crystals inherit the parent labels, so parent ids are recoverable
+    from them.
     """
     return [(head, _subgraph(graph, group))
             for head, group in component_members(graph)]
@@ -512,7 +502,7 @@ def normality_report(graph):
     Returns a dict with status "normal", "not_normal", or "unverifiable"
     (the latter when no reference construction exists for the Cartan data).
     """
-    if not _is_type_a_matrix(graph.cartan):
+    if not is_type_a(graph.cartan):
         return {"status": "unverifiable",
                 "detail": "no reference construction for this Cartan matrix"}
     for head, members in component_members(graph):
@@ -529,13 +519,6 @@ def normality_report(graph):
             return {"status": "not_normal", "head": head,
                     "detail": "component at %d is not B(%r)" % (head, wt)}
     return {"status": "normal"}
-
-
-def is_normal(graph):
-    report = normality_report(graph)
-    if report["status"] == "unverifiable":
-        raise CrystalError("normality unverifiable: " + report["detail"])
-    return report["status"] == "normal"
 
 
 # ---------------------------------------------------------------------------
@@ -559,8 +542,8 @@ def export_graph(graph):
 _DOT_COLOURS = ["red", "blue", "darkgreen", "orange", "purple", "brown", "cyan4"]
 
 
-def to_dot(graph, name="crystal"):
-    lines = ["digraph %s {" % name, "  rankdir=TB;"]
+def to_dot(graph):
+    lines = ["digraph crystal {", "  rankdir=TB;"]
     for b in graph.elements():
         lines.append('  n%d [label="%d:%s"];' % (b, b, ",".join(map(str, graph.wt(b)))))
     for i in graph.index_range():

@@ -143,11 +143,6 @@ class GroupWord(Frozen):
         setfield(self, "gens", gens)
         setfield(self, "_key", (kind, n, gens))
 
-    def __mul__(self, other):
-        if (self.kind, self.n) != (other.kind, other.n):
-            raise GroupError("cannot concatenate words of different flavours")
-        return GroupWord(self.kind, self.n, self.gens + other.gens)
-
     def __len__(self):
         return len(self.gens)
 
@@ -310,10 +305,6 @@ def defining_relation_families(kind, n):
     if kind == "MC" and n >= 2:
         raise GroupError("the mirabolic flavour has no known presentation")
     return _word_list(kind, n)
-
-
-def defining_relations(kind, n):
-    return [(lhs, rhs) for _, lhs, rhs in defining_relation_families(kind, n)]
 
 
 def mc_relation_suite(n):

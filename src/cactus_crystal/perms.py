@@ -75,11 +75,6 @@ def cyclic_reversal(n, i, j):
     return tuple(w)
 
 
-def is_translation(w, i, j):
-    """w(i + k) = w(i) + k for the whole block [i, j] (no wrap)."""
-    return all(w[i - 1 + k] == w[i - 1] + k for k in range(j - i + 1))
-
-
 def all_perms(n):
     return [tuple(p) for p in permutations(range(1, n + 1))]
 

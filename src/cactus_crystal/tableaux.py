@@ -287,10 +287,16 @@ def bk_braid_witness(max_cells=6, max_entry=4):
     """Smallest semistandard witness that adjacent swaps do not braid.
 
     Scans shapes by cell count, then fillings, then the index i; returns a
-    dict with the tableau and both triple products, or None.
+    dict with the tableau and both triple products, or None.  With entries
+    below 3 there is no index to test, and a shape with more rows than
+    max_entry has no filling, so neither is scanned.
     """
+    if max_entry < 3:
+        return None
     for n in range(1, max_cells + 1):
         for shp in partitions_of(n):
+            if len(shp) > max_entry:
+                continue
             for t in sorted(semistandard_tableaux(shp, max_entry)):
                 for i in range(1, max_entry - 1):
                     lhs = bender_knuth(i, bender_knuth(i + 1, bender_knuth(i, t)))

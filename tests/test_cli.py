@@ -274,6 +274,15 @@ def test_bk_braid_witness(capsys):
     assert code == 1 and payload["witness"] is None
 
 
+def test_braid_witness_with_entries_below_three_stops_at_once(capsys):
+    # no index i with i + 2 <= max_entry to test, so no shape is walked
+    start = time.monotonic()
+    code, payload, _ = run(capsys, ["bk", "--braid-witness", "--max-entry",
+                                    "2", "--max-cells", "40"])
+    assert code == 1 and payload["witness"] is None
+    assert time.monotonic() - start < 2
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--max-cells", "-1"), ("--max-cells", "0"), ("--max-entry", "-3"),
 ])
@@ -761,12 +770,11 @@ def test_category_file_commands_load_no_action_layer(tmp_path, op):
 
 
 def test_clear_caches_empties_every_module_cache():
-    from cactus_crystal import cartan, commutor, crystal, groups
+    from cactus_crystal import commutor, crystal, groups
     from cactus_crystal.actions import verify_relations
 
     caches = (crystal.build_irreducible, crystal.product_of_weights,
               commutor.reversal_table, commutor.commutor_table,
-              cartan.weyl_elements, cartan.longest_element, cartan.star,
               groups._check_generator)
     a2 = cartan_type_a(2)
 
@@ -774,8 +782,7 @@ def test_clear_caches_empties_every_module_cache():
         rep = verify_relations(a2, "vC", 3, [((1, 0), (0, 1), (1, 0))])
         del rep["duration_s"]
         return (rep, commutor.reversal_table(a2, ((1, 0), (1, 1))),
-                commutor.commutor_table(a2, ((1, 0),), ((1, 1),)).mapping,
-                cartan.longest_element(a2), cartan.star_weight(a2, (2, 1)))
+                commutor.commutor_table(a2, ((1, 0),), ((1, 1),)).mapping)
 
     before = results()
     assert all(f.cache_info().currsize > 0 for f in caches)

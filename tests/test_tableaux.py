@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cactus_crystal import actions
-from cactus_crystal.groups import defining_relations, format_word
+from cactus_crystal.groups import defining_relation_families, format_word
 from cactus_crystal.tableaux import (
     TableauError,
     bender_knuth,
@@ -162,7 +162,7 @@ def test_bk_cactus_satisfies_interval_relations():
             t = bk_cactus_act(g.i, g.j, t)
         return t
 
-    for lhs, rhs in defining_relations("C", n):
+    for _, lhs, rhs in defining_relation_families("C", n):
         for t in tabs:
             assert act_word(lhs, t) == act_word(rhs, t), \
                 "%s vs %s" % (format_word(lhs), format_word(rhs))
@@ -192,6 +192,27 @@ def test_braid_witness_frozen():
 
 def test_braid_witness_none_when_capped():
     assert bk_braid_witness(max_cells=2) is None
+
+
+def _plain_braid_witness(max_cells, max_entry):
+    """Every shape and index, with no early exit: the oracle."""
+    for n in range(1, max_cells + 1):
+        for shp in partitions_of(n):
+            for t in sorted(semistandard_tableaux(shp, max_entry)):
+                for i in range(1, max_entry - 1):
+                    lhs = bender_knuth(i, bender_knuth(i + 1, bender_knuth(i, t)))
+                    rhs = bender_knuth(i + 1, bender_knuth(i, bender_knuth(i + 1, t)))
+                    if lhs != rhs:
+                        return t, i
+    return None
+
+
+@pytest.mark.parametrize("max_entry", [1, 2, 3, 4])
+@pytest.mark.parametrize("max_cells", [1, 3, 5])
+def test_braid_witness_matches_the_plain_scan(max_cells, max_entry):
+    w = bk_braid_witness(max_cells=max_cells, max_entry=max_entry)
+    found = None if w is None else (w["tableau"], w["index"])
+    assert found == _plain_braid_witness(max_cells, max_entry)
 
 
 def test_rsk_crosscheck_story():
