@@ -15,10 +15,12 @@ workload, and the per-layer *.s totals of the traced run.  With --baseline,
 pairs the change wins, the parent's quartiles, and a verdict: "unchanged"
 when the medians differ by no more than the parent's interquartile range,
 else "better" or "worse" when at least 9 in 10 pairs agree, else
-"unresolved".  Each side writes and reads its .pyc files in its own fresh
-PYTHONPYCACHEPREFIX directory (PYTHONDONTWRITEBYTECODE is cleared), so both
-compile once and neither reads .pyc files its checkout already had.  Exits
-1 if any run reports a wrong result.
+"unresolved".  Each side reads and writes .pyc files only in its own fresh
+PYTHONPYCACHEPREFIX directory, so neither reads .pyc files its checkout
+already had.  PYTHONDONTWRITEBYTECODE is passed on as it is set, and
+recorded: when it is set, no .pyc is written, so every process compiles
+what it imports, and the cli workload pays that on every command.  Exits 1
+if any run reports a wrong result.
 """
 
 import argparse
@@ -89,7 +91,7 @@ def main(argv=None):
     if args.baseline:
         sides["parent"] = args.baseline.resolve()
     tmp = tempfile.TemporaryDirectory(prefix="record_bench-")
-    envs = {side: dict(os.environ, PYTHONDONTWRITEBYTECODE="",
+    envs = {side: dict(os.environ,
                        PYTHONPYCACHEPREFIX=os.path.join(tmp.name, side))
             for side in sides}
     metas = {}
@@ -105,7 +107,9 @@ def main(argv=None):
                 runs[side][workload].append(values)
                 correct &= ok
     record = {"pr": args.pr, "seconds": args.seconds, "pairs": args.pairs,
-              "seeds": list(range(1, args.pairs + 1))}
+              "seeds": list(range(1, args.pairs + 1)),
+              "dont_write_bytecode": bool(
+                  os.environ.get("PYTHONDONTWRITEBYTECODE"))}
     for side in sides:
         _, layers, ok = run_bench(sides[side], envs[side], "relations", 1,
                                   args.seconds, 1)

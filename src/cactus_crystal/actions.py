@@ -30,7 +30,7 @@ from operator import itemgetter
 from . import Frozen, check_budget, point_budget as _point_budget, setfield
 from .cartan import cartan_to_json
 from .commutor import reversal_table
-from .crystal import build_irreducible
+from .crystal import build_irreducible, multinomial
 from .groups import (
     CactusGen,
     GroupError,
@@ -127,7 +127,20 @@ def count_points(cartan, weights):
 
 
 def weight_orderings(weights):
-    return sorted(set(permutations(tuple(tuple(w) for w in weights))))
+    """The distinct orderings of weights, ascending: each distinct weight
+    leads once, so a repeated weight does not give n! orderings to dedupe."""
+    rest = sorted(map(tuple, weights))
+    return [(w,) + tail for k, w in enumerate(rest) if w not in rest[:k]
+            for tail in weight_orderings(rest[:k] + rest[k + 1:])] or [()]
+
+
+def check_closure(cartan, weight_tuples):
+    """The sorted weight multisets of weight_tuples; raises GroupError first
+    if their reordering closure, multinomial times points each, is too big."""
+    multisets = sorted({tuple(sorted(map(tuple, t))) for t in weight_tuples})
+    check_budget(sum(multinomial([m.count(w) for w in set(m)]) * count_points(cartan, m)
+                     for m in multisets), "point space", error=GroupError)
+    return multisets
 
 
 def _apply_columns(steps, columns):
@@ -149,13 +162,12 @@ class CompiledAction:
     weight tuple to its entry tuple -> id dict.  table(g), the ids of the
     images of points under g, resolves g once per block on first use and runs
     its steps on the block's entry columns; images_of(ids) composes tables.
-    The budget is checked first.
+    The budget is checked first, before the closure is listed.
     """
 
     def __init__(self, cartan, weight_tuples):
-        closure = sorted({o for t in weight_tuples for o in weight_orderings(t)})
-        check_budget(sum(count_points(cartan, t) for t in closure),
-                     "point space", error=GroupError)
+        closure = sorted(o for m in check_closure(cartan, weight_tuples)
+                         for o in weight_orderings(m))
         self.cartan = cartan
         self.points = [p for t in closure for p in iter_points(cartan, t)]
         self.blocks = {t: {} for t in closure}

@@ -13,8 +13,6 @@ from operator import add, sub
 
 from . import CactusError, Frozen, check_budget, setfield
 
-Weight = tuple
-
 
 class CartanError(CactusError):
     pass

@@ -61,6 +61,7 @@ class CategoryData:
     phi: dict
     assoc: dict
     _comp: dict = field(init=False, repr=False, compare=False)
+    _targets: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         comp = {}
@@ -448,19 +449,17 @@ def mutate_category(data, seed=None):
 
     Only the patched table is copied; the mutant shares every other table
     with data, which is safe as CategoryData is treated as immutable, and
-    the comp index too, as mult is one of the shared tables.
+    the comp index too, as mult is one of the shared tables.  The patchable
+    tables are listed once per data; a mutant, with the same keys, keeps them.
     """
     rng = random.Random(seed)
-    targets = []
-    for pair, table in sorted(data.sigma.items(), key=lambda kv: repr(kv[0])):
-        if len(table) >= 2:
-            targets.append(("sigma", pair))
-    for pair, table in sorted(data.phi.items(), key=lambda kv: repr(kv[0])):
-        if len(table) >= 2:
-            targets.append(("phi", pair))
-    for triple, table in sorted(data.assoc.items(), key=lambda kv: repr(kv[0])):
-        if len(table) >= 2:
-            targets.append(("assoc", triple))
+    targets = data._targets
+    if targets is None:
+        targets = data._targets = tuple(
+            (kind, key) for kind, tables in (("sigma", data.sigma),
+                                             ("phi", data.phi),
+                                             ("assoc", data.assoc))
+            for key in sorted(tables, key=repr) if len(tables[key]) >= 2)
     if not targets:
         raise CategoryError("nothing to mutate")
     kind, where = targets[rng.randrange(len(targets))]

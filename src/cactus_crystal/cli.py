@@ -207,7 +207,7 @@ def cmd_act(args):
 
 
 def cmd_verify(args):
-    from .actions import verify_relations, weight_orderings
+    from .actions import check_closure, verify_relations, weight_orderings
 
     cartan = _parse_cartan(args)
     if args.choices:
@@ -225,6 +225,8 @@ def cmd_verify(args):
         if len(base) != args.n:
             raise UsageError("--weights gives %d factors, --n is %d"
                              % (len(base), args.n))
+        if args.all_orderings:
+            check_closure(cartan, [base])
         tuples = weight_orderings(base) if args.all_orderings else [tuple(base)]
     rep = verify_relations(cartan, args.kind, args.n, tuples)
     return _report("verify", rep["passed"], **rep)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import compress
+from math import factorial, prod
 
 from . import CactusError, fields_repr
 from .cartan import (
@@ -45,11 +46,12 @@ class CrystalGraph:
     ``labels`` carries an arbitrary hashable per element (tableaux for
     irreducibles, id tuples for products) so that derived graphs remember
     where their elements came from.  ``f_maps`` and ``e_maps`` map i to a
-    tuple of target ids or None.  Graphs are equal when their fields are,
-    whatever they have cached, and unhashable.
+    tuple of target ids or None.  ``strings``, eps and phi dicts derived from
+    graphs this one is built from, spares walking each i-string.  Graphs are
+    equal when their fields are, whatever they have cached, and unhashable.
     """
 
-    def __init__(self, cartan, wts, f_maps, e_maps=None, labels=None):
+    def __init__(self, cartan, wts, f_maps, e_maps=None, labels=None, strings=None):
         self.cartan, self.wts, self.f_maps = cartan, wts, f_maps
         self.labels = tuple(range(self.size)) if labels is None else labels
         self.e_maps = e_maps if e_maps is not None else {
@@ -58,9 +60,7 @@ class CrystalGraph:
         if len(set(self.labels)) != self.size:
             raise CrystalError("element labels are not distinct")
         self._check_axioms()
-        self._eps, self._phi = {}, {}
-        for i in self.index_range():
-            self._eps[i], self._phi[i] = _string_walk(self.e_maps[i], self.f_maps[i])
+        self._eps, self._phi = strings or _string_walk(self)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -156,24 +156,28 @@ def _undefined_everywhere(graph, maps):
     return tuple(compress(graph.elements(), undefined))
 
 
-def _string_walk(e_map, f_map):
-    """eps/phi arrays for one index, walking each i-string top to bottom."""
-    size = len(f_map)
-    eps, phi = [None] * size, [None] * size
-    for top in range(size):
-        if e_map[top] is not None:
-            continue
-        chain = [top]
-        b = f_map[top]
-        while b is not None:
-            chain.append(b)
-            b = f_map[b]
-        length = len(chain) - 1
-        for k, b in enumerate(chain):
-            eps[b], phi[b] = k, length - k
-    if None in eps:
-        raise CrystalError("broken i-string structure")
-    return tuple(eps), tuple(phi)
+def _string_walk(graph):
+    """The eps and phi dicts of a graph, index to tuple per element, by
+    walking each i-string top to bottom."""
+    eps, phi = {}, {}
+    for i in graph.index_range():
+        e_map, f_map = graph.e_maps[i], graph.f_maps[i]
+        up, down = [None] * graph.size, [None] * graph.size
+        for top in graph.elements():
+            if e_map[top] is not None:
+                continue
+            chain = [top]
+            b = f_map[top]
+            while b is not None:
+                chain.append(b)
+                b = f_map[b]
+            length = len(chain) - 1
+            for k, b in enumerate(chain):
+                up[b], down[b] = k, length - k
+        if None in up:
+            raise CrystalError("broken i-string structure")
+        eps[i], phi[i] = tuple(up), tuple(down)
+    return eps, phi
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +260,11 @@ def weyl_dimension(cartan, weight):
     return num // den
 
 
+def multinomial(counts):
+    """Distinct orderings of a multiset whose elements occur counts times."""
+    return factorial(sum(counts)) // prod(map(factorial, counts))
+
+
 @lru_cache(maxsize=None)
 def build_irreducible(cartan, weight):
     """The connected normal crystal with highest weight ``weight``.
@@ -333,7 +342,8 @@ def component_ids(graph):
 def tensor(left, right, flatten=False):
     """Tensor product crystal; elements are id pairs (or flattened id tuples).
 
-    The element with label (a, b) has id a * right.size + b.
+    The element with label (a, b) has id a * right.size + b.  By the tensor
+    rule, eps(a (x) b) = eps(b) + max(0, eps(a) - phi(b)) and dually phi.
     """
     if left.cartan != right.cartan:
         raise CrystalError("tensor factors live over different Cartan data")
@@ -373,7 +383,14 @@ def tensor(left, right, flatten=False):
                     e_arr.append(None if eb is None else row + eb)
         f_maps[i] = tuple(f_arr)
         e_maps[i] = tuple(e_arr)
-    return CrystalGraph(cartan, tuple(wts), f_maps, e_maps, labels=labels)
+    eps, phi = {}, {}
+    for i in cartan.index_range():
+        l_eps, r_eps, r_phi = left._eps[i], right._eps[i], right._phi[i]
+        eps[i] = tuple(eb + (ea - pb if ea > pb else 0)
+                       for ea in l_eps for eb, pb in zip(r_eps, r_phi))
+        phi[i] = tuple(pa + (pb - ea if pb > ea else 0)
+                       for ea, pa in zip(l_eps, left._phi[i]) for pb in r_phi)
+    return CrystalGraph(cartan, tuple(wts), f_maps, e_maps, labels, (eps, phi))
 
 
 def _as_tuple(label):
@@ -387,7 +404,8 @@ def tensor_many(factors):
     if len(factors) == 1:
         first = factors[0]
         return CrystalGraph(first.cartan, first.wts, first.f_maps, first.e_maps,
-                            labels=tuple((b,) for b in first.elements()))
+                            tuple((b,) for b in first.elements()),
+                            (first._eps, first._phi))
     graph = tensor(factors[0], factors[1])    # labels (a, b) are already flat
     for nxt in factors[2:]:
         graph = tensor(graph, nxt, flatten=True)
@@ -396,8 +414,12 @@ def tensor_many(factors):
 
 @lru_cache(maxsize=None)
 def product_of_weights(cartan, weights):
-    """Cached flat tensor product of irreducibles B(w_1) x .. x B(w_m)."""
-    return tensor_many([build_irreducible(cartan, w) for w in weights])
+    """Cached flat tensor product of irreducibles B(w_1) x .. x B(w_m); from
+    three factors on, the cached product of the first m - 1 times B(w_m)."""
+    if len(weights) < 3:
+        return tensor_many([build_irreducible(cartan, w) for w in weights])
+    return tensor(product_of_weights(cartan, weights[:-1]),
+                  build_irreducible(cartan, weights[-1]), flatten=True)
 
 
 def product_heads(cartan, left, right):
@@ -458,12 +480,14 @@ def _subgraph(graph, members):
     local = {b: k for k, b in enumerate(members)}
     wts = tuple(graph.wts[b] for b in members)
     labels = tuple(graph.labels[b] for b in members)
-    f_maps, e_maps = {}, {}
+    f_maps, e_maps, eps, phi = {}, {}, {}, {}
     for i in graph.index_range():
         f_map, e_map = graph.f_maps[i], graph.e_maps[i]
         f_maps[i] = tuple(None if f_map[b] is None else local[f_map[b]] for b in members)
         e_maps[i] = tuple(None if e_map[b] is None else local[e_map[b]] for b in members)
-    return CrystalGraph(graph.cartan, wts, f_maps, e_maps, labels=labels)
+        eps[i] = tuple(map(graph._eps[i].__getitem__, members))
+        phi[i] = tuple(map(graph._phi[i].__getitem__, members))
+    return CrystalGraph(graph.cartan, wts, f_maps, e_maps, labels, (eps, phi))
 
 
 def walk_in_step(graph, other, start, other_start):

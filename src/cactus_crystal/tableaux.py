@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
+from operator import itemgetter
 
 from . import MAX_POINTS_ENV, CactusError, check_budget, point_budget
 from .perms import inverse
@@ -321,7 +322,7 @@ def rsk_crosscheck(n):
     from .actions import _apply_columns, _resolve
     from .cartan import cartan_type_a, fundamental_weight
     from .groups import CactusGen, PermGen
-    from .perms import all_perms, compose
+    from .perms import all_perms
 
     if n < 2:
         raise TableauError("crosscheck needs n >= 2 factors, not n=%d" % n)
@@ -348,12 +349,14 @@ def rsk_crosscheck(n):
                                    % (g, a, tuple(e + 1 for e in out)))
             yield a, word_of[out]
 
+    # pull[u](v) is v o u, so a o w is pull[w](a) and w o a is pull[a](w)
+    pull = {a: itemgetter(*(v - 1 for v in a)) for a in words}
     perm_rules = {"precompose": True, "postcompose": True}
     for w in words:
         for a, out in images(PermGen(w)):
-            if out != compose(a, w):
+            if out != pull[w](a):
                 perm_rules["precompose"] = False
-            if out != compose(w, a):
+            if out != pull[a](w):
                 perm_rules["postcompose"] = False
 
     stories = {(ident, factor): True

@@ -3,9 +3,10 @@ import os
 import subprocess
 import sys
 import time
-from itertools import product
+from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cactus_crystal import DEFAULT_MAX_POINTS, MAX_POINTS_ENV, actions
 from cactus_crystal.actions import (
@@ -228,6 +229,23 @@ def test_count_and_orderings():
     assert count_points(A1, W112) == 12
     assert len(weight_orderings(W112)) == 3
     assert len(weight_orderings(W111)) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 1)),
+                max_size=6).map(tuple))
+def test_weight_orderings_lists_the_distinct_permutations(weights):
+    assert weight_orderings(weights) == sorted(set(permutations(weights)))
+
+
+def test_budget_counts_the_reordering_closure_before_listing_it(monkeypatch):
+    # (1, 1, 2): 3 orderings of 12 points, and (1, 2, 2) 3 of 18
+    monkeypatch.setenv(MAX_POINTS_ENV, "89")
+    with pytest.raises(GroupError, match="point space has 90 points"):
+        CompiledAction(A1, [W112, ((2,), (1,), (2,))])
+    monkeypatch.setenv(MAX_POINTS_ENV, "90")
+    engine = CompiledAction(A1, [W112, ((2,), (1,), (2,))])
+    assert len(engine.points) == 90
 
 
 def test_point_helpers():

@@ -383,6 +383,43 @@ def test_mutant_shares_every_table_it_does_not_patch(a2_data):
     assert kinds == {"sigma", "phi", "assoc"}
 
 
+# the notes of seeds 0..7 on the A2 core from mutate_category as it was when
+# it listed and sorted its targets on every call
+RECORDED_A2_NOTES = [
+    {"kind": "assoc", "where": "((1, 1), (3, 0), (0, 0))",
+     "swapped": ["((4, 1), (4, 1), '0', '0')", "((2, 2), (2, 2), '20', '0')"]},
+    {"kind": "sigma", "where": "((3, 0), (0, 1))",
+     "swapped": ["('6', '0')", "('9', '0')"]},
+    {"kind": "assoc", "where": "((2, 2), (1, 0), (0, 1))",
+     "swapped": ["((1, 3), (0, 3), '9', '24')", "((1, 3), (1, 4), '9', '0')"]},
+    {"kind": "phi", "where": "((1, 1), (3, 0))",
+     "swapped": ["((4, 1), '0', '5')", "((4, 1), '0', '30')"]},
+    {"kind": "phi", "where": "((1, 1), (2, 2))",
+     "swapped": ["((2, 2), '108', '7')", "((1, 4), '54', '16')"]},
+    {"kind": "assoc", "where": "((1, 0), (0, 2), (1, 1))",
+     "swapped": ["((1, 2), (0, 4), '0', '24')", "((1, 2), (1, 2), '0', '32')"]},
+    {"kind": "assoc", "where": "((1, 1), (1, 1), (0, 1))",
+     "swapped": ["((2, 2), (1, 2), '0', '18')", "((0, 3), (0, 4), '16', '0')"]},
+    {"kind": "assoc", "where": "((0, 0), (1, 0), (2, 1))",
+     "swapped": ["((1, 0), (1, 2), '0', '15')", "((1, 0), (2, 0), '0', '30')"]},
+]
+
+
+def test_mutation_notes_match_the_recorded_ones(a2_data):
+    notes = [mutate_category(a2_data, seed=seed)[1] for seed in range(8)]
+    assert notes == RECORDED_A2_NOTES
+    # targets are ordered by repr, not by the order the tables were stored in
+    backwards = {name: dict(reversed(getattr(a2_data, name).items()))
+                 for name in ("sigma", "phi", "assoc")}
+    shuffled = replace(a2_data, **backwards)
+    assert [mutate_category(shuffled, seed=seed)[1]
+            for seed in range(8)] == RECORDED_A2_NOTES
+    # a mutant keeps the target list of its source, whose keys it shares
+    mutant, _ = mutate_category(a2_data, seed=0)
+    assert [mutate_category(mutant, seed=seed)[1]["where"]
+            for seed in range(8)] == [n["where"] for n in RECORDED_A2_NOTES]
+
+
 def test_full_report_never_marks_a_failed_check_ok(core_data):
     for seed in range(8):
         mutant, note = mutate_category(core_data, seed=seed)

@@ -652,6 +652,27 @@ def test_products_respect_point_budget(capsys, monkeypatch, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["verify", "--kind", "C", "--n", "12", "--choices", "1"],
+    ["verify", "--kind", "C", "--all-orderings", "--weights",
+     " ".join(str(c) for c in range(1, 13))],
+], ids=["twelve-equal", "twelve-distinct"])
+def test_verify_counts_the_reordering_closure_before_listing_it(argv):
+    # 12 equal weights have one ordering of 2^12 points and 12 distinct ones
+    # 12! orderings: both are refused before any ordering is listed, in a
+    # fresh process that a listing of all 12! would keep past its timeout
+    src = os.path.dirname(os.path.dirname(cactus_crystal.__file__))
+    start = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "cactus_crystal.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=src,
+                                   CACTUS_CRYSTAL_MAX_POINTS="1000"),
+                          capture_output=True, text=True, timeout=5)
+    assert time.monotonic() - start < 5
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "point space has" in proc.stderr
+    assert "CACTUS_CRYSTAL_MAX_POINTS" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
     ["act", "--weights", "10 10 10", "--word", "s1_2", "--point", "0,0,0"],
     ["act", "--kind", "vC", "--weights", "10 10 10", "--word", "w[2,3,1]",
      "--point", "0,1,2"],

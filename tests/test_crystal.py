@@ -13,6 +13,7 @@ from cactus_crystal.cartan import (
 from cactus_crystal.crystal import (
     CrystalError,
     CrystalGraph,
+    _string_walk,
     build_irreducible,
     component_ids,
     components,
@@ -290,6 +291,36 @@ def test_tensor_many_flat_labels():
     single = tensor_many([build_irreducible(A1, (2,))])
     assert single.labels == ((0,), (1,), (2,))
     assert single.f_maps == build_irreducible(A1, (2,)).f_maps
+
+
+SMALL_WEIGHTS = [(c, w) for c in (A1, A2, A3)
+                 for w in product(range(3), repeat=c.rank) if sum(w) <= 2]
+
+
+@pytest.mark.parametrize("cartan", [A1, A2, A3], ids=["A1", "A2", "A3"])
+def test_tensor_rule_strings_match_the_string_walk(cartan):
+    # tensor reads eps/phi off its factors and components restrict them;
+    # the plain path walks every i-string of the graph itself
+    weights = [w for c, w in SMALL_WEIGHTS if c is cartan]
+    for left, right in product(weights, repeat=2):
+        t = tensor(build_irreducible(cartan, left),
+                   build_irreducible(cartan, right))
+        for g in [t, *(sub for _, sub in components(t))]:
+            assert (g._eps, g._phi) == _string_walk(g), (left, right)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(
+    st.lists(st.tuples(st.integers(0, 2)), min_size=1, max_size=4),
+    st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)),
+             min_size=1, max_size=4)))
+def test_product_of_weights_equals_the_left_fold(weights):
+    cartan = A1 if len(weights[0]) == 1 else A2
+    weights = tuple(weights)
+    extended = product_of_weights(cartan, weights)
+    folded = tensor_many([build_irreducible(cartan, w) for w in weights])
+    assert extended == folded
+    assert (extended._eps, extended._phi) == (folded._eps, folded._phi)
 
 
 def test_product_of_weights_cached():
