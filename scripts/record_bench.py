@@ -15,12 +15,16 @@ workload, and the per-layer *.s totals of the traced run.  With --baseline,
 pairs the change wins, the parent's quartiles, and a verdict: "unchanged"
 when the medians differ by no more than the parent's interquartile range,
 else "better" or "worse" when at least 9 in 10 pairs agree, else
-"unresolved".  Each side reads and writes .pyc files only in its own fresh
-PYTHONPYCACHEPREFIX directory, so neither reads .pyc files its checkout
-already had.  PYTHONDONTWRITEBYTECODE is passed on as it is set, and
-recorded: when it is set, no .pyc is written, so every process compiles
-what it imports, and the cli workload pays that on every command.  Exits 1
-if any run reports a wrong result.
+"unresolved".  Runs inherit the environment as it is, as the benchmark's
+own runs do; the file records whether PYTHONDONTWRITEBYTECODE is set.  When
+it is, no .pyc is written, so every process compiles the package and the
+cli workload pays that on every command, while the Python install's .pyc
+files are read as usual.  A checkout with .pyc files under src/ or
+perfbench/ is then refused, since its runs would read them and skip the
+compiling the other side does.  (A fresh PYTHONPYCACHEPREFIX would hide
+them, but also every .pyc of the install, and compiling the standard
+library too put cli at 8 s a pass against 2.3 s.)  Exits 1 if any run
+reports a wrong result.
 """
 
 import argparse
@@ -28,7 +32,6 @@ import json
 import os
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 from statistics import median, quantiles
 
@@ -36,14 +39,13 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("relations", "category", "crystals", "cli")
 
 
-def run_bench(checkout, env, workload, seed, seconds, trace):
+def run_bench(checkout, workload, seed, seconds, trace):
     """One perfbench run: its metadata, metrics and failed ratio."""
     proc = subprocess.run(
         [sys.executable, str(checkout / "perfbench" / "run.py"),
          "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=checkout, capture_output=True, text=True, check=True,
-        env=env)
+        cwd=checkout, capture_output=True, text=True, check=True)
     lines = proc.stdout.splitlines()
     meta = json.loads(next(l for l in lines if l.startswith("# meta "))[7:])
     result = json.loads(lines[-1])
@@ -90,10 +92,13 @@ def main(argv=None):
     sides = {"change": ROOT}
     if args.baseline:
         sides["parent"] = args.baseline.resolve()
-    tmp = tempfile.TemporaryDirectory(prefix="record_bench-")
-    envs = {side: dict(os.environ,
-                       PYTHONPYCACHEPREFIX=os.path.join(tmp.name, side))
-            for side in sides}
+    dont_write_bytecode = bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))
+    cached = [str(pyc) for checkout in sides.values()
+              for tree in ("src", "perfbench")
+              for pyc in (checkout / tree).rglob("*.pyc")]
+    if dont_write_bytecode and cached:
+        parser.error("PYTHONDONTWRITEBYTECODE is set, but runs would read "
+                     "these .pyc files: " + " ".join(cached))
     metas = {}
     runs = {side: {w: [] for w in WORKLOADS} for side in sides}
     correct = True
@@ -101,17 +106,16 @@ def main(argv=None):
         order = list(sides) if k % 2 == 0 else list(sides)[::-1]
         for workload in WORKLOADS:
             for side in order:
-                meta, values, ok = run_bench(sides[side], envs[side],
-                                             workload, k + 1, args.seconds, 0)
+                meta, values, ok = run_bench(sides[side], workload, k + 1,
+                                             args.seconds, 0)
                 metas.setdefault(side, meta)
                 runs[side][workload].append(values)
                 correct &= ok
     record = {"pr": args.pr, "seconds": args.seconds, "pairs": args.pairs,
               "seeds": list(range(1, args.pairs + 1)),
-              "dont_write_bytecode": bool(
-                  os.environ.get("PYTHONDONTWRITEBYTECODE"))}
+              "dont_write_bytecode": dont_write_bytecode}
     for side in sides:
-        _, layers, ok = run_bench(sides[side], envs[side], "relations", 1,
+        _, layers, ok = run_bench(sides[side], "relations", 1,
                                   args.seconds, 1)
         correct &= ok
         record[side] = {
@@ -125,7 +129,6 @@ def main(argv=None):
                              for w in WORKLOADS}
     out = args.out or ROOT / ("BENCH_%d.json" % args.pr)
     out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
-    tmp.cleanup()
     return 0 if correct else 1
 
 

@@ -136,7 +136,7 @@ def weight_orderings(weights):
 
 def check_closure(cartan, weight_tuples):
     """The sorted weight multisets of weight_tuples; raises GroupError first
-    if their reordering closure, multinomial times points each, is too big."""
+    if their reordering closure, multinomial times points each, is over budget."""
     multisets = sorted({tuple(sorted(map(tuple, t))) for t in weight_tuples})
     check_budget(sum(multinomial([m.count(w) for w in set(m)]) * count_points(cartan, m)
                      for m in multisets), "point space", error=GroupError)
