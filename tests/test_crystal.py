@@ -293,15 +293,11 @@ def test_tensor_many_flat_labels():
     assert single.f_maps == build_irreducible(A1, (2,)).f_maps
 
 
-SMALL_WEIGHTS = [(c, w) for c in (A1, A2, A3)
-                 for w in product(range(3), repeat=c.rank) if sum(w) <= 2]
-
-
 @pytest.mark.parametrize("cartan", [A1, A2, A3], ids=["A1", "A2", "A3"])
 def test_tensor_rule_strings_match_the_string_walk(cartan):
     # tensor reads eps/phi off its factors and components restrict them;
     # the plain path walks every i-string of the graph itself
-    weights = [w for c, w in SMALL_WEIGHTS if c is cartan]
+    weights = [w for w in product(range(3), repeat=cartan.rank) if sum(w) <= 2]
     for left, right in product(weights, repeat=2):
         t = tensor(build_irreducible(cartan, left),
                    build_irreducible(cartan, right))
