@@ -11,12 +11,8 @@ Example:
 import argparse
 import sys
 
-from cactus_crystal.tableaux import (
-    bender_knuth,
-    bk_braid_witness,
-    partitions_of,
-    semistandard_tableaux,
-)
+from cactus_crystal.crystal import semistandard_tableaux
+from cactus_crystal.tableaux import bender_knuth, bk_braid_witness, partitions_of
 
 
 def census(max_cells, max_entry):

@@ -12,7 +12,7 @@ Example:
 import argparse
 import sys
 
-from cactus_crystal.actions import contains_alternating, permutation_image
+from cactus_crystal.perms import contains_alternating, permutation_image
 from cactus_crystal.tableaux import partitions_of, standard_tableaux
 
 

@@ -23,14 +23,14 @@ from __future__ import annotations
 
 import time
 from functools import lru_cache, partial
-from itertools import permutations, product
+from itertools import product
 from math import prod
 from operator import itemgetter
 
 from . import Frozen, check_budget, point_budget as _point_budget, setfield
 from .cartan import cartan_to_json
 from .commutor import reversal_table
-from .crystal import build_irreducible, multinomial
+from .crystal import build_irreducible, multinomial, weyl_dimension
 from .groups import (
     CactusGen,
     GroupError,
@@ -38,7 +38,6 @@ from .groups import (
     relation_stream,
     virtual_letters,
 )
-from .perms import check_perm, mulclose, parity
 
 point_budget = partial(_point_budget, GroupError)
 
@@ -57,7 +56,7 @@ class LabeledPoint(Frozen):
 def check_point(cartan, point):
     """Raise GroupError unless every entry lies in the range of its factor."""
     for k, (w, e) in enumerate(zip(point.weights, point.entries), 1):
-        size = build_irreducible(cartan, w).size
+        size = weyl_dimension(cartan, w)
         if not 0 <= e < size:
             raise GroupError("point entry %d of factor %d is out of range "
                              "0..%d" % (e, k, size - 1))
@@ -123,7 +122,7 @@ def iter_points(cartan, weights):
 
 
 def count_points(cartan, weights):
-    return prod(build_irreducible(cartan, tuple(w)).size for w in weights)
+    return prod(weyl_dimension(cartan, tuple(w)) for w in weights)
 
 
 def weight_orderings(weights):
@@ -289,27 +288,3 @@ def orbit(cartan, gens, point):
         frontier = sorted(nxt)
     return [LabeledPoint(w, e) for w, e in sorted(seen)]
 
-
-def permutation_image(states, maps, limit=None):
-    """Closure of the permutations induced on a finite state list.
-
-    maps is a list of dicts, each a bijection of the states.  Returns degree,
-    order, the set of one-line tuples, and the even/odd census.
-    """
-    index = {s: k for k, s in enumerate(states)}
-    gens = []
-    for m in maps:
-        img = tuple(index[m[s]] + 1 for s in states)
-        gens.append(check_perm(img))
-    group = mulclose(gens, limit=limit)
-    evens = sum(1 for g in group if parity(g) == 0)
-    return {"degree": len(states), "order": len(group), "group": group,
-            "even": evens, "odd": len(group) - evens}
-
-
-def contains_alternating(group, degree):
-    """Does the set of one-line tuples contain every even permutation?"""
-    if degree > 8:
-        raise GroupError("alternating membership check capped at degree 8")
-    return all(p in group for p in permutations(range(1, degree + 1))
-               if parity(p) == 0)

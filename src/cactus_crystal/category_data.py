@@ -28,9 +28,6 @@ from functools import lru_cache, partial
 from itertools import product
 
 from . import CactusError, check_budget, point_budget
-from .commutor import commutor_table
-from .crystal import (build_irreducible, product_heads, product_of_weights,
-                      walk_in_step, weyl_dimension)
 
 
 class CategoryError(CactusError):
@@ -124,6 +121,10 @@ def needed_pairs(core, comp):
 
 def from_crystals(cartan, core_weights):
     """Category data of a finite family of irreducible highest weights."""
+    from .commutor import commutor_table
+    from .crystal import (build_irreducible, product_heads, product_of_weights,
+                          walk_in_step, weyl_dimension)
+
     core = [tuple(w) for w in core_weights]
     if len(set(core)) != len(core):
         raise CategoryError("repeated colour in the core list")

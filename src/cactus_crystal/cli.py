@@ -208,6 +208,7 @@ def cmd_act(args):
 
 def cmd_verify(args):
     from .actions import check_closure, verify_relations, weight_orderings
+    from .crystal import weyl_dimension
 
     cartan = _parse_cartan(args)
     if args.choices:
@@ -215,6 +216,9 @@ def cmd_verify(args):
             raise UsageError("--choices needs an explicit positive --n")
         from itertools import product as iproduct
         opts = _parse_weights(args.choices, cartan.rank)
+        # the closure of all n-tuples is every n-tuple of every choice
+        check_budget(sum(weyl_dimension(cartan, c) for c in set(opts))
+                     ** args.n, "point space")
         tuples = sorted(set(iproduct(opts, repeat=args.n)))
     else:
         if not args.weights:
@@ -246,16 +250,19 @@ def cmd_orbit(args):
 
 
 def cmd_image(args):
-    from .actions import contains_alternating, permutation_image
-    from .tableaux import bk_cactus_act, standard_tableaux
+    from .perms import contains_alternating, permutation_image
+    from .tableaux import (bk_cactus_act, count_standard_tableaux,
+                           standard_tableaux)
 
     try:
         shape = tuple(int(v) for v in args.shape.split(","))
     except ValueError:
         raise UsageError("bad shape %r" % args.shape) from None
     n = sum(shape)
-    states = standard_tableaux(shape)
     gens = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+    check_budget(count_standard_tableaux(shape) * len(gens),
+                 "the action of %d generators on standard tableaux" % len(gens))
+    states = standard_tableaux(shape)
     maps = [{t: bk_cactus_act(i, j, t) for t in states} for i, j in gens]
     rep = permutation_image(states, maps, limit=point_budget())
     alternating = (contains_alternating(rep["group"], rep["degree"])

@@ -32,7 +32,6 @@ from .cartan import (
     weight_add,
     weight_sub,
 )
-from .tableaux import semistandard_tableaux
 
 
 class CrystalError(CactusError):
@@ -193,6 +192,32 @@ def shape_of_weight(weight):
         if length > 0:
             rows.append(length)
     return tuple(rows)
+
+
+def semistandard_tableaux(shp, max_entry):
+    """All semistandard tableaux of the shape with entries <= max_entry."""
+    if not all(isinstance(p, int) and p > 0 for p in shp) or \
+            any(a < b for a, b in zip(shp, shp[1:])):
+        raise CrystalError("not a partition: %r" % (shp,))
+    cells = [(r, c) for r in range(len(shp)) for c in range(shp[r])]
+    out = []
+
+    def rec(idx, grid):
+        if idx == len(cells):
+            out.append(tuple(tuple(row) for row in grid))
+            return
+        r, c = cells[idx]
+        lo = 1
+        if c > 0:
+            lo = max(lo, grid[r][c - 1])
+        if r > 0:
+            lo = max(lo, grid[r - 1][c] + 1)
+        for v in range(lo, max_entry + 1):
+            grid[r].append(v)
+            rec(idx + 1, grid)
+            grid[r].pop()
+    rec(0, [[] for _ in shp])
+    return out
 
 
 def reading_order(shape):

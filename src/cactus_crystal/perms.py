@@ -118,6 +118,31 @@ def mulclose(gens, limit=None):
     return seen
 
 
+def permutation_image(states, maps, limit=None):
+    """Closure of the permutations induced on a finite state list.
+
+    maps is a list of dicts, each a bijection of the states.  Returns degree,
+    order, the set of one-line tuples, and the even/odd census.
+    """
+    index = {s: k for k, s in enumerate(states)}
+    gens = []
+    for m in maps:
+        img = tuple(index[m[s]] + 1 for s in states)
+        gens.append(check_perm(img))
+    group = mulclose(gens, limit=limit)
+    evens = sum(1 for g in group if parity(g) == 0)
+    return {"degree": len(states), "order": len(group), "group": group,
+            "even": evens, "odd": len(group) - evens}
+
+
+def contains_alternating(group, degree):
+    """Does the set of one-line tuples contain every even permutation?"""
+    if degree > 8:
+        raise PermError("alternating membership check capped at degree 8")
+    return all(p in group for p in permutations(range(1, degree + 1))
+               if parity(p) == 0)
+
+
 def format_perm(w):
     return "w[%s]" % ",".join(str(v) for v in w)
 

@@ -10,11 +10,10 @@ standard tableaux; the adjacent-swap operators are the Bender-Knuth moves.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from math import factorial, prod
 from operator import itemgetter
 
 from . import MAX_POINTS_ENV, CactusError, check_budget, point_budget
-from .perms import inverse
 
 
 class TableauError(CactusError):
@@ -78,6 +77,16 @@ def is_standard(t):
     return vals == list(range(1, size(t) + 1))
 
 
+def count_standard_tableaux(shp):
+    """f^shp, the number of standard tableaux of the shape, by the
+    hook-length formula, without listing them."""
+    if not is_partition(shp):
+        raise TableauError("not a partition: %r" % (shp,))
+    hooks = prod(length - c + sum(1 for below in shp[r + 1:] if below > c)
+                 for r, length in enumerate(shp) for c in range(length))
+    return factorial(sum(shp)) // hooks
+
+
 def standard_tableaux(shp):
     """All standard tableaux of the given shape, in lex order of row tuples."""
     if not is_partition(shp):
@@ -100,31 +109,6 @@ def standard_tableaux(shp):
             rows[r].pop()
     rec([[] for _ in shp], 1)
     return sorted(out)
-
-
-def semistandard_tableaux(shp, max_entry):
-    """All semistandard tableaux of the shape with entries <= max_entry."""
-    if not is_partition(shp):
-        raise TableauError("not a partition: %r" % (shp,))
-    cells = [(r, c) for r in range(len(shp)) for c in range(shp[r])]
-    out = []
-
-    def rec(idx, grid):
-        if idx == len(cells):
-            out.append(tuple(tuple(row) for row in grid))
-            return
-        r, c = cells[idx]
-        lo = 1
-        if c > 0:
-            lo = max(lo, grid[r][c - 1])
-        if r > 0:
-            lo = max(lo, grid[r - 1][c] + 1)
-        for v in range(lo, max_entry + 1):
-            grid[r].append(v)
-            rec(idx + 1, grid)
-            grid[r].pop()
-    rec(0, [[] for _ in shp])
-    return out
 
 
 def _insert_row(rows, qrows, k, value):
@@ -292,6 +276,8 @@ def bk_braid_witness(max_cells=6, max_entry=4):
     below 3 there is no index to test, and a shape with more rows than
     max_entry has no filling, so neither is scanned.
     """
+    from .crystal import semistandard_tableaux
+
     if max_entry < 3:
         return None
     for n in range(1, max_cells + 1):
@@ -322,7 +308,7 @@ def rsk_crosscheck(n):
     from .actions import _apply_columns, _resolve
     from .cartan import cartan_type_a, fundamental_weight
     from .groups import CactusGen, PermGen
-    from .perms import all_perms
+    from .perms import all_perms, inverse
 
     if n < 2:
         raise TableauError("crosscheck needs n >= 2 factors, not n=%d" % n)

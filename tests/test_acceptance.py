@@ -9,11 +9,7 @@ import time
 from itertools import product
 from math import factorial
 
-from cactus_crystal.actions import (
-    contains_alternating,
-    permutation_image,
-    verify_relations,
-)
+from cactus_crystal.actions import verify_relations
 from cactus_crystal.cartan import cartan_type_a
 from cactus_crystal.category_data import (
     category_from_covering,
@@ -29,6 +25,7 @@ from cactus_crystal.crystal import (
     build_irreducible,
     components,
     normality_report,
+    semistandard_tableaux,
     tensor,
 )
 from cactus_crystal.groups import (
@@ -37,13 +34,16 @@ from cactus_crystal.groups import (
     mc_s0j_word,
     project_to_symmetric,
 )
-from cactus_crystal.perms import all_perms
+from cactus_crystal.perms import (
+    all_perms,
+    contains_alternating,
+    permutation_image,
+)
 from cactus_crystal.tableaux import (
     bender_knuth,
     bk_braid_witness,
     bk_cactus_act,
     rsk_crosscheck,
-    semistandard_tableaux,
     standard_tableaux,
 )
 

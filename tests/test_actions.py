@@ -14,11 +14,9 @@ from cactus_crystal.actions import (
     LabeledPoint,
     act,
     act_word,
-    contains_alternating,
     count_points,
     iter_points,
     orbit,
-    permutation_image,
     point_budget,
     verify_relations,
     weight_orderings,
@@ -41,7 +39,14 @@ from cactus_crystal.groups import (
     virtual_letters,
     word,
 )
-from cactus_crystal.perms import compose, long_cycle, transposition
+from cactus_crystal.perms import (
+    PermError,
+    compose,
+    contains_alternating,
+    long_cycle,
+    permutation_image,
+    transposition,
+)
 
 A1 = cartan_type_a(1)
 A2 = cartan_type_a(2)
@@ -564,7 +569,7 @@ def test_permutation_image_of_two_transpositions():
 
 
 def test_alternating_check_capped():
-    with pytest.raises(GroupError):
+    with pytest.raises(PermError):
         contains_alternating(set(), 9)
 
 

@@ -21,6 +21,7 @@ from cactus_crystal.crystal import (
     normality_report,
     product_of_weights,
     reading_order,
+    semistandard_tableaux,
     shape_of_weight,
     tensor,
     tensor_many,
@@ -28,7 +29,6 @@ from cactus_crystal.crystal import (
     to_dot,
     walk_in_step,
 )
-from cactus_crystal.tableaux import semistandard_tableaux
 
 A1 = cartan_type_a(1)
 A2 = cartan_type_a(2)

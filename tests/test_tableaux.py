@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cactus_crystal import actions
+from cactus_crystal.crystal import CrystalError, semistandard_tableaux
 from cactus_crystal.groups import defining_relation_families, format_word
 from cactus_crystal.tableaux import (
     TableauError,
@@ -11,6 +12,7 @@ from cactus_crystal.tableaux import (
     bk_braid_witness,
     bk_cactus_act,
     check_tableau,
+    count_standard_tableaux,
     evacuation,
     is_semistandard,
     is_standard,
@@ -19,7 +21,6 @@ from cactus_crystal.tableaux import (
     rsk,
     rsk_crosscheck,
     rsk_inverse,
-    semistandard_tableaux,
     shape,
     size,
     standard_tableaux,
@@ -51,11 +52,21 @@ def test_partitions_of_five():
 def test_standard_counts_match_hooks(n):
     for shp in partitions_of(n):
         assert len(standard_tableaux(shp)) == hook_length_count(shp)
+        assert count_standard_tableaux(shp) == hook_length_count(shp)
 
 
 def test_semistandard_count_is_a2_dimension():
     # shape (2,1) with entries <= 3 indexes the 8-element adjoint crystal
     assert len(semistandard_tableaux((2, 1), 3)) == 8
+
+
+@pytest.mark.parametrize("shp", [(1, 2), (2, 0), (0,)])
+def test_enumerators_and_counts_refuse_non_partitions(shp):
+    for f in (standard_tableaux, count_standard_tableaux):
+        with pytest.raises(TableauError, match="not a partition"):
+            f(shp)
+    with pytest.raises(CrystalError, match="not a partition"):
+        semistandard_tableaux(shp, 3)
 
 
 def test_check_tableau_errors():
