@@ -1,15 +1,16 @@
 import hashlib
 import json
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
-from cactus_crystal import clear_caches
+from cactus_crystal import category_data, clear_caches
 from cactus_crystal.cartan import cartan_type_a
 from cactus_crystal.category_data import (
     CategoryData,
     CategoryError,
+    FiberSystem,
     UNIT_X,
     category_from_covering,
     category_from_json,
@@ -441,6 +442,68 @@ def test_from_crystals_output_is_frozen(core_data):
     text = json.dumps(category_to_json(core_data), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() \
         == FROZEN_CATEGORY_DIGESTS[core_data.core_colours[0]]
+
+
+# sha256 of the repr of each field of covering_from_category(core), a dict
+# field as its sorted items, by first core colour and field name
+FROZEN_COVERING_DIGESTS = {
+    CORE_A1[0]: {
+        "core_colours": "4b0ca899f0603aa4054d22797859021a230636a23cf04f1077ddd7037605a6d6",
+        "depth": "4e07408562bedb8b60ce05c1decfe3ad16b72230967de01f640b7e4729b49fce",
+        "e1": "f411e08ef57c4923f0fe25adb83b99c9c83c7cd8b6534e080241a5ba9aaa5737",
+        "x": "544b4227ca9d454e840f17607a20e3cc899e1a66e89fea6ea2700bde72320c4c",
+        "transport": "85ea8f51965c5b1f48c62884dd64322dec5e5ba4d6820c5216764f5cdbb5ac57",
+        "gamma1": "85d55bb6bffcf2732a8a00c72cbdb90cbadfb65eefdb6da5af895feee6d367b7",
+        "gamma2": "c1baccde2e4bba3cb8899784364efe8d59c0b027a701e8f29af9b0fae90dfda2",
+        "e_act": "cf3a8deeea262e619b721f5a5737351384e245dd02942d2a2b20e4b6c490736b",
+        "x_act": "7ed47c1209bcdb7632d47a5b8469cb49783213d83482ec71bccfdc42626a0b00",
+    },
+    CORE_A2[0]: {
+        "core_colours": "bdb1ede8e0df528500c0116defbdafd2a919025c06c03c47960c7211f86c0cc4",
+        "depth": "4e07408562bedb8b60ce05c1decfe3ad16b72230967de01f640b7e4729b49fce",
+        "e1": "07b68c5757b57a97ee381db04e8eefe5995212acf28a28e8613fc9745c09e340",
+        "x": "4f9a8a74e59b73408c773f890c0cef9c14b5bfe1e65101b934aa28879bc26086",
+        "transport": "f39cc465a8313c81b38300355357a483fba9a682d9278bba0d4f65b6420c9a90",
+        "gamma1": "1d0c63038bc98cc85ed6bee15481cddc092193df7d29e641e5dede9179c4d730",
+        "gamma2": "0c089d5a14d6a22b2dcd5e35d7aed9177fc705e909ceabf85a3631efe378a157",
+        "e_act": "06fecd2d73233ef6078bfe9553741a298840bbadb10e27ad370ff1105f3f1e51",
+        "x_act": "924c6880a93a45bd58fb809cc182c34b0f6896de50b3af7f1c2e229500e5b1f7",
+    },
+}
+
+
+def test_covering_output_is_frozen(core_data):
+    fs = covering_from_category(core_data)
+    digests = {}
+    for f in fields(FiberSystem):
+        value = getattr(fs, f.name)
+        text = repr(sorted(value.items()) if isinstance(value, dict) else value)
+        digests[f.name] = hashlib.sha256(text.encode()).hexdigest()
+    assert digests == FROZEN_COVERING_DIGESTS[core_data.core_colours[0]]
+
+
+def test_empty_core_gives_empty_data():
+    assert from_crystals(A1, []) == CategoryData((), {}, {}, {}, {}, {})
+
+
+# the messages of covering_from_category on mutants of the A1 core (seeds
+# 1, 2: sigma; 3, 4, 8: phi) when validate is made to pass them
+@pytest.mark.parametrize("seed, pair, target", [
+    (1, "((4,), (0,))", "(((0,), (4,)), (4,))"),
+    (2, "((1,), (3,))", "(((3,), (1,)), (4,))"),
+    (3, "((1,), (2,))", "(((2,), (1,)), (3,))"),
+    (4, "((1,), (2,))", "(((2,), (1,)), (1,))"),
+    (8, "((0,), (2,))", "(((2,), (0,)), (2,))"),
+])
+def test_unmatched_fibre_element_is_named(a1_data, monkeypatch, seed, pair,
+                                          target):
+    mutant, _ = mutate_category(a1_data, seed=seed)
+    monkeypatch.setattr(category_data, "validate",
+                        lambda data, fail_fast=False: {"passed": True})
+    with pytest.raises(CategoryError) as info:
+        covering_from_category(mutant)
+    assert str(info.value) == ("the action over %s matches 0 fibre elements "
+                               "over %s, not one" % (pair, target))
 
 
 def _validator_inputs(data):
