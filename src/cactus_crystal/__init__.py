@@ -6,6 +6,7 @@ actions on labelled products, tableau combinatorics through RSK, and
 concrete coboundary category data with its operadic covering counterpart.
 """
 
+import math
 import os
 
 __version__ = "0.1.0"
@@ -75,5 +76,10 @@ def check_budget(total, what, budget=None, error=CactusError):
     """Raise error if what, of total points, is over the budget."""
     budget = point_budget(error) if budget is None else budget
     if total > budget:
-        raise error("%s has %d points, over the budget of %d; raise %s to "
-                    "override" % (what, total, budget, MAX_POINTS_ENV))
+        try:
+            count = "%d" % total
+        except ValueError:  # more digits than Python turns into a string
+            k = int(math.log10(total))
+            count = "more than 10^%d" % (k if 10 ** k < total else k - 1)
+        raise error("%s has %s points, over the budget of %d; raise %s to "
+                    "override" % (what, count, budget, MAX_POINTS_ENV))

@@ -139,8 +139,9 @@ def from_crystals(cartan, core_weights):
                      CategoryError)
         return product_heads(cartan, a, b)
 
+    @lru_cache(maxsize=None)
     def comp(a, b):
-        return sorted(heads(a, b))
+        return tuple(sorted(heads(a, b)))
 
     pairs = needed_pairs(core, comp)
 
@@ -149,12 +150,15 @@ def from_crystals(cartan, core_weights):
         colours.add(a)
         colours.add(b)
         colours.update(comp(a, b))
-    cl = {c: tuple(str(k) for k in range(dim(c))) for c in sorted(colours)}
+    # every element, head and product id is below the largest mult product
+    ids = tuple(map(str, range(max((dim(a) * dim(b) for a, b in pairs["mult"]),
+                                   default=0))))
+    cl = {c: ids[:dim(c)] for c in sorted(colours)}
 
     mult = {}
     for a, b in pairs["mult"]:
         for mu in comp(a, b):
-            mult[(a, b, mu)] = tuple(str(m) for m in heads(a, b)[mu])
+            mult[(a, b, mu)] = tuple(ids[m] for m in heads(a, b)[mu])
 
     # the whole product is built only here, for the phi pairs, and inside
     # commutor_table, for the sigma pairs; product labels are divmod(id, dim)
@@ -176,7 +180,7 @@ def from_crystals(cartan, core_weights):
                 e = emb(a, b, mu, m)
                 for x in range(dim(mu)):
                     p, q = divmod(e[x], dim(b))
-                    table[(mu, str(m), str(x))] = (str(p), str(q))
+                    table[(mu, ids[m], ids[x])] = (ids[p], ids[q])
         phi[(a, b)] = table
 
     sigma = {}
@@ -186,7 +190,7 @@ def from_crystals(cartan, core_weights):
         for t_id in comm.domain.elements():
             x, y = comm.domain.labels[t_id]
             u, v = comm.codomain.labels[comm(t_id)]
-            table[(str(x), str(y))] = (str(u), str(v))
+            table[(ids[x], ids[y])] = (ids[u], ids[v])
         sigma[(a, b)] = table
 
     assoc = {}
@@ -199,7 +203,7 @@ def from_crystals(cartan, core_weights):
                     for m2 in heads(g, c)[rho]:
                         gg, z = divmod(m2, dim(c))
                         p, q = divmod(e1[gg], dim(b))
-                        left[(g, rho, str(m1), str(m2))] = (str(p), str(q), str(z))
+                        left[(g, rho, ids[m1], ids[m2])] = (ids[p], ids[q], ids[z])
         right = {}
         for t in comp(b, c):
             for m4 in heads(b, c)[t]:
@@ -208,7 +212,7 @@ def from_crystals(cartan, core_weights):
                     for m3 in heads(a, t)[rho]:
                         x, tt = divmod(m3, dim(t))
                         y, z = divmod(e2[tt], dim(c))
-                        right[(str(x), str(y), str(z))] = (rho, t, str(m3), str(m4))
+                        right[(ids[x], ids[y], ids[z])] = (rho, t, ids[m3], ids[m4])
         if len(left) != len(right):
             raise CategoryError("bracketed head counts disagree for %r" % ((a, b, c),))
         table = {}
@@ -497,17 +501,21 @@ def _not_lists(*values):
         repr(v) for v in values if type(v) is not list))
 
 
-class _Colours(dict):
-    """Colour strings to colours, each parsed once."""
+class _Memo(dict):
+    """The values of f, each computed on the first lookup of its key."""
 
-    def __missing__(self, s):
-        self[s] = _colour_from_str(s)
-        return self[s]
+    __slots__ = ("f",)
+
+    def __init__(self, f):
+        self.f = f
+
+    def __missing__(self, key):
+        self[key] = value = self.f(key)
+        return value
 
 
 def category_to_json(data):
-    def c(x):
-        return _colour_to_str(x)
+    c = _Memo(_colour_to_str).__getitem__
 
     def phi_entries(table):
         return sorted([[ [c(mu), m, x], list(v) ]
@@ -543,7 +551,7 @@ def category_from_json(doc):
             raise CategoryError("category data document has no %r" % key)
     # every entry is unpacked to its exact arity, so extra fields are
     # malformed, and every list is type-tested inline (see _not_lists)
-    f = _Colours()
+    f = _Memo(_colour_from_str)
     try:
         cl = {f[k]: tuple(v) for k, v in doc["cl"].items()
               if type(v) is list or _not_lists(v)}
@@ -642,19 +650,16 @@ def covering_from_category(data):
     core = set(data.core_colours)
     for a, b, c in product(sorted(core, key=_ckey), repeat=3):
         triple = (a, b, c)
-        t12 = {}
-        t23 = {}
-        for xx, yy, zz in product(data.cl[a], data.cl[b], data.cl[c]):
-            u, v = data.sigma[(a, b)][(xx, yy)]
-            t12[(xx, yy, zz)] = (u, v, zz)
-            u, v = data.sigma[(b, c)][(yy, zz)]
-            t23[(xx, yy, zz)] = (xx, u, v)
-        t13 = {}
-        inner = data.sigma[(b, c)]
+        sig_ab, sig_bc = data.sigma[(a, b)], data.sigma[(b, c)]
         outer = sigma_right_composite(data, a, (c, b))
-        for xx, yy, zz in product(data.cl[a], data.cl[b], data.cl[c]):
-            u, v = inner[(yy, zz)]
-            t13[(xx, yy, zz)] = outer[(xx, u, v)]
+        t12, t23, t13 = {}, {}, {}
+        for pt in product(data.cl[a], data.cl[b], data.cl[c]):
+            xx, yy, zz = pt
+            u, v = sig_ab[(xx, yy)]
+            t12[pt] = (u, v, zz)
+            u, v = sig_bc[(yy, zz)]
+            t23[pt] = (xx, u, v)
+            t13[pt] = outer[(xx, u, v)]
         e_act[(triple, _skey(1, 2))] = t12
         e_act[(triple, _skey(2, 3))] = t23
         e_act[(triple, _skey(1, 3))] = t13
@@ -669,15 +674,22 @@ def covering_from_category(data):
         gx, z = data.phi[(g, c)][(mu, m2, xx)]
         return data.phi[(a, b)][(g, m1, gx)] + (z,)
 
+    # the expansions over CL(mu) of the fibre element elt over (tup, mu),
+    # made once for the actions that read it, as source or as candidate
+    def expansion(key):
+        tup, mu, elt = key
+        return tuple(expand(tup, mu, elt, xx) for xx in data.cl[mu])
+
+    vectors = _Memo(expansion)
+
     def descend(act, src, dst, mus):
         """The fibre element over dst that act carries each one over src to."""
         table = {}
         for mu in mus:
             for elt in x.get((src, mu), ()):
+                image = tuple(map(act.__getitem__, vectors[(src, mu, elt)]))
                 matches = [cand for cand in x.get((dst, mu), ())
-                           if all(expand(dst, mu, cand, xx)
-                                  == act[expand(src, mu, elt, xx)]
-                                  for xx in data.cl[mu])]
+                           if vectors[(dst, mu, cand)] == image]
                 if len(matches) != 1:
                     raise CategoryError(
                         "the action over %r matches %d fibre elements over %r, "

@@ -98,8 +98,6 @@ def parity(w):
 def mulclose(gens, limit=None):
     """Closure of a set of permutations under composition."""
     gens = [check_perm(g) for g in gens]
-    if not gens:
-        return set()
     seen = set(gens)
     frontier = list(seen)
     while frontier:
@@ -129,7 +127,9 @@ def permutation_image(states, maps, limit=None):
     for m in maps:
         img = tuple(index[m[s]] + 1 for s in states)
         gens.append(check_perm(img))
-    group = mulclose(gens, limit=limit)
+    # no generators generate the trivial group
+    group = (mulclose(gens, limit=limit) if gens
+             else {tuple(range(1, len(states) + 1))})
     evens = sum(1 for g in group if parity(g) == 0)
     return {"degree": len(states), "order": len(group), "group": group,
             "even": evens, "odd": len(group) - evens}

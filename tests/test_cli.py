@@ -337,6 +337,15 @@ def test_rsk_perm_flag(capsys):
             in capsys.readouterr().err)
 
 
+def test_image_without_generators_is_the_trivial_group(capsys):
+    code, payload, _ = run(capsys, ["image", "--shape", "1",
+                                    "--report", "contains-alternating"])
+    assert code == 0 and payload["ok"] is True
+    assert payload["generators"] == [] and payload["tableaux"] == 1
+    assert (payload["order"], payload["even"], payload["odd"]) == (1, 1, 0)
+    assert payload["contains_alternating"] is True
+
+
 def test_image_report_flag(capsys):
     code, payload, _ = run(capsys, ["image", "--shape", "2,2,1",
                                     "--report", "contains-alternating"])
@@ -563,6 +572,39 @@ def test_crosscheck_refuses_a_long_n_without_computing_its_count(capsys):
     assert "n=2000 has n^n points" in captured.err
     assert "CACTUS_CRYSTAL_MAX_POINTS" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_verify_names_a_power_of_ten_for_a_count_too_long_to_print(
+        capsys, monkeypatch):
+    # all 15000-tuples of B(1) make 2 ** 15000 points, 4,516 digits
+    monkeypatch.setenv("CACTUS_CRYSTAL_MAX_POINTS", "1000")
+    code, payload, captured = run(capsys, ["verify", "--kind", "C", "--n",
+                                           "15000", "--choices", "1"])
+    assert code == 2 and payload is None
+    try:
+        count = "%d" % 2 ** 15000  # Python 3.10 prints any int
+    except ValueError:
+        count = "more than 10^4515"
+    assert captured.err == ("error: point space has %s points, over the "
+                            "budget of 1000; raise CACTUS_CRYSTAL_MAX_POINTS "
+                            "to override\n" % count)
+
+
+@pytest.mark.parametrize("total, power", [
+    (7, None), (10 ** 4299, None), (10 ** 4300, 4299), (10 ** 4300 + 1, 4300),
+    (2 ** 15000, 4515)],
+    ids=["7", "10^4299", "10^4300", "10^4300+1", "2^15000"])
+def test_budget_prints_each_count_python_can(total, power):
+    with pytest.raises(CactusError) as info:
+        cactus_crystal.check_budget(total, "the sweep", 5)
+    try:
+        count = "%d" % total
+    except ValueError:
+        assert power is not None
+        count = "more than 10^%d" % power
+    assert str(info.value) == ("the sweep has %s points, over the budget of "
+                               "5; raise CACTUS_CRYSTAL_MAX_POINTS to override"
+                               % count)
 
 
 def test_crystal_respects_point_budget(capsys, monkeypatch):
