@@ -76,7 +76,7 @@ class CategoryData:
 
 def needed_triples(core, comp):
     """Colour triples whose associator data the pentagon checks touch."""
-    triples = {t for t in product(core, repeat=3)}
+    triples = set(product(core, repeat=3))
     for a, b, c, d in product(core, repeat=4):
         for g in comp(a, b):
             triples.add((g, c, d))
@@ -481,7 +481,7 @@ def mutate_category(data, seed=None):
 
 def _colour_to_str(c):
     if isinstance(c, tuple):
-        return ",".join(str(v) for v in c)
+        return ",".join(map(str, c))
     return str(c)
 
 
@@ -623,26 +623,20 @@ def covering_from_category(data):
             x[((c,), mu)] = (UNIT_X,) if mu == c else ()
     for (a, b, mu), ids in data.mult.items():
         x[((a, b), mu)] = tuple(ids)
+    # one pass over each associator makes each fibre element (g, m1, m2)
+    # once, for its triple fibre and both glue maps
+    gamma1, gamma2 = {}, {}
     for (a, b, c), table in data.assoc.items():
-        fibers = {}
-        for (g, rho, m1, m2) in table:
-            fibers.setdefault(rho, []).append((g, m1, m2))
+        fibers, g1, g2 = {}, {}, {}
+        for (g, rho, m1, m2), (_, t, m3, m4) in table.items():
+            elt = (g, m1, m2)
+            fibers.setdefault(rho, []).append(elt)
+            g1[(rho, t, m3, m4)] = g2[(rho, c, elt, UNIT_X)] = (rho, elt)
         for rho, elts in fibers.items():
             x[((a, b, c), rho)] = tuple(sorted(elts, key=repr))
+        gamma1[(a, b, c)], gamma2[(a, b, c)] = g1, g2
 
     transport = {pair: dict(t) for pair, t in data.phi.items()}
-
-    gamma1 = {}
-    gamma2 = {}
-    for (a, b, c), table in data.assoc.items():
-        g2 = {}
-        for (g, rho, m1, m2) in table:
-            g2[(rho, c, (g, m1, m2), UNIT_X)] = (rho, (g, m1, m2))
-        g1 = {}
-        for (g, rho, m1, m2), (rho2, t, m3, m4) in table.items():
-            g1[(rho, t, m3, m4)] = (rho, (g, m1, m2))
-        gamma1[(a, b, c)] = g1
-        gamma2[(a, b, c)] = g2
 
     e_act = {}
     for (a, b), table in data.sigma.items():
