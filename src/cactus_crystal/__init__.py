@@ -57,10 +57,15 @@ class Frozen:
 def point_budget(error=CactusError):
     """The budget CACTUS_CRYSTAL_MAX_POINTS sets; a bad value raises error."""
     raw = os.environ.get(MAX_POINTS_ENV, str(DEFAULT_MAX_POINTS))
-    if not raw.strip().isdecimal() or int(raw) <= 0:
+    try:
+        budget = int(raw) if raw.strip().isdecimal() else 0
+    except ValueError:  # more digits than int() reads
+        raise error("%s has %d digits, more than Python reads"
+                    % (MAX_POINTS_ENV, len(raw.strip()))) from None
+    if budget <= 0:
         raise error("%s must be a positive integer, not %r"
                     % (MAX_POINTS_ENV, raw))
-    return int(raw)
+    return budget
 
 
 def clear_caches():

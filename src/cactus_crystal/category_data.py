@@ -67,9 +67,6 @@ class CategoryData:
         self._comp = {pair: tuple(sorted(mus, key=_ckey))
                       for pair, mus in comp.items()}
 
-    def colours(self):
-        return sorted(self.cl, key=_ckey)
-
     def comp(self, a, b):
         return list(self._comp.get((a, b), ()))
 
@@ -235,34 +232,17 @@ def _injective_inverse(table, what):
     return inv
 
 
-def sigma_right_composite(data, a, pair):
-    """sigma_{a, b (x) c} on triples, induced blockwise through phi."""
-    b, c = pair
-    table = {}
-    inv = _injective_inverse(data.phi[pair], "expansion")
-    for x in data.cl[a]:
-        for y in data.cl[b]:
-            for z in data.cl[c]:
-                mu, m, w = inv[(y, z)]
-                w2, x2 = data.sigma[(a, mu)][(x, w)]
-                y2, z2 = data.phi[pair][(mu, m, w2)]
-                table[(x, y, z)] = (y2, z2, x2)
-    return table
+def _expansion_inverses(data):
+    """The inverse of each phi table, made on its first lookup."""
+    return _Memo(lambda pair: _injective_inverse(data.phi[pair], "expansion"))
 
 
-def sigma_left_composite(data, pair, c):
-    """sigma_{a (x) b, c} on triples, induced blockwise through phi."""
-    a, b = pair
-    table = {}
-    inv = _injective_inverse(data.phi[pair], "expansion")
-    for x in data.cl[a]:
-        for y in data.cl[b]:
-            mu, m, w = inv[(x, y)]
-            for z in data.cl[c]:
-                z2, w2 = data.sigma[(mu, c)][(w, z)]
-                x2, y2 = data.phi[pair][(mu, m, w2)]
-                table[(x, y, z)] = (z2, x2, y2)
-    return table
+def _sigma_into_pair(data, inv, a, pair, x, yz):
+    """sigma_{a, b (x) c} at x (x) yz, induced blockwise through phi: the
+    image y' (x) z' (x) x' as a triple, inv from _expansion_inverses."""
+    mu, m, w = inv[pair][yz]
+    w2, x2 = data.sigma[(a, mu)][(x, w)]
+    return data.phi[pair][(mu, m, w2)] + (x2,)
 
 
 def _check_bijection(table, domain, codomain):
@@ -375,17 +355,20 @@ def validate(data, fail_fast=False):
                 return count, "sigma_%s o sigma_%s moves %r" % ((b, a), pair, k)
         return count, None
 
+    inv = _expansion_inverses(data)
+
     def hexagon(triple):
+        """sigma_{a, c (x) b} (1 (x) sigma_bc) against
+        sigma_{b (x) a, c} (sigma_ab (x) 1), read point by point."""
         a, b, c = triple
-        lhs_outer = sigma_right_composite(data, a, (c, b))
-        rhs_outer = sigma_left_composite(data, (b, a), c)
+        inv_ba, phi_ba = inv[(b, a)], data.phi[(b, a)]
         sig_bc, sig_ab = data.sigma[(b, c)], data.sigma[(a, b)]
         count = 0
         for x, y, z in product(cl[a], cl[b], cl[c]):
-            u, v = sig_bc[(y, z)]
-            lhs = lhs_outer[(x, u, v)]
-            p, q = sig_ab[(x, y)]
-            rhs = rhs_outer[(p, q, z)]
+            lhs = _sigma_into_pair(data, inv, a, (c, b), x, sig_bc[(y, z)])
+            mu, m, w = inv_ba[sig_ab[(x, y)]]
+            z2, w2 = data.sigma[(mu, c)][(w, z)]
+            rhs = (z2,) + phi_ba[(mu, m, w2)]
             count += 1
             if lhs != rhs:
                 return count, "paths differ at %r: %r vs %r" % ((x, y, z), lhs, rhs)
@@ -642,10 +625,10 @@ def covering_from_category(data):
     for (a, b), table in data.sigma.items():
         e_act[((a, b), _skey(1, 2))] = dict(table)
     core = set(data.core_colours)
+    inv = _expansion_inverses(data)
     for a, b, c in product(sorted(core, key=_ckey), repeat=3):
         triple = (a, b, c)
         sig_ab, sig_bc = data.sigma[(a, b)], data.sigma[(b, c)]
-        outer = sigma_right_composite(data, a, (c, b))
         t12, t23, t13 = {}, {}, {}
         for pt in product(data.cl[a], data.cl[b], data.cl[c]):
             xx, yy, zz = pt
@@ -653,7 +636,7 @@ def covering_from_category(data):
             t12[pt] = (u, v, zz)
             u, v = sig_bc[(yy, zz)]
             t23[pt] = (xx, u, v)
-            t13[pt] = outer[(xx, u, v)]
+            t13[pt] = _sigma_into_pair(data, inv, a, (c, b), xx, (u, v))
         e_act[(triple, _skey(1, 2))] = t12
         e_act[(triple, _skey(2, 3))] = t23
         e_act[(triple, _skey(1, 3))] = t13

@@ -27,7 +27,6 @@ from math import factorial, prod
 from . import CactusError, fields_repr
 from .cartan import (
     cartan_to_json,
-    is_type_a,
     simple_root,
     weight_add,
     weight_sub,
@@ -267,9 +266,6 @@ def _check_weight(cartan, weight):
         raise CrystalError("weight length does not match rank")
     if any(c < 0 for c in weight):
         raise CrystalError("highest weight must be dominant")
-    if not is_type_a(cartan):
-        raise CrystalError(
-            "irreducible crystals are only constructed for type A matrices")
     return shape_of_weight(weight)
 
 
@@ -548,12 +544,8 @@ def walk_in_step(graph, other, start, other_start):
 def normality_report(graph):
     """Compare every component against the reference crystal of its head.
 
-    Returns a dict with status "normal", "not_normal", or "unverifiable"
-    (the latter when no reference construction exists for the Cartan data).
+    Returns a dict with status "normal" or "not_normal".
     """
-    if not is_type_a(graph.cartan):
-        return {"status": "unverifiable",
-                "detail": "no reference construction for this Cartan matrix"}
     for head, members in component_members(graph):
         wt = graph.wt(head)
         if any(c < 0 for c in wt):

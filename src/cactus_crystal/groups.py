@@ -19,16 +19,16 @@ relations raises; its verification goes through the vC image instead, which
 virtual_letters gives letter by letter and to_virtual word by word.  One
 generator lists the interval relations of every flavour (a standard interval
 is a cyclic one [i, j] with i < j), and relation_stream yields every relation
-as letter tuples, each letter checked once when it is interned; the word lists
-are built from it.
+as letter tuples, each letter checked once when it is interned, up to the
+point budget; the word lists are built from it.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 
-from . import CactusError, Frozen, perms, setfield
+from . import MAX_POINTS_ENV, CactusError, Frozen, perms, point_budget, setfield
 from .perms import (
     check_perm,
     compose,
@@ -250,7 +250,18 @@ def _interval_relations(kind, n, letter):
 
 def relation_stream(kind, n):
     """Yield the relations of the flavour as (family, lhs, rhs) letter tuples:
-    the defining relations of C, vC and AC, the mc_relation_suite of MC."""
+    the defining relations of C, vC and AC, the mc_relation_suite of MC.
+    The point budget caps their number, checked as they are yielded."""
+    budget = point_budget(GroupError)
+    relations = _relations(kind, n)
+    yield from islice(relations, budget)
+    if next(relations, None) is not None:
+        raise GroupError("the %s relations for n=%d outnumber the budget of "
+                         "%d; raise %s to override"
+                         % (kind, n, budget, MAX_POINTS_ENV))
+
+
+def _relations(kind, n):
     if n < 2:
         raise GroupError("need n >= 2")
     if kind not in KINDS:

@@ -521,6 +521,31 @@ def test_cartan_file(tmp_path, capsys):
     assert code == 0 and payload["size"] == 3
 
 
+# every command that takes --cartan-file, on rank-2 input
+CARTAN_FILE_COMMANDS = {
+    "crystal": ["crystal", "--weight", "1,0"],
+    "tensor": ["tensor", "--weights", "1,0 0,1"],
+    "commutor": ["commutor", "--left", "1,0", "--right", "0,1"],
+    "act": ["act", "--weights", "1,0 0,1", "--word", "s1_2", "--point", "0,0"],
+    "verify": ["verify", "--kind", "C", "--weights", "1,0 0,1"],
+    "orbit": ["orbit", "--weights", "1,0 0,1", "--gens", "s1_2",
+              "--point", "0,0"],
+    "category build": ["category", "build", "--colours", "0,0 1,0"],
+}
+
+
+@pytest.mark.parametrize("command", list(CARTAN_FILE_COMMANDS))
+def test_cartan_file_of_type_b2_is_refused_on_loading(tmp_path, capsys,
+                                                      command):
+    path = tmp_path / "cartan.json"
+    path.write_text('{"type": "explicit", "matrix": [[2, -1], [-2, 2]]}')
+    code, payload, captured = run(
+        capsys, CARTAN_FILE_COMMANDS[command] + ["--cartan-file", str(path)])
+    assert code == 2 and payload is None
+    assert captured.err == ("error: Cartan matrix is not of type A: crystals "
+                            "are constructed in type A only\n")
+
+
 @pytest.mark.parametrize("source", ["name", "file"])
 def test_large_type_a_rank_is_refused_before_the_matrix(tmp_path, capsys,
                                                         source):
@@ -738,6 +763,30 @@ def test_products_respect_point_budget(capsys, monkeypatch, argv):
     monkeypatch.setenv("CACTUS_CRYSTAL_MAX_POINTS", "2000")
     code, payload, _ = run(capsys, argv)
     assert code == 0 and payload["ok"] is True
+
+
+@pytest.mark.parametrize("argv, n", [
+    (["verify", "--kind", "vC", "--n", "7", "--choices", "1"], 7),
+    (["group", "--kind", "vC", "--n", "8", "--relations"], 8),
+], ids=["verify", "group"])
+def test_relation_lists_respect_point_budget(capsys, monkeypatch, argv, n):
+    # vC has (n!)^2 multiplication-table relations: 25,401,600 at n = 7
+    monkeypatch.setenv("CACTUS_CRYSTAL_MAX_POINTS", "1000")
+    start = time.monotonic()
+    code, payload, captured = run(capsys, argv)
+    assert time.monotonic() - start < 10
+    assert code == 2 and payload is None
+    assert captured.err == ("error: the vC relations for n=%d outnumber the "
+                            "budget of 1000; raise CACTUS_CRYSTAL_MAX_POINTS "
+                            "to override\n" % n)
+
+
+def test_budget_of_more_digits_than_python_reads(capsys, monkeypatch):
+    monkeypatch.setenv("CACTUS_CRYSTAL_MAX_POINTS", "1" * 4400)
+    code, payload, captured = run(capsys, ["crystal", "--weight", "1"])
+    assert code == 2 and payload is None
+    assert captured.err == ("error: CACTUS_CRYSTAL_MAX_POINTS has 4400 digits, "
+                            "more than Python reads\n")
 
 
 @pytest.mark.parametrize("argv", [

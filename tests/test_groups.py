@@ -337,6 +337,19 @@ def test_relation_stream_refuses_what_the_lists_refuse():
             next(relation_stream(kind, n))
 
 
+@pytest.mark.parametrize("kind", ["C", "vC", "MC", "AC"])
+def test_relation_stream_stops_past_the_budget(monkeypatch, kind):
+    total = sum(1 for _ in relation_stream(kind, 4))
+    monkeypatch.setenv("CACTUS_CRYSTAL_MAX_POINTS", str(total))
+    assert sum(1 for _ in relation_stream(kind, 4)) == total
+    monkeypatch.setenv("CACTUS_CRYSTAL_MAX_POINTS", str(total - 1))
+    stream = relation_stream(kind, 4)
+    for _ in range(total - 1):
+        next(stream)
+    with pytest.raises(GroupError, match="CACTUS_CRYSTAL_MAX_POINTS"):
+        next(stream)
+
+
 def test_a_letter_is_checked_once(monkeypatch):
     checked = []
 

@@ -14,8 +14,8 @@ A1 = cartan_type_a(1)
 
 # (class, keyword arguments, repr), the repr as the dataclasses printed it
 FROZEN = [
-    (CartanData, {"ctype": "explicit", "matrix": ((2, -1), (-3, 2))},
-     "CartanData(ctype='explicit', matrix=((2, -1), (-3, 2)))"),
+    (CartanData, {"ctype": "explicit", "matrix": ((2, -1), (-1, 2))},
+     "CartanData(ctype='explicit', matrix=((2, -1), (-1, 2)))"),
     (CactusGen, {"i": 1, "j": 2}, "CactusGen(i=1, j=2)"),
     (PermGen, {"perm": (2, 1, 3)}, "PermGen(perm=(2, 1, 3))"),
     (MirabolicT, {"i": 0}, "MirabolicT(i=0)"),
