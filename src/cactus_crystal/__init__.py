@@ -54,6 +54,19 @@ class Frozen:
         return fields_repr(self, [n for n in self.__slots__ if n[0] != "_"])
 
 
+class Memo(dict):
+    """The values of f, each computed on the first lookup of its key."""
+
+    __slots__ = ("f",)
+
+    def __init__(self, f):
+        self.f = f
+
+    def __missing__(self, key):
+        self[key] = value = self.f(key)
+        return value
+
+
 def point_budget(error=CactusError):
     """The budget CACTUS_CRYSTAL_MAX_POINTS sets; a bad value raises error."""
     raw = os.environ.get(MAX_POINTS_ENV, str(DEFAULT_MAX_POINTS))

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import product
 
-from . import CactusError, check_budget, point_budget
+from . import CactusError, Memo, check_budget, point_budget
 
 
 class CategoryError(CactusError):
@@ -234,7 +234,7 @@ def _injective_inverse(table, what):
 
 def _expansion_inverses(data):
     """The inverse of each phi table, made on its first lookup."""
-    return _Memo(lambda pair: _injective_inverse(data.phi[pair], "expansion"))
+    return Memo(lambda pair: _injective_inverse(data.phi[pair], "expansion"))
 
 
 def _sigma_into_pair(data, inv, a, pair, x, yz):
@@ -484,21 +484,8 @@ def _not_lists(*values):
         repr(v) for v in values if type(v) is not list))
 
 
-class _Memo(dict):
-    """The values of f, each computed on the first lookup of its key."""
-
-    __slots__ = ("f",)
-
-    def __init__(self, f):
-        self.f = f
-
-    def __missing__(self, key):
-        self[key] = value = self.f(key)
-        return value
-
-
 def category_to_json(data):
-    c = _Memo(_colour_to_str).__getitem__
+    c = Memo(_colour_to_str).__getitem__
 
     def phi_entries(table):
         return sorted([[ [c(mu), m, x], list(v) ]
@@ -534,7 +521,7 @@ def category_from_json(doc):
             raise CategoryError("category data document has no %r" % key)
     # every entry is unpacked to its exact arity, so extra fields are
     # malformed, and every list is type-tested inline (see _not_lists)
-    f = _Memo(_colour_from_str)
+    f = Memo(_colour_from_str)
     try:
         cl = {f[k]: tuple(v) for k, v in doc["cl"].items()
               if type(v) is list or _not_lists(v)}
@@ -657,7 +644,7 @@ def covering_from_category(data):
         tup, mu, elt = key
         return tuple(expand(tup, mu, elt, xx) for xx in data.cl[mu])
 
-    vectors = _Memo(expansion)
+    vectors = Memo(expansion)
 
     def descend(act, src, dst, mus):
         """The fibre element over dst that act carries each one over src to."""

@@ -47,6 +47,8 @@ class CrystalGraph:
     tuple of target ids or None.  ``strings``, eps and phi dicts derived from
     graphs this one is built from, spares walking each i-string.  Graphs are
     equal when their fields are, whatever they have cached, and unhashable.
+    A graph keeps what is computed from it once: its heads, component ids,
+    xi, and, as the left factor, its two-fold products (see ``tensor``).
     """
 
     def __init__(self, cartan, wts, f_maps, e_maps=None, labels=None, strings=None):
@@ -54,7 +56,7 @@ class CrystalGraph:
         self.labels = tuple(range(self.size)) if labels is None else labels
         self.e_maps = e_maps if e_maps is not None else {
             i: _invert_partial(f_maps[i], self.size, i) for i in f_maps}
-        self._heads = self._xi = None
+        self._heads = self._comp = self._xi = self._products = None
         if len(set(self.labels)) != self.size:
             raise CrystalError("element labels are not distinct")
         self._check_axioms()
@@ -336,7 +338,14 @@ def build_irreducible(cartan, weight):
 
 
 def component_ids(graph):
-    """Component index per element, by BFS over e- and f-edges."""
+    """Component index per element, by BFS over e- and f-edges; computed on
+    the first call and kept on the graph."""
+    if graph._comp is None:
+        graph._comp = _component_walk(graph)
+    return list(graph._comp)
+
+
+def _component_walk(graph):
     edges = [m[i] for i in graph.index_range() for m in (graph.f_maps, graph.e_maps)]
     comp = [None] * graph.size
     next_comp = 0
@@ -353,7 +362,7 @@ def component_ids(graph):
                     comp[nb] = next_comp
                     frontier.append(nb)
         next_comp += 1
-    return comp
+    return tuple(comp)
 
 
 # ---------------------------------------------------------------------------
@@ -365,9 +374,25 @@ def tensor(left, right, flatten=False):
 
     The element with label (a, b) has id a * right.size + b.  By the tensor
     rule, eps(a (x) b) = eps(b) + max(0, eps(a) - phi(b)) and dually phi.
+    A two-fold product is built once per factor pair: the left factor keeps
+    it, keyed by the identity of the right factor, which it holds weakly so
+    that no reference cycle forms.  Flattened folds are built on every call.
     """
     if left.cartan != right.cartan:
         raise CrystalError("tensor factors live over different Cartan data")
+    if flatten:
+        return _product(left, right, True)
+    from weakref import ref
+    if left._products is None:
+        left._products = {}
+    held, graph = left._products.get(id(right), (None, None))
+    if held is None or held() is not right:
+        graph = _product(left, right, False)
+        left._products[id(right)] = ref(right), graph
+    return graph
+
+
+def _product(left, right, flatten):
     cartan = left.cartan
     nleft, nright = left.size, right.size
     if flatten:

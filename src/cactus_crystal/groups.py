@@ -28,7 +28,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, islice, permutations
 
-from . import MAX_POINTS_ENV, CactusError, Frozen, perms, point_budget, setfield
+from . import (MAX_POINTS_ENV, CactusError, Frozen, Memo, perms,
+               point_budget, setfield)
 from .perms import (
     check_perm,
     compose,
@@ -286,9 +287,11 @@ def _relations(kind, n):
         return
     yield from _interval_relations(kind, n, letter)
     if kind == "vC":
-        w = {u: letter(PermGen(u)) for u in perms.all_perms(n)}
-        for u in w:
-            for v in w:
+        # n! letters: each is interned on first use, so that the budget
+        # stops the stream before they are all made
+        w = Memo(lambda u: letter(PermGen(u)))
+        for u in permutations(range(1, n + 1)):
+            for v in permutations(range(1, n + 1)):
                 yield "perm_table", (w[u], w[v]), (w[compose(u, v)],)
         for i, j in combinations(range(1, n + 1), 2):
             q = j - i

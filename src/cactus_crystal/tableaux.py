@@ -71,10 +71,13 @@ def is_semistandard(t):
 
 
 def is_standard(t):
-    if not is_semistandard(t):
-        return False
-    vals = sorted(v for row in t for v in row)
-    return vals == list(range(1, size(t) + 1))
+    return is_semistandard(t) and _numbered_once(t)
+
+
+def _numbered_once(t):
+    """Whether the entries of t are 1..size(t), each once: on a tableau that
+    check_tableau has passed, whether it is standard."""
+    return sorted(v for row in t for v in row) == list(range(1, size(t) + 1))
 
 
 def count_standard_tableaux(shp):
@@ -176,7 +179,7 @@ def rsk_inverse(p, q):
 def evacuation(t):
     """Schutzenberger evacuation of a standard tableau."""
     t = check_tableau(t)
-    if not is_standard(t):
+    if not _numbered_once(t):
         raise TableauError("evacuation wants a standard tableau")
     n = size(t)
     cur = [list(row) for row in t]
@@ -204,7 +207,7 @@ def evacuation(t):
 def partial_evacuation(j, t):
     """Evacuate the subtableau of entries 1..j, leaving the rest in place."""
     t = check_tableau(t)
-    if not is_standard(t):
+    if not _numbered_once(t):
         raise TableauError("partial evacuation wants a standard tableau")
     if not 0 <= j <= size(t):
         raise TableauError("cutoff %d out of range" % j)

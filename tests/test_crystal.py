@@ -1,8 +1,11 @@
+import gc
+import weakref
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cactus_crystal import commutor as commutor_module
 from cactus_crystal import crystal as crystal_module
 from cactus_crystal.cartan import (
     cartan_type_a,
@@ -320,6 +323,89 @@ def test_product_of_weights_cached():
     a = product_of_weights(A1, ((1,), (1,)))
     b = product_of_weights(A1, ((1,), (1,)))
     assert a is b
+
+
+def fresh(graph):
+    """An equal graph that is a new object, with nothing computed from it."""
+    return CrystalGraph(graph.cartan, graph.wts, graph.f_maps, graph.e_maps,
+                        graph.labels)
+
+
+def test_there_and_back_commutor_builds_two_products(monkeypatch):
+    # the steps of the crystals benchmark's product op
+    left = fresh(build_irreducible(A3, (2, 1, 1)))
+    right = fresh(build_irreducible(A3, (1, 1, 0)))
+    commutor_module.schutzenberger(left)
+    commutor_module.schutzenberger(right)
+    built, computed, walked = [], [], []
+    product_of = crystal_module._product
+    xi_of = commutor_module._xi_mapping
+    walk = crystal_module._component_walk
+
+    def counting_walk(graph):
+        walked.append(graph)
+        return walk(graph)
+
+    def counting_product(a, b, flatten):
+        built.append((a, b))
+        return product_of(a, b, flatten)
+
+    def counting_xi(graph):
+        if graph._xi is None:
+            computed.append(graph)
+        return xi_of(graph)
+    monkeypatch.setattr(crystal_module, "_product", counting_product)
+    monkeypatch.setattr(commutor_module, "_xi_mapping", counting_xi)
+    monkeypatch.setattr(crystal_module, "_component_walk", counting_walk)
+    t = tensor(left, right)
+    assert sum(sub.size for _, sub in components(t)) == t.size
+    assert normality_report(t) == {"status": "normal"}
+    there = commutor_module.commutor(left, right)
+    back = commutor_module.commutor(right, left)
+    xi = commutor_module.schutzenberger(t)
+    assert [(a is left, b is right) for a, b in built] == [(True, True),
+                                                          (False, False)]
+    products = [id(t), id(there.codomain)]
+    assert list(map(id, computed)) == products[::-1]
+    assert [id(g) for g in walked if g.size == t.size] == products
+    assert there.domain is t is back.codomain and xi.domain is t
+    assert there.codomain is back.domain
+    assert all(back(there(b)) == b for b in t.elements())
+
+
+def test_two_fold_products_are_kept_by_identity():
+    left, right = build_irreducible(A2, (1, 0)), build_irreducible(A2, (1, 1))
+    t = tensor(left, right)
+    assert tensor(left, right) is t
+    twin = fresh(right)
+    assert twin == right and tensor(left, twin) is not t
+    assert tensor(left, twin) == t
+    folded = tensor(t, right, flatten=True)
+    assert tensor(t, right, flatten=True) is not folded
+    assert tensor(t, right, flatten=True) == folded
+    # a right factor that died leaves its id free for another graph
+    for k in range(30):
+        other = fresh(build_irreducible(A2, (k % 3, 0)))
+        assert tensor(left, other).size == left.size * other.size
+        del other
+
+
+def test_kept_products_form_no_reference_cycle():
+    gc.collect()
+    gc.disable()
+    try:
+        g = fresh(build_irreducible(A2, (1, 1)))
+        dead = weakref.ref(tensor(g, build_irreducible(A2, (1, 0))))
+        assert dead() is not None
+        del g
+        assert dead() is None
+        g = fresh(build_irreducible(A2, (1, 1)))
+        square = weakref.ref(tensor(g, g))
+        assert square() is tensor(g, g)
+        del g
+        assert square() is None
+    finally:
+        gc.enable()
 
 
 def test_export_import_roundtrip():
