@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -348,6 +350,25 @@ def test_relation_stream_stops_past_the_budget(monkeypatch, kind):
         next(stream)
     with pytest.raises(GroupError, match="CACTUS_CRYSTAL_MAX_POINTS"):
         next(stream)
+
+
+# sha256 of each flavour's n = 4 stream as "family: lhs = rhs" lines,
+# recorded before the vC letters were interned lazily
+FROZEN_STREAM_DIGESTS = {
+    "C": "4e4b9d1342a71d271587baede64799bf0420717ce118d06a08a1a4bdc76f6d34",
+    "vC": "3c557b239df7833f392e2389dcb9b37f4fd3e8ac9b5a1ebc8a991cb04ab6ac4c",
+    "MC": "37fabc3ae2c6904a1667f9db1fee241892d540a165dbe099aee9b160c0a90d53",
+    "AC": "c98e3990d9bab1940c5f09b376bd755904460d1f32f29ebd54841054f3d5d4c7",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FROZEN_STREAM_DIGESTS))
+def test_relation_stream_order_is_frozen(kind):
+    digest = hashlib.sha256()
+    for family, lhs, rhs in relation_stream(kind, 4):
+        digest.update(("%s: %s = %s\n" % (family, " ".join(map(str, lhs)),
+                                          " ".join(map(str, rhs)))).encode())
+    assert digest.hexdigest() == FROZEN_STREAM_DIGESTS[kind]
 
 
 def test_a_letter_is_checked_once(monkeypatch):

@@ -126,6 +126,19 @@ def test_evacuation_rejects_semistandard_input():
         evacuation(((1, 1),))
 
 
+@pytest.mark.parametrize("t, message", [
+    (((1, 1),), "wants a standard tableau"),
+    (((1, 4), (2,)), "wants a standard tableau"),
+    (((0, 1),), "wants a standard tableau"),
+    (((2, 1),), "row decreases"),
+    (((1, 2), (1,)), "column does not increase"),
+])
+def test_evacuations_refuse_what_is_not_standard(t, message):
+    for evacuate in (evacuation, lambda t: partial_evacuation(1, t)):
+        with pytest.raises(TableauError, match=message):
+            evacuate(t)
+
+
 @pytest.mark.parametrize("shp", [(3,), (2, 1), (2, 2), (3, 2), (2, 2, 1)])
 def test_evacuation_involution(shp):
     for t in syt(shp):

@@ -14,8 +14,9 @@ the word of b_1 (x) .. (x) b_m is the words of its factors in factor order.
   each filled in reading order.
 
 Each oracle must catch two planted faults: two swapped entries of xi, and
-the tables conjugated by tau, which swaps ids 0 and 1 of B(omega_1) in every
-factor on A2 and passes every relation family of the cactus groups.
+the maps conjugated by tau, which swaps ids 0 and 1 of B(omega_1) in every
+factor on A2.  tau is no crystal map, but an action conjugated by a bijection
+satisfies every relation the action does, so no relation check can see it.
 """
 
 from itertools import product
