@@ -23,6 +23,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import compress
 from math import factorial, prod
+from weakref import ref
 
 from . import CactusError, fields_repr
 from .cartan import (
@@ -376,20 +377,31 @@ def tensor(left, right, flatten=False):
     rule, eps(a (x) b) = eps(b) + max(0, eps(a) - phi(b)) and dually phi.
     A two-fold product is built once per factor pair: the left factor keeps
     it, keyed by the identity of the right factor, which it holds weakly so
-    that no reference cycle forms.  Flattened folds are built on every call.
+    that no reference cycle forms, and drops it when the right factor dies.
+    Flattened folds are built on every call.
     """
     if left.cartan != right.cartan:
         raise CrystalError("tensor factors live over different Cartan data")
     if flatten:
         return _product(left, right, True)
-    from weakref import ref
     if left._products is None:
         left._products = {}
-    held, graph = left._products.get(id(right), (None, None))
+    key = id(right)
+    held, graph = left._products.get(key, (None, None))
     if held is None or held() is not right:
         graph = _product(left, right, False)
-        left._products[id(right)] = ref(right), graph
+        left._products[key] = ref(right, _forget(ref(left), key)), graph
     return graph
+
+
+def _forget(owner, key):
+    """Callback for a right factor's weak reference: when it dies, drop its
+    product from the left factor, which ``owner`` holds weakly too."""
+    def drop(held):
+        left = owner()
+        if left is not None and left._products.get(key, (None,))[0] is held:
+            del left._products[key]
+    return drop
 
 
 def _product(left, right, flatten):
@@ -471,14 +483,14 @@ def product_of_weights(cartan, weights):
 def product_heads(cartan, left, right):
     """{weight: ascending ids} of the highest elements of B(left) (x) B(right),
     without building the product: a (x) head has id a * |B(right)| + head."""
-    graph, ref = build_irreducible(cartan, left), build_irreducible(cartan, right)
-    head, = ref.highest_weight_elements()
-    bounds = [(graph._eps[i], ref.phi(i, head)) for i in graph.index_range()]
+    graph, other = build_irreducible(cartan, left), build_irreducible(cartan, right)
+    head, = other.highest_weight_elements()
+    bounds = [(graph._eps[i], other.phi(i, head)) for i in graph.index_range()]
     heads = {}
     for a in graph.elements():
         if all(eps[a] <= bound for eps, bound in bounds):
             heads.setdefault(weight_add(graph.wts[a], right), []).append(
-                a * ref.size + head)
+                a * other.size + head)
     return {wt: tuple(ids) for wt, ids in heads.items()}
 
 

@@ -227,10 +227,17 @@ def test_commutor_leaves_no_reference_cycles():
 
 
 def test_xi_cache_leaves_equality_alone():
+    # the kept xi, component ids and two-fold products stay out of == and repr
     left, right = build_irreducible(A2, (1, 0)), build_irreducible(A2, (1, 1))
-    cached, fresh = tensor(left, right), tensor(left, right)
+    cached = tensor(left, right)
+    fresh = CrystalGraph(cached.cartan, cached.wts, cached.f_maps,
+                         cached.e_maps, cached.labels)
     schutzenberger(cached)
-    assert cached == fresh and repr(cached) == repr(fresh)
+    component_ids(cached)
+    tensor(cached, right)
+    assert cached is not fresh
+    assert cached == fresh and fresh == cached
+    assert repr(cached) == repr(fresh)
 
 
 @pytest.mark.parametrize("graph,message", NON_NORMAL)

@@ -408,6 +408,25 @@ def test_kept_products_form_no_reference_cycle():
         gc.enable()
 
 
+def test_kept_product_dies_with_its_right_factor():
+    # a long-lived left factor keeps no product of a right factor that died
+    left = build_irreducible(A2, (1, 1))
+    tensor(left, left)
+    kept = len(left._products)
+    gc.collect()
+    gc.disable()
+    try:
+        for k in range(5):
+            right = fresh(build_irreducible(A2, (k % 3, 1)))
+            product = weakref.ref(tensor(left, right))
+            assert len(left._products) == kept + 1
+            del right
+            assert product() is None
+            assert len(left._products) == kept
+    finally:
+        gc.enable()
+
+
 def test_export_import_roundtrip():
     # the exported edges and weights rebuild the same f_maps
     g = build_irreducible(A2, (1, 1))
