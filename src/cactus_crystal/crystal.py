@@ -387,19 +387,20 @@ def tensor(left, right, flatten=False):
     if left._products is None:
         left._products = {}
     key = id(right)
-    held, graph = left._products.get(key, (None, None))
-    if held is None or held() is not right:
-        graph = _product(left, right, False)
-        left._products[key] = ref(right, _forget(ref(left), key)), graph
-    return graph
+    kept = left._products.get(key)
+    if kept is None:
+        kept = left._products[key] = (ref(right, _forget(ref(left), key)),
+                                      _product(left, right, False))
+    return kept[1]
 
 
 def _forget(owner, key):
     """Callback for a right factor's weak reference: when it dies, drop its
-    product from the left factor, which ``owner`` holds weakly too."""
-    def drop(held):
+    product from the left factor, which ``owner`` holds weakly too.  So an
+    id in the memo always names a live right factor."""
+    def drop(_):
         left = owner()
-        if left is not None and left._products.get(key, (None,))[0] is held:
+        if left is not None:
             del left._products[key]
     return drop
 
