@@ -118,7 +118,7 @@ def needed_pairs(core, comp):
 
 def from_crystals(cartan, core_weights):
     """Category data of a finite family of irreducible highest weights."""
-    from .commutor import commutor_table
+    from .commutor import reversal_table
     from .crystal import (build_irreducible, product_heads, product_of_weights,
                           walk_in_step, weyl_dimension)
 
@@ -158,7 +158,7 @@ def from_crystals(cartan, core_weights):
             mult[(a, b, mu)] = tuple(ids[m] for m in heads(a, b)[mu])
 
     # the whole product is built only here, for the phi pairs, and inside
-    # commutor_table, for the sigma pairs; product labels are divmod(id, dim)
+    # reversal_table, for the sigma pairs; product labels are divmod(id, dim)
     @lru_cache(maxsize=None)
     def emb(a, b, mu, m):
         ref = graph(mu)
@@ -182,13 +182,9 @@ def from_crystals(cartan, core_weights):
 
     sigma = {}
     for a, b in pairs["sigma"]:
-        comm = commutor_table(cartan, (a,), (b,))
-        table = {}
-        for t_id in comm.domain.elements():
-            x, y = comm.domain.labels[t_id]
-            u, v = comm.codomain.labels[comm(t_id)]
-            table[(ids[x], ids[y])] = (ids[u], ids[v])
-        sigma[(a, b)] = table
+        # sorted: in domain id order, as the frozen digests read it
+        sigma[(a, b)] = {(ids[x], ids[y]): (ids[u], ids[v]) for (x, y), (u, v)
+                         in sorted(reversal_table(cartan, (a, b)).items())}
 
     assoc = {}
     for a, b, c in pairs["triples"]:

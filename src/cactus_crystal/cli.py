@@ -122,14 +122,13 @@ def cmd_crystal(args):
 
 
 def cmd_tensor(args):
-    from .crystal import (build_irreducible, components, export_graph,
-                          normality_report, tensor_many, to_dot)
+    from .crystal import (components, export_graph, normality_report,
+                          product_of_weights, to_dot, weyl_dimension)
 
     cartan = _parse_cartan(args)
     weights = _parse_weights(args.weights, cartan.rank)
-    factors = [build_irreducible(cartan, w) for w in weights]
-    check_budget(prod(f.size for f in factors), "the product")
-    graph = tensor_many(factors)
+    check_budget(prod(weyl_dimension(cartan, w) for w in weights), "the product")
+    graph = product_of_weights(cartan, weights)
     if args.emit == "dot":
         return to_dot(graph)
     return _report("tensor", True, graph=export_graph(graph), factors=weights,
@@ -141,13 +140,12 @@ def cmd_tensor(args):
 
 def cmd_commutor(args):
     from .commutor import commutor
-    from .crystal import build_irreducible
+    from .crystal import build_irreducible, weyl_dimension
 
     cartan = _parse_cartan(args)
-    left = build_irreducible(cartan, _parse_weight(args.left, cartan.rank))
-    right = build_irreducible(cartan, _parse_weight(args.right, cartan.rank))
-    check_budget(left.size * right.size, "the product")
-    bij = commutor(left, right)
+    weights = [_parse_weight(w, cartan.rank) for w in (args.left, args.right)]
+    check_budget(prod(weyl_dimension(cartan, w) for w in weights), "the product")
+    bij = commutor(*(build_irreducible(cartan, w) for w in weights))
     return _report("commutor", True, left=args.left, right=args.right,
                    pairs=bij.to_pairs(),
                    labels=[[repr(bij.domain.labels[b]),

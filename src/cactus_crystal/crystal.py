@@ -370,20 +370,17 @@ def _component_walk(graph):
 # tensor products
 
 
-def tensor(left, right, flatten=False):
-    """Tensor product crystal; elements are id pairs (or flattened id tuples).
+def tensor(left, right):
+    """Two-fold tensor product crystal; elements are id pairs.
 
     The element with label (a, b) has id a * right.size + b.  By the tensor
     rule, eps(a (x) b) = eps(b) + max(0, eps(a) - phi(b)) and dually phi.
     A two-fold product is built once per factor pair: the left factor keeps
     it, keyed by the identity of the right factor, which it holds weakly so
     that no reference cycle forms, and drops it when the right factor dies.
-    Flattened folds are built on every call.
     """
     if left.cartan != right.cartan:
         raise CrystalError("tensor factors live over different Cartan data")
-    if flatten:
-        return _product(left, right, True)
     if left._products is None:
         left._products = {}
     key = id(right)
@@ -405,11 +402,13 @@ def _forget(owner, key):
     return drop
 
 
-def _product(left, right, flatten):
+def _product(left, right, flat):
+    """left (x) right; with ``flat``, left's labels are id tuples and each
+    element's label extends its left label by its right id."""
     cartan = left.cartan
     nleft, nright = left.size, right.size
-    if flatten:
-        labels = tuple(head + (b,) for head in map(_as_tuple, left.labels)
+    if flat:
+        labels = tuple(head + (b,) for head in left.labels
                        for b in range(nright))
     else:
         labels = tuple((a, b) for a in range(nleft) for b in range(nright))
@@ -452,33 +451,22 @@ def _product(left, right, flatten):
     return CrystalGraph(cartan, tuple(wts), f_maps, e_maps, labels, (eps, phi))
 
 
-def _as_tuple(label):
-    return label if isinstance(label, tuple) else (label,)
-
-
-def tensor_many(factors):
-    """Left-fold tensor with flat id-tuple labels: labels are (a_1, .., a_m)."""
-    if not factors:
-        raise CrystalError("empty tensor product")
-    if len(factors) == 1:
-        first = factors[0]
-        return CrystalGraph(first.cartan, first.wts, first.f_maps, first.e_maps,
-                            tuple((b,) for b in first.elements()),
-                            (first._eps, first._phi))
-    graph = tensor(factors[0], factors[1])    # labels (a, b) are already flat
-    for nxt in factors[2:]:
-        graph = tensor(graph, nxt, flatten=True)
-    return graph
-
-
 @lru_cache(maxsize=None)
 def product_of_weights(cartan, weights):
-    """Cached flat tensor product of irreducibles B(w_1) x .. x B(w_m); from
-    three factors on, the cached product of the first m - 1 times B(w_m)."""
-    if len(weights) < 3:
-        return tensor_many([build_irreducible(cartan, w) for w in weights])
-    return tensor(product_of_weights(cartan, weights[:-1]),
-                  build_irreducible(cartan, weights[-1]), flatten=True)
+    """Cached flat tensor product of irreducibles B(w_1) x .. x B(w_m), with
+    id-tuple labels (a_1, .., a_m); from three factors on, the cached
+    product of the first m - 1 times B(w_m)."""
+    if len(weights) > 2:
+        return _product(product_of_weights(cartan, weights[:-1]),
+                        build_irreducible(cartan, weights[-1]), True)
+    if not weights:
+        raise CrystalError("empty tensor product")
+    first, *rest = [build_irreducible(cartan, w) for w in weights]
+    if rest:    # labels (a, b) are already flat
+        return tensor(first, *rest)
+    return CrystalGraph(cartan, first.wts, first.f_maps, first.e_maps,
+                        tuple((b,) for b in first.elements()),
+                        (first._eps, first._phi))
 
 
 def product_heads(cartan, left, right):

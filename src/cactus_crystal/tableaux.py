@@ -62,18 +62,6 @@ def check_tableau(t):
     return t
 
 
-def is_semistandard(t):
-    try:
-        check_tableau(t)
-    except TableauError:
-        return False
-    return all(v >= 1 for row in t for v in row)
-
-
-def is_standard(t):
-    return is_semistandard(t) and _numbered_once(t)
-
-
 def _numbered_once(t):
     """Whether the entries of t are 1..size(t), each once: on a tableau that
     check_tableau has passed, whether it is standard."""
@@ -151,7 +139,7 @@ def rsk_inverse(p, q):
     """Recover the word from an insertion/recording pair of equal shape."""
     p = check_tableau(p)
     q = check_tableau(q)
-    if shape(p) != shape(q) or not is_standard(q):
+    if shape(p) != shape(q) or not _numbered_once(q):
         raise TableauError("need equal shapes and a standard recording tableau")
     rows = [list(row) for row in p]
     n = size(q)

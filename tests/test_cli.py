@@ -715,6 +715,20 @@ def test_actions_size_factors_without_building_them(capsys, monkeypatch,
     assert "887503681 points" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["tensor", "--weights", "30,30 30,30"],
+    ["commutor", "--left", "30,30", "--right", "30,30"],
+], ids=["tensor", "commutor"])
+def test_products_size_factors_without_building_them(capsys, monkeypatch,
+                                                     argv):
+    # as for the actions: B(30,30) (x) B(30,30) has 887,503,681 points
+    monkeypatch.setenv("CACTUS_CRYSTAL_MAX_POINTS", "1000")
+    monkeypatch.setattr(cactus_crystal.crystal, "build_irreducible", refuse)
+    code, payload, captured = run(capsys, argv + ["--cartan", "A2"])
+    assert code == 2 and payload is None
+    assert "887503681 points" in captured.err
+
+
 def test_category_build_respects_point_budget(capsys, monkeypatch):
     # the colours a, b of A1 multiply to (a + 1) * (b + 1) points, first
     # over 10 at 1 and 5; no product over the budget is built

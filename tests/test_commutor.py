@@ -25,9 +25,9 @@ from cactus_crystal.crystal import (
     component_ids,
     product_of_weights,
     tensor,
-    tensor_many,
     walk_in_step,
 )
+from test_crystal import plain_fold
 
 A1 = cartan_type_a(1)
 A2 = cartan_type_a(2)
@@ -38,13 +38,13 @@ def internal_cactus(factors):
     """Reversal bijection tensor(B1..Bm) -> tensor(Bm..B1) on flat id tuples.
 
     Oracle for reversal_table: the same peeling recursion, but through
-    ``commutor`` on freshly built products (not the cached commutor_table)
-    and label lookups.
+    ``commutor`` on the plain folds of test_crystal (not the cached
+    product_of_weights) and label lookups.
     """
     if not factors:
         raise CrystalError("empty product has no reversal")
-    domain = tensor_many(factors)
-    codomain = tensor_many(list(reversed(factors)))
+    domain = plain_fold(factors)
+    codomain = plain_fold(factors[::-1])
     if len(factors) == 1:
         return CrystalBijection(domain, codomain,
                                 tuple(range(domain.size)))
@@ -99,7 +99,7 @@ def plain_schutzenberger(graph):
     return tuple(xi)
 
 
-# (cartan, left factor weights, right factor weight or None, flatten)
+# (cartan, left factor weights, right factor weight or None, flat)
 XI_CASES = [
     (A1, ((1,),), (2,), False),
     (A1, ((3,),), (2,), False),
@@ -111,12 +111,15 @@ XI_CASES = [
 ]
 
 
-def _graph(cartan, left_weights, right_weight, flatten):
-    left = (build_irreducible(cartan, left_weights[0]) if len(left_weights) == 1
-            else product_of_weights(cartan, left_weights))
+def _graph(cartan, left_weights, right_weight, flat):
+    """The product of the weights: by product_of_weights if ``flat``, else B
+    of the one left weight, tensored with B(right_weight) unless it is None."""
+    if flat:
+        return product_of_weights(cartan, left_weights + (right_weight,))
+    left = build_irreducible(cartan, left_weights[0])
     if right_weight is None:
         return left
-    return tensor(left, build_irreducible(cartan, right_weight), flatten=flatten)
+    return tensor(left, build_irreducible(cartan, right_weight))
 
 
 # graphs whose components are not normal, with the error xi must raise
@@ -198,9 +201,9 @@ def test_xi_intertwines_f_with_starred_e():
                 assert xi(c) == g.e(star(A2, i), xi(b))
 
 
-@pytest.mark.parametrize("cartan,left_weights,right_weight,flatten", XI_CASES)
-def test_xi_matches_plain_loop(cartan, left_weights, right_weight, flatten):
-    graph = _graph(cartan, left_weights, right_weight, flatten)
+@pytest.mark.parametrize("cartan,left_weights,right_weight,flat", XI_CASES)
+def test_xi_matches_plain_loop(cartan, left_weights, right_weight, flat):
+    graph = _graph(cartan, left_weights, right_weight, flat)
     assert schutzenberger(graph).mapping == plain_schutzenberger(graph)
 
 

@@ -26,7 +26,6 @@ from cactus_crystal.crystal import (
     semistandard_tableaux,
     shape_of_weight,
     tensor,
-    tensor_many,
     weyl_dimension,
     to_dot,
     walk_in_step,
@@ -39,13 +38,13 @@ W1 = fundamental_weight(A2, 1)
 W2 = fundamental_weight(A2, 2)
 
 
-def plain_tensor(left, right, flatten=False):
+def plain_tensor(left, right, flat=False):
     """(wts, f_maps, e_maps, labels) of the product, through per-element
-    method calls: the oracle for tensor."""
+    method calls: the oracle for tensor.  With ``flat``, left's labels are id
+    tuples that each product label extends by its right id."""
     pairs = [(a, b) for a in left.elements() for b in right.elements()]
-    if flatten:
-        labels = tuple((left.labels[a] if isinstance(left.labels[a], tuple)
-                        else (left.labels[a],)) + (b,) for a, b in pairs)
+    if flat:
+        labels = tuple(left.labels[a] + (b,) for a, b in pairs)
     else:
         labels = tuple(pairs)
     wts = tuple(weight_add(left.wt(a), right.wt(b)) for a, b in pairs)
@@ -71,6 +70,20 @@ def plain_tensor(left, right, flatten=False):
     return wts, f_maps, e_maps, labels
 
 
+def plain_fold(factors):
+    """B_1 (x) .. (x) B_m with flat id-tuple labels (a_1, .., a_m): the plain
+    left fold through plain_tensor, into fresh graphs that walk their own
+    i-strings.  The oracle for product_of_weights, sharing no product with
+    it."""
+    first = factors[0]
+    graph = CrystalGraph(first.cartan, first.wts, first.f_maps, first.e_maps,
+                         tuple((b,) for b in first.elements()))
+    for right in factors[1:]:
+        wts, f_maps, e_maps, labels = plain_tensor(graph, right, flat=True)
+        graph = CrystalGraph(graph.cartan, wts, f_maps, e_maps, labels)
+    return graph
+
+
 def plain_component_ids(graph):
     comp = [None] * graph.size
     next_comp = 0
@@ -90,8 +103,8 @@ def plain_component_ids(graph):
     return comp
 
 
-# (cartan, left factor weights, right factor weight, flatten), up to the
-# 2800-element A3 product
+# (cartan, left factor weights, right factor weight, flat), up to the
+# 2800-element A3 product; a flat case is the fold of product_of_weights
 TENSOR_CASES = [
     (A1, ((1,),), (2,), False),
     (A1, ((3,),), (2,), False),
@@ -104,13 +117,16 @@ TENSOR_CASES = [
 ]
 
 
-@pytest.mark.parametrize("cartan,left_weights,right_weight,flatten", TENSOR_CASES)
-def test_tensor_matches_plain_loop(cartan, left_weights, right_weight, flatten):
-    left = (build_irreducible(cartan, left_weights[0]) if len(left_weights) == 1
-            else product_of_weights(cartan, left_weights))
+@pytest.mark.parametrize("cartan,left_weights,right_weight,flat", TENSOR_CASES)
+def test_tensor_matches_plain_loop(cartan, left_weights, right_weight, flat):
     right = build_irreducible(cartan, right_weight)
-    t = tensor(left, right, flatten=flatten)
-    assert (t.wts, t.f_maps, t.e_maps, t.labels) == plain_tensor(left, right, flatten)
+    if flat:
+        left = product_of_weights(cartan, left_weights)
+        t = product_of_weights(cartan, left_weights + (right_weight,))
+    else:
+        left = build_irreducible(cartan, left_weights[0])
+        t = tensor(left, right)
+    assert (t.wts, t.f_maps, t.e_maps, t.labels) == plain_tensor(left, right, flat)
     assert component_ids(t) == plain_component_ids(t)
 
 
@@ -283,14 +299,16 @@ def test_trivial_component_sits_at_lowest_highest_pair():
     assert t.labels[2] == (1, 0)
 
 
-def test_tensor_many_flat_labels():
-    g = tensor_many([build_irreducible(A1, (1,))] * 3)
+def test_product_of_weights_flat_labels():
+    g = product_of_weights(A1, ((1,),) * 3)
     assert g.size == 8
     assert g.labels[0] == (0, 0, 0)
     assert g.labels[5] == (1, 0, 1)
-    single = tensor_many([build_irreducible(A1, (2,))])
+    single = product_of_weights(A1, ((2,),))
     assert single.labels == ((0,), (1,), (2,))
     assert single.f_maps == build_irreducible(A1, (2,)).f_maps
+    with pytest.raises(CrystalError, match="empty tensor product"):
+        product_of_weights(A1, ())
 
 
 @pytest.mark.parametrize("cartan", [A1, A2, A3], ids=["A1", "A2", "A3"])
@@ -314,7 +332,7 @@ def test_product_of_weights_equals_the_left_fold(weights):
     cartan = A1 if len(weights[0]) == 1 else A2
     weights = tuple(weights)
     extended = product_of_weights(cartan, weights)
-    folded = tensor_many([build_irreducible(cartan, w) for w in weights])
+    folded = plain_fold([build_irreducible(cartan, w) for w in weights])
     assert extended == folded
     assert (extended._eps, extended._phi) == (folded._eps, folded._phi)
 
@@ -346,9 +364,9 @@ def test_there_and_back_commutor_builds_two_products(monkeypatch):
         walked.append(graph)
         return walk(graph)
 
-    def counting_product(a, b, flatten):
+    def counting_product(a, b, flat):
         built.append((a, b))
-        return product_of(a, b, flatten)
+        return product_of(a, b, flat)
 
     def counting_xi(graph):
         if graph._xi is None:
@@ -380,9 +398,6 @@ def test_two_fold_products_are_kept_by_identity():
     twin = fresh(right)
     assert twin == right and tensor(left, twin) is not t
     assert tensor(left, twin) == t
-    folded = tensor(t, right, flatten=True)
-    assert tensor(t, right, flatten=True) is not folded
-    assert tensor(t, right, flatten=True) == folded
     # a right factor that died leaves its id free for another graph
     for k in range(30):
         other = fresh(build_irreducible(A2, (k % 3, 0)))

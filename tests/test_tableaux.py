@@ -8,14 +8,13 @@ from cactus_crystal.crystal import CrystalError, semistandard_tableaux
 from cactus_crystal.groups import defining_relation_families, format_word
 from cactus_crystal.tableaux import (
     TableauError,
+    _numbered_once,
     bender_knuth,
     bk_braid_witness,
     bk_cactus_act,
     check_tableau,
     count_standard_tableaux,
     evacuation,
-    is_semistandard,
-    is_standard,
     partial_evacuation,
     partitions_of,
     rsk,
@@ -78,19 +77,14 @@ def test_check_tableau_errors():
         check_tableau(((1, 2), (1,)))
 
 
-def test_standard_vs_semistandard():
-    assert is_standard(((1, 3), (2,)))
-    assert not is_standard(((1, 1), (2,)))
-    assert is_semistandard(((1, 1), (2,)))
-
-
 def test_rsk_frozen():
     assert rsk((3, 1, 2)) == (((1, 2), (3,)), ((1, 3), (2,)))
 
 
 def test_rsk_of_repeats():
     p, q = rsk((2, 1, 1, 2))
-    assert is_semistandard(p) and is_standard(q)
+    assert check_tableau(p) == p and check_tableau(q) == q
+    assert _numbered_once(q) and not _numbered_once(p)
     assert shape(p) == shape(q)
 
 
@@ -115,6 +109,8 @@ def test_rsk_inverse_validates():
         rsk_inverse(((1, 2),), ((1,), (2,)))
     with pytest.raises(TableauError):
         rsk_inverse(((1, 2),), ((1, 1),))
+    with pytest.raises(TableauError):     # a recording entry below 1
+        rsk_inverse(((1, 2),), ((0, 1),))
 
 
 def test_evacuation_frozen():
