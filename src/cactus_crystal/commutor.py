@@ -134,7 +134,7 @@ def reversal_table(cartan, weights):
     target = product_of_weights(cartan, weights[::-1])
     xis = [_xi_mapping(build_irreducible(cartan, w)) for w in weights]
     xi, labels = _xi_mapping(target), target.labels
-    return {tuple(map(tuple.__getitem__, xis, label[::-1])): labels[xi[u]]
+    return {tuple(x[c] for x, c in zip(xis, label[::-1])): labels[xi[u]]
             for u, label in enumerate(labels)}
 
 

@@ -402,12 +402,12 @@ def _forget(owner, key):
     return drop
 
 
-def _product(left, right, flat):
-    """left (x) right; with ``flat``, left's labels are id tuples and each
+def _product(left, right, flatten):
+    """left (x) right; with ``flatten``, left's labels are id tuples and each
     element's label extends its left label by its right id."""
     cartan = left.cartan
     nleft, nright = left.size, right.size
-    if flat:
+    if flatten:
         labels = tuple(head + (b,) for head in left.labels
                        for b in range(nright))
     else:

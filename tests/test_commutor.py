@@ -99,7 +99,7 @@ def plain_schutzenberger(graph):
     return tuple(xi)
 
 
-# (cartan, left factor weights, right factor weight or None, flat)
+# (cartan, left factor weights, right factor weight or None, flatten)
 XI_CASES = [
     (A1, ((1,),), (2,), False),
     (A1, ((3,),), (2,), False),
@@ -111,12 +111,11 @@ XI_CASES = [
 ]
 
 
-def _graph(cartan, left_weights, right_weight, flat):
-    """The product of the weights: by product_of_weights if ``flat``, else B
-    of the one left weight, tensored with B(right_weight) unless it is None."""
-    if flat:
+def _graph(cartan, left_weights, right_weight, flatten):
+    if flatten:
         return product_of_weights(cartan, left_weights + (right_weight,))
-    left = build_irreducible(cartan, left_weights[0])
+    left = (build_irreducible(cartan, left_weights[0]) if len(left_weights) == 1
+            else product_of_weights(cartan, left_weights))
     if right_weight is None:
         return left
     return tensor(left, build_irreducible(cartan, right_weight))
@@ -201,9 +200,9 @@ def test_xi_intertwines_f_with_starred_e():
                 assert xi(c) == g.e(star(A2, i), xi(b))
 
 
-@pytest.mark.parametrize("cartan,left_weights,right_weight,flat", XI_CASES)
-def test_xi_matches_plain_loop(cartan, left_weights, right_weight, flat):
-    graph = _graph(cartan, left_weights, right_weight, flat)
+@pytest.mark.parametrize("cartan,left_weights,right_weight,flatten", XI_CASES)
+def test_xi_matches_plain_loop(cartan, left_weights, right_weight, flatten):
+    graph = _graph(cartan, left_weights, right_weight, flatten)
     assert schutzenberger(graph).mapping == plain_schutzenberger(graph)
 
 

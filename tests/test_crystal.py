@@ -38,12 +38,12 @@ W1 = fundamental_weight(A2, 1)
 W2 = fundamental_weight(A2, 2)
 
 
-def plain_tensor(left, right, flat=False):
+def plain_tensor(left, right, flatten=False):
     """(wts, f_maps, e_maps, labels) of the product, through per-element
-    method calls: the oracle for tensor.  With ``flat``, left's labels are id
-    tuples that each product label extends by its right id."""
+    method calls: the oracle for tensor.  With ``flatten``, left's labels are
+    id tuples that each product label extends by its right id."""
     pairs = [(a, b) for a in left.elements() for b in right.elements()]
-    if flat:
+    if flatten:
         labels = tuple(left.labels[a] + (b,) for a, b in pairs)
     else:
         labels = tuple(pairs)
@@ -79,7 +79,7 @@ def plain_fold(factors):
     graph = CrystalGraph(first.cartan, first.wts, first.f_maps, first.e_maps,
                          tuple((b,) for b in first.elements()))
     for right in factors[1:]:
-        wts, f_maps, e_maps, labels = plain_tensor(graph, right, flat=True)
+        wts, f_maps, e_maps, labels = plain_tensor(graph, right, flatten=True)
         graph = CrystalGraph(graph.cartan, wts, f_maps, e_maps, labels)
     return graph
 
@@ -103,8 +103,8 @@ def plain_component_ids(graph):
     return comp
 
 
-# (cartan, left factor weights, right factor weight, flat), up to the
-# 2800-element A3 product; a flat case is the fold of product_of_weights
+# (cartan, left factor weights, right factor weight, flatten), up to the
+# 2800-element A3 product; a flattened case is the fold of product_of_weights
 TENSOR_CASES = [
     (A1, ((1,),), (2,), False),
     (A1, ((3,),), (2,), False),
@@ -117,16 +117,16 @@ TENSOR_CASES = [
 ]
 
 
-@pytest.mark.parametrize("cartan,left_weights,right_weight,flat", TENSOR_CASES)
-def test_tensor_matches_plain_loop(cartan, left_weights, right_weight, flat):
+@pytest.mark.parametrize("cartan,left_weights,right_weight,flatten", TENSOR_CASES)
+def test_tensor_matches_plain_loop(cartan, left_weights, right_weight, flatten):
+    left = (build_irreducible(cartan, left_weights[0]) if len(left_weights) == 1
+            else product_of_weights(cartan, left_weights))
     right = build_irreducible(cartan, right_weight)
-    if flat:
-        left = product_of_weights(cartan, left_weights)
+    if flatten:
         t = product_of_weights(cartan, left_weights + (right_weight,))
     else:
-        left = build_irreducible(cartan, left_weights[0])
         t = tensor(left, right)
-    assert (t.wts, t.f_maps, t.e_maps, t.labels) == plain_tensor(left, right, flat)
+    assert (t.wts, t.f_maps, t.e_maps, t.labels) == plain_tensor(left, right, flatten)
     assert component_ids(t) == plain_component_ids(t)
 
 
@@ -364,9 +364,9 @@ def test_there_and_back_commutor_builds_two_products(monkeypatch):
         walked.append(graph)
         return walk(graph)
 
-    def counting_product(a, b, flat):
+    def counting_product(a, b, flatten):
         built.append((a, b))
-        return product_of(a, b, flat)
+        return product_of(a, b, flatten)
 
     def counting_xi(graph):
         if graph._xi is None:
