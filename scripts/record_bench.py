@@ -4,13 +4,16 @@
     python3 scripts/record_bench.py --pr N --seconds 30 --pairs 10 \\
         --baseline ../parent-checkout
 
-Runs the four workloads at --trace 0, and one --trace 1 run of relations,
-for this checkout and, with --baseline, for a second checkout (the parent
-commit), alternating which side runs first.  Pair k runs seed k, and the
-traced run seed 1.  For each side the file holds
+Runs the four workloads at --trace 0, and one --trace 1 run each of
+relations and crystals, for this checkout and, with --baseline, for a second
+checkout (the parent commit), alternating which side runs first.  Pair k
+runs seed k, and the traced runs seed 1.  For each side the file holds
 the run metadata (commit, Python, nproc, src/ line count), the median and
 the per-run values of every end-to-end metric and of failed_ratio for each
-workload, and the per-layer *.s totals of the traced run.  With --baseline,
+workload, the per-layer *.s totals of the traced relations run
+("per_layer_s"), and those of the traced crystals run with the
+build_irreducible cache misses of each of its ops per traced pass
+("crystals_trace").  With --baseline,
 "compare" gives for each workload and metric (all lower-is-better) the
 pairs the change wins, the parent's quartiles, and a verdict: "unchanged"
 when the medians differ by no more than the parent's interquartile range,
@@ -52,6 +55,19 @@ def run_bench(checkout, workload, seed, seconds, trace):
     values = {k: m["value"] for k, m in result["metrics"].items()}
     values["failed_ratio"] = result["failed"] / max(result["attempted"], 1)
     return meta, values, result["correct"]
+
+
+def op_misses(checkout, workload, cache):
+    """{op name: misses of the cache in each traced pass}, from the detail
+    file of the workload's traced seed-1 run; each op starts with empty
+    caches."""
+    detail = json.loads((checkout / "perfbench" / "out" / (
+        "%s-seed1-trace1.json" % workload)).read_text())
+    misses = {}
+    for run in detail["passes"]:
+        for op in run["ops"] if run["traced"] else ():
+            misses.setdefault(op["name"], []).append(op["caches"][cache][1])
+    return misses
 
 
 def summarise(runs):
@@ -115,14 +131,22 @@ def main(argv=None):
               "seeds": list(range(1, args.pairs + 1)),
               "dont_write_bytecode": dont_write_bytecode}
     for side in sides:
-        _, layers, ok = run_bench(sides[side], "relations", 1,
-                                  args.seconds, 1)
-        correct &= ok
+        traced = {}
+        for workload in ("relations", "crystals"):
+            _, layers, ok = run_bench(sides[side], workload, 1,
+                                      args.seconds, 1)
+            correct &= ok
+            traced[workload] = {k: v for k, v in layers.items()
+                                if k.endswith(".s")}
         record[side] = {
             "meta": metas[side],
             "end_to_end": {w: summarise(runs[side][w]) for w in WORKLOADS},
-            "per_layer_s": {k: v for k, v in layers.items()
-                            if k.endswith(".s")},
+            "per_layer_s": traced["relations"],
+            "crystals_trace": {
+                "per_layer_s": traced["crystals"],
+                "build_irreducible_misses": op_misses(
+                    sides[side], "crystals", "crystal.build_irreducible"),
+            },
         }
     if args.baseline:
         record["compare"] = {w: compare(runs["parent"][w], runs["change"][w])

@@ -20,12 +20,13 @@ leftmost surviving '-' and f_i lowers the rightmost surviving '+'.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import compress
 from math import factorial, prod
+from types import SimpleNamespace
 from weakref import ref
 
-from . import CactusError, fields_repr
+from . import CactusError, Memo, fields_repr
 from .cartan import (
     cartan_to_json,
     simple_root,
@@ -45,8 +46,9 @@ class CrystalGraph:
     ``labels`` carries an arbitrary hashable per element (tableaux for
     irreducibles, id tuples for products) so that derived graphs remember
     where their elements came from.  ``f_maps`` and ``e_maps`` map i to a
-    tuple of target ids or None.  ``strings``, eps and phi dicts derived from
-    graphs this one is built from, spares walking each i-string.  Graphs are
+    tuple of target ids or None.  ``strings``, the eps and phi dicts derived
+    from graphs this one is built from, or a function that gives them on the
+    first read, spares walking each i-string.  Graphs are
     equal when their fields are, whatever they have cached, and unhashable.
     A graph keeps what is computed from it once: its heads, component ids,
     xi, and, as the left factor, its two-fold products (see ``tensor``).
@@ -61,7 +63,18 @@ class CrystalGraph:
         if len(set(self.labels)) != self.size:
             raise CrystalError("element labels are not distinct")
         self._check_axioms()
-        self._eps, self._phi = strings or _string_walk(self)
+        if callable(strings):
+            self._strings = strings
+        else:
+            self._eps, self._phi = strings or _string_walk(self)
+
+    def __getattr__(self, name):
+        """Runs on the first read of _eps or _phi of a graph given them as a
+        function, and keeps both dicts it returns."""
+        if name not in ("_eps", "_phi") or "_strings" not in self.__dict__:
+            raise AttributeError(name)
+        self._eps, self._phi = self.__dict__.pop("_strings")()
+        return self.__dict__[name]
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -255,11 +268,16 @@ def _bracket_positions(word, i):
     return f_pos, e_pos
 
 
-def _tableau_weight(tableau, rank):
+def _lowered(i, word):
+    """f_i of a word under the bracket rule, or None."""
+    pos = _bracket_positions(word, i)[0]
+    return None if pos is None else word[:pos] + (i + 1,) + word[pos + 1:]
+
+
+def _word_weight(word, rank):
     counts = [0] * (rank + 2)
-    for row in tableau:
-        for v in row:
-            counts[v] += 1
+    for v in word:
+        counts[v] += 1
     return tuple(counts[i] - counts[i + 1] for i in range(1, rank + 1))
 
 
@@ -301,27 +319,22 @@ def build_irreducible(cartan, weight):
     rank = cartan.rank
     tableaux = sorted(semistandard_tableaux(shape, rank + 1))
     order = reading_order(shape)
-    index = {t: k for k, t in enumerate(tableaux)}
-    wts = tuple(_tableau_weight(t, rank) for t in tableaux)
-
-    words = [[t[r][c] for r, c in order] for t in tableaux]
-
-    def moved(tableau, pos, delta):
-        r, c = order[pos]
-        row = tableau[r]
-        return (tableau[:r] + (row[:c] + (row[c] + delta,) + row[c + 1:],)
-                + tableau[r + 1:])
+    # a tableau of the shape is its reading word; the bracket rule moves
+    # one letter of it
+    words = [tuple(t[r][c] for r, c in order) for t in tableaux]
+    index = {word: k for k, word in enumerate(words)}
+    wts = tuple(_word_weight(word, rank) for word in words)
 
     f_maps, e_maps = {}, {}
     for i in cartan.index_range():
         f_arr, e_arr = [], []
-        for t, word in zip(tableaux, words):
+        for word in words:
             f_pos, e_pos = _bracket_positions(word, i)
-            for pos, delta, arr in ((f_pos, 1, f_arr), (e_pos, -1, e_arr)):
+            for pos, letter, arr in ((f_pos, i + 1, f_arr), (e_pos, i, e_arr)):
                 if pos is None:
                     arr.append(None)
                     continue
-                image = moved(t, pos, delta)
+                image = word[:pos] + (letter,) + word[pos + 1:]
                 if image not in index:
                     raise CrystalError(
                         "tableau operator left the semistandard family")
@@ -374,7 +387,8 @@ def tensor(left, right):
     """Two-fold tensor product crystal; elements are id pairs.
 
     The element with label (a, b) has id a * right.size + b.  By the tensor
-    rule, eps(a (x) b) = eps(b) + max(0, eps(a) - phi(b)) and dually phi.
+    rule, eps(a (x) b) = eps(b) + max(0, eps(a) - phi(b)) and dually phi,
+    computed on the first read of either.
     A two-fold product is built once per factor pair: the left factor keeps
     it, keyed by the identity of the right factor, which it holds weakly so
     that no reference cycle forms, and drops it when the right factor dies.
@@ -441,14 +455,24 @@ def _product(left, right, flatten):
                     e_arr.append(None if eb is None else row + eb)
         f_maps[i] = tuple(f_arr)
         e_maps[i] = tuple(e_arr)
+    # a closure over the factors' dicts, not the factors, which tensor
+    # holds weakly
+    strings = partial(_tensor_strings, left._eps, left._phi,
+                      right._eps, right._phi)
+    return CrystalGraph(cartan, tuple(wts), f_maps, e_maps, labels, strings)
+
+
+def _tensor_strings(l_eps, l_phi, r_eps, r_phi):
+    """The eps and phi dicts of a two-fold product from its factors' dicts,
+    by the tensor rule; a product runs it on the first read of either."""
     eps, phi = {}, {}
-    for i in cartan.index_range():
-        l_eps, r_eps, r_phi = left._eps[i], right._eps[i], right._phi[i]
+    for i in l_eps:
+        r_eps_i, r_phi_i = r_eps[i], r_phi[i]
         eps[i] = tuple(eb + (ea - pb if ea > pb else 0)
-                       for ea in l_eps for eb, pb in zip(r_eps, r_phi))
+                       for ea in l_eps[i] for eb, pb in zip(r_eps_i, r_phi_i))
         phi[i] = tuple(pa + (pb - ea if pb > ea else 0)
-                       for ea, pa in zip(l_eps, left._phi[i]) for pb in r_phi)
-    return CrystalGraph(cartan, tuple(wts), f_maps, e_maps, labels, (eps, phi))
+                       for ea, pa in zip(l_eps[i], l_phi[i]) for pb in r_phi_i)
+    return eps, phi
 
 
 @lru_cache(maxsize=None)
@@ -543,7 +567,8 @@ def walk_in_step(graph, other, start, other_start):
     Returns the partner map from the elements of graph reached from start to
     the elements of other reached along the same f-paths, or None when two
     partners differ in weight or in which f_i are defined, or when two paths
-    to one element give it different partners.
+    to one element give it different partners.  Of other it reads only
+    ``wts`` and ``f_maps``, indexed by its elements.
     """
     moves = [(graph.f_maps[i], other.f_maps[i]) for i in graph.index_range()]
     wts, other_wts = graph.wts, other.wts
@@ -568,24 +593,38 @@ def walk_in_step(graph, other, start, other_start):
 
 
 def normality_report(graph):
-    """Compare every component against the reference crystal of its head.
+    """Compare every component against B(wt) for the weight wt of its head.
 
-    Returns a dict with status "normal" or "not_normal".
+    Each component is walked from its head in step with the crystal of
+    words in 1..rank+1 from the reading word of the highest tableau of
+    shape wt, whose component is B(wt); it must match it element for
+    element, weyl_dimension of them.  Returns a dict with status "normal"
+    or "not_normal".
     """
+    cartan = graph.cartan
+    words = _word_crystal(cartan)
     for head, members in component_members(graph):
         wt = graph.wt(head)
         if any(c < 0 for c in wt):
             return {"status": "not_normal", "head": head,
                     "detail": "highest weight %r is not dominant" % (wt,)}
-        reference = build_irreducible(graph.cartan, wt)
-        partner = walk_in_step(graph, reference, head,
-                               reference.highest_weight_elements()[0])
-        size = reference.size
+        size = weyl_dimension(cartan, wt)
+        top = tuple(r + 1 for r, _ in reading_order(shape_of_weight(wt)))
+        partner = walk_in_step(graph, words, head, top)
         if (partner is None or len(members) != size or len(partner) != size
                 or len(set(partner.values())) != size):
             return {"status": "not_normal", "head": head,
                     "detail": "component at %d is not B(%r)" % (head, wt)}
     return {"status": "normal"}
+
+
+def _word_crystal(cartan):
+    """The weights and f_i of the crystal of words in 1..rank+1, each computed
+    on its first lookup, read by walk_in_step as a graph's wts and f_maps."""
+    rank = cartan.rank
+    return SimpleNamespace(
+        wts=Memo(lambda word: _word_weight(word, rank)),
+        f_maps={i: Memo(partial(_lowered, i)) for i in cartan.index_range()})
 
 
 # ---------------------------------------------------------------------------

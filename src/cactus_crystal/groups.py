@@ -18,18 +18,20 @@ r s_ij r^{-1} = s_{i+1,j+1}.  MC has no known presentation, so asking for its
 relations raises; its verification goes through the vC image instead, which
 virtual_letters gives letter by letter and to_virtual word by word.  One
 generator lists the interval relations of every flavour (a standard interval
-is a cyclic one [i, j] with i < j), and relation_stream yields every relation
-as letter tuples, each letter checked once when it is interned, up to the
-point budget; the word lists are built from it.
+is a cyclic one [i, j] with i < j).  relation_stream checks the closed-form
+count of relation_counts against the point budget, then yields every relation
+as letter tuples, each letter checked once when it is interned; the word lists
+are built from it.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, islice, permutations
+from itertools import combinations, permutations
+from math import comb, factorial
 
-from . import (MAX_POINTS_ENV, CactusError, Frozen, Memo, perms,
-               point_budget, setfield)
+from . import (MAX_POINTS_ENV, CactusError, Frozen, perms, point_budget,
+               setfield)
 from .perms import (
     check_perm,
     compose,
@@ -249,25 +251,51 @@ def _interval_relations(kind, n, letter):
                 yield "nesting", (s[i, j], s[k, l], s[i, j]), (s[flipped],)
 
 
-def relation_stream(kind, n):
-    """Yield the relations of the flavour as (family, lhs, rhs) letter tuples:
-    the defining relations of C, vC and AC, the mc_relation_suite of MC.
-    The point budget caps their number, checked as they are yielded."""
-    budget = point_budget(GroupError)
-    relations = _relations(kind, n)
-    yield from islice(relations, budget)
-    if next(relations, None) is not None:
-        raise GroupError("the %s relations for n=%d outnumber the budget of "
-                         "%d; raise %s to override"
-                         % (kind, n, budget, MAX_POINTS_ENV))
-
-
-def _relations(kind, n):
+def relation_counts(kind, n):
+    """{family: count} of the relations relation_stream(kind, n) yields, in
+    closed form, without listing them."""
     if n < 2:
         raise GroupError("need n >= 2")
     if kind not in KINDS:
         raise GroupError("unknown flavour %r" % (kind,))
+    cyclic = kind == "AC"
+    # an interval of m points contains comb(m, 2) - 1 others; there are n
+    # cyclic ones of each length, n + 1 - m standard ones; four points in
+    # cyclic order bound two disjoint pairs of cyclic intervals, one of
+    # standard ones
+    counts = {"involution": n * (n - 1) if cyclic else comb(n, 2),
+              "disjoint": (2 if cyclic else 1) * comb(n, 4),
+              "nesting": sum((n if cyclic else n + 1 - m) * (comb(m, 2) - 1)
+                             for m in range(2, n + 1))}
+    if kind == "MC":
+        return {"t_involution": n - 1, "t_disjoint": comb(n - 2, 2),
+                "t_conjugation": sum(comb(i - 1, 2) + comb(n - i - 1, 2)
+                                     for i in range(1, n)),
+                **{"interval_" + f: c for f, c in counts.items()}}
+    if kind == "vC":
+        counts["perm_table"] = factorial(n) ** 2
+        # n - q intervals of q + 1 points, each cabled by (n - q)! letters
+        counts["cabled"] = sum((n - q) * factorial(n - q) for q in range(1, n))
+    if cyclic:
+        counts["rotation_order"] = 1
+        counts["rotation_shift"] = n * (n - 1)
+    return counts
 
+
+def relation_stream(kind, n):
+    """The relations of the flavour, yielded as (family, lhs, rhs) letter
+    tuples: the defining relations of C, vC and AC, the mc_relation_suite of
+    MC.  Their closed-form count is checked against the point budget before
+    any is listed."""
+    budget = point_budget(GroupError)
+    if sum(relation_counts(kind, n).values()) > budget:
+        raise GroupError("the %s relations for n=%d outnumber the budget of "
+                         "%d; raise %s to override"
+                         % (kind, n, budget, MAX_POINTS_ENV))
+    return _relations(kind, n)
+
+
+def _relations(kind, n):
     def letter(g):
         return _check_generator(g, kind, n)
     if kind == "MC":
@@ -287,11 +315,9 @@ def _relations(kind, n):
         return
     yield from _interval_relations(kind, n, letter)
     if kind == "vC":
-        # n! letters: each is interned on first use, so that the budget
-        # stops the stream before they are all made
-        w = Memo(lambda u: letter(PermGen(u)))
-        for u in permutations(range(1, n + 1)):
-            for v in permutations(range(1, n + 1)):
+        w = {u: letter(PermGen(u)) for u in permutations(range(1, n + 1))}
+        for u in w:
+            for v in w:
                 yield "perm_table", (w[u], w[v]), (w[compose(u, v)],)
         for i, j in combinations(range(1, n + 1), 2):
             q = j - i

@@ -786,9 +786,9 @@ def test_products_respect_point_budget(capsys, monkeypatch, argv):
 ], ids=["verify", "group", "group_n9"])
 def test_relation_lists_respect_point_budget(capsys, monkeypatch, argv, n,
                                              seconds):
-    # vC has (n!)^2 multiplication-table relations: 25,401,600 at n = 7; its
-    # n! permutation letters are interned as the stream reaches them, so the
-    # refusal at n = 9 comes before the 362,880 letters are made
+    # vC has (n!)^2 multiplication-table relations: 25,401,600 at n = 7; the
+    # stream checks their closed-form count, so the refusal at n = 9 comes
+    # before any of the 362,880 permutation letters is made
     monkeypatch.setenv("CACTUS_CRYSTAL_MAX_POINTS", "1000")
     start = time.monotonic()
     code, payload, captured = run(capsys, argv)

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cactus_crystal import clear_caches
 from cactus_crystal import commutor as commutor_module
 from cactus_crystal import crystal as crystal_module
 from cactus_crystal.cartan import (
@@ -323,6 +324,29 @@ def test_tensor_rule_strings_match_the_string_walk(cartan):
             assert (g._eps, g._phi) == _string_walk(g), (left, right)
 
 
+@pytest.mark.parametrize("weights", [
+    ((1, 1), (1, 0)),
+    ((1, 0), (0, 1), (1, 1)),
+    ((1, 0), (0, 1), (1, 0), (2, 0), (0, 1)),
+], ids=["2-fold", "3-fold", "5-fold"])
+def test_product_strings_are_read_on_first_use(weights):
+    clear_caches()
+    g = product_of_weights(A2, weights)
+    assert "_eps" not in vars(g) and "_phi" not in vars(g)
+    assert (g._eps, g._phi) == _string_walk(g)
+    assert "_strings" not in vars(g) and g.eps(1, 0) == g._eps[1][0]
+
+
+def test_hexagon_reads_no_strings_of_its_three_fold_products():
+    clear_caches()
+    lam, mu, nu = (1, 0), (1, 1), (0, 2)
+    assert commutor_module.hexagon_holds(A2, lam, mu, nu)
+    for weights in [(lam, nu, mu), (mu, lam, nu), (nu, mu, lam)]:
+        g = product_of_weights(A2, weights)
+        assert "_strings" in vars(g) and "_eps" not in vars(g), weights
+        assert (g._eps, g._phi) == _string_walk(g)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.one_of(
     st.lists(st.tuples(st.integers(0, 2)), min_size=1, max_size=4),
@@ -511,6 +535,121 @@ def test_normality_report_builds_no_sub_crystal(monkeypatch):
 
     monkeypatch.setattr(crystal_module, "_subgraph", no_subgraph)
     t = tensor(build_irreducible(A2, (1, 1)), build_irreducible(A2, (1, 0)))
+    assert normality_report(t) == {"status": "normal"}
+
+
+def plain_normality_report(graph):
+    """normality_report through a reference B(wt) built per component: the
+    oracle for the walk on reading words."""
+    for head, members in crystal_module.component_members(graph):
+        wt = graph.wt(head)
+        if any(c < 0 for c in wt):
+            return {"status": "not_normal", "head": head,
+                    "detail": "highest weight %r is not dominant" % (wt,)}
+        reference = build_irreducible(graph.cartan, wt)
+        partner = walk_in_step(graph, reference, head,
+                               reference.highest_weight_elements()[0])
+        size = reference.size
+        if (partner is None or len(members) != size or len(partner) != size
+                or len(set(partner.values())) != size):
+            return {"status": "not_normal", "head": head,
+                    "detail": "component at %d is not B(%r)" % (head, wt)}
+    return {"status": "normal"}
+
+
+def reading_word(tableau):
+    order = reading_order(tuple(map(len, tableau)))
+    return tuple(tableau[r][c] for r, c in order)
+
+
+def assert_word_walk_matches_reference(graph):
+    """Each component's partner map on reading words is the map onto its
+    reference B(wt) read through the reference's tableau labels."""
+    words = crystal_module._word_crystal(graph.cartan)
+    for head in graph.highest_weight_elements():
+        reference = build_irreducible(graph.cartan, graph.wt(head))
+        top, = reference.highest_weight_elements()
+        partner = walk_in_step(graph, reference, head, top)
+        assert walk_in_step(graph, words, head,
+                            reading_word(reference.labels[top])) \
+            == {b: reading_word(reference.labels[rb]) for b, rb in partner.items()}
+    assert normality_report(graph) == plain_normality_report(graph) \
+        == {"status": "normal"}
+
+
+DOMINANT = st.one_of(
+    st.tuples(st.integers(0, 3)),
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(DOMINANT, st.data())
+def test_word_walk_matches_the_reference_walk(left, data):
+    cartan = (A1, A2, A3)[len(left) - 1]
+    right = data.draw(st.tuples(*[st.integers(0, 2 if cartan is A2 else 1)]
+                                * cartan.rank))
+    assert_word_walk_matches_reference(tensor(build_irreducible(cartan, left),
+                                              build_irreducible(cartan, right)))
+
+
+def test_word_walk_matches_the_reference_walk_on_the_a3_product():
+    assert_word_walk_matches_reference(tensor(
+        build_irreducible(A3, (2, 1, 1)), build_irreducible(A3, (1, 1, 0))))
+
+
+def reroutings(graph):
+    """graph rebuilt with one f_i/e_i edge pair swapped between two elements
+    of one weight, for each such pair."""
+    for i in graph.index_range():
+        f_map = graph.f_maps[i]
+        by_weight = {}
+        for b in graph.elements():
+            if f_map[b] is not None:
+                by_weight.setdefault(graph.wt(b), []).append(b)
+        for first, *others in by_weight.values():
+            for b in others:
+                swapped = list(f_map)
+                swapped[b], swapped[first] = f_map[first], f_map[b]
+                yield CrystalGraph(graph.cartan, graph.wts,
+                                   {**graph.f_maps, i: tuple(swapped)})
+
+
+def report_or_error(report, graph):
+    try:
+        return report(graph)
+    except CrystalError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("graph,detail", NOT_NORMAL)
+def test_not_normal_graphs_report_alike_on_both_paths(graph, detail):
+    assert normality_report(graph) == plain_normality_report(graph)
+
+
+@pytest.mark.parametrize("cartan,left,right", [
+    (A1, (1,), (2,)),
+    (A2, (1, 0), (1, 1)),
+    (A2, (1, 1), (1, 1)),
+    (A3, (1, 0, 0), (1, 1, 0)),
+])
+def test_rerouted_products_report_alike_on_both_paths(cartan, left, right):
+    t = tensor(build_irreducible(cartan, left), build_irreducible(cartan, right))
+    outcomes = []
+    for graph in reroutings(t):
+        outcomes.append(report_or_error(normality_report, graph))
+        assert outcomes[-1] == report_or_error(plain_normality_report, graph)
+    assert any(isinstance(o, dict) and o["status"] == "not_normal"
+               for o in outcomes)
+
+
+def test_normality_report_builds_no_irreducible(monkeypatch):
+    t = tensor(build_irreducible(A3, (2, 1, 1)), build_irreducible(A3, (1, 1, 0)))
+
+    def no_irreducible(*args):
+        raise AssertionError("normality_report built an irreducible crystal")
+
+    monkeypatch.setattr(crystal_module, "build_irreducible", no_irreducible)
     assert normality_report(t) == {"status": "normal"}
 
 

@@ -1,4 +1,7 @@
 import hashlib
+import importlib.util
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +22,7 @@ from cactus_crystal.groups import (
     mc_s0j_word,
     parse_word,
     project_to_symmetric,
+    relation_counts,
     relation_stream,
     to_virtual,
     word,
@@ -341,15 +345,48 @@ def test_relation_stream_refuses_what_the_lists_refuse():
 
 @pytest.mark.parametrize("kind", ["C", "vC", "MC", "AC"])
 def test_relation_stream_stops_past_the_budget(monkeypatch, kind):
+    # one relation past the budget is refused before any is listed
     total = sum(1 for _ in relation_stream(kind, 4))
     monkeypatch.setenv("CACTUS_CRYSTAL_MAX_POINTS", str(total))
     assert sum(1 for _ in relation_stream(kind, 4)) == total
     monkeypatch.setenv("CACTUS_CRYSTAL_MAX_POINTS", str(total - 1))
-    stream = relation_stream(kind, 4)
-    for _ in range(total - 1):
-        next(stream)
+    listed = []
+    monkeypatch.setattr(groups, "_relations", lambda *args: listed.append(args))
     with pytest.raises(GroupError, match="CACTUS_CRYSTAL_MAX_POINTS"):
-        next(stream)
+        relation_stream(kind, 4)
+    assert listed == []
+
+
+def _oracles():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "oracles.py"
+    spec = importlib.util.spec_from_file_location("oracles", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("kind", ["C", "vC", "MC", "AC"])
+def test_relation_counts_are_the_stream_lengths(kind, n):
+    streamed = Counter(family for family, _, _ in relation_stream(kind, n))
+    counts = relation_counts(kind, n)
+    assert {f: c for f, c in counts.items() if c} == streamed
+
+
+def test_relation_counts_match_the_benchmark_oracle():
+    for (kind, n), (total, families) in _oracles().RELATIONS.items():
+        counts = relation_counts(kind, n)
+        assert sum(counts.values()) == total, (kind, n)
+        assert {f for f, c in counts.items() if c} == families, (kind, n)
+
+
+@pytest.mark.parametrize("kind, n", [("vC", 10), ("C", 15000)])
+def test_relation_budget_is_checked_before_listing(monkeypatch, kind, n):
+    monkeypatch.setenv("CACTUS_CRYSTAL_MAX_POINTS", "100000")
+    monkeypatch.setattr(groups, "_relations", None)
+    with pytest.raises(GroupError, match="the %s relations for n=%d "
+                       "outnumber the budget of 100000" % (kind, n)):
+        relation_stream(kind, n)
 
 
 # sha256 of each flavour's n = 4 stream as "family: lhs = rhs" lines,
