@@ -158,7 +158,7 @@ def from_crystals(cartan, core_weights):
             mult[(a, b, mu)] = tuple(ids[m] for m in heads(a, b)[mu])
 
     # the whole product is built only here, for the phi pairs, and inside
-    # reversal_table, for the sigma pairs; product labels are divmod(id, dim)
+    # reversal_table, for the sigma pairs; product entries are divmod(id, dim)
     @lru_cache(maxsize=None)
     def emb(a, b, mu, m):
         ref = graph(mu)
@@ -544,6 +544,10 @@ def category_from_json(doc):
         if type(colours) is not list:
             _not_lists(colours)
         core = tuple(f[x] for x in colours)
+        # table values are ids: a list or object among them raises here
+        for table in (cl, mult, *sigma.values(), *phi.values(),
+                      *assoc.values()):
+            hash(tuple(table.values()))
     except (AttributeError, TypeError, ValueError) as exc:
         raise CategoryError("malformed category data: %s" % exc) from None
     return CategoryData(core_colours=core, cl=cl, mult=mult, sigma=sigma,

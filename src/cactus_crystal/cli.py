@@ -145,11 +145,12 @@ def cmd_commutor(args):
     cartan = _parse_cartan(args)
     weights = [_parse_weight(w, cartan.rank) for w in (args.left, args.right)]
     check_budget(prod(weyl_dimension(cartan, w) for w in weights), "the product")
-    bij = commutor(*(build_irreducible(cartan, w) for w in weights))
+    left, right = (build_irreducible(cartan, w) for w in weights)
+    bij = commutor(left, right)
     return _report("commutor", True, left=args.left, right=args.right,
                    pairs=bij.to_pairs(),
-                   labels=[[repr(bij.domain.labels[b]),
-                            repr(bij.codomain.labels[bij(b)])]
+                   labels=[[repr(divmod(b, right.size)),
+                            repr(divmod(bij(b), left.size))]
                            for b in bij.domain.elements()])
 
 

@@ -14,6 +14,7 @@ one xi per factor and one on the reversed product (Henriques-Kamnitzer):
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 
 from . import fields_repr
 from .cartan import star
@@ -113,8 +114,8 @@ def commutor_on(left, right, domain, codomain):
     """sigma: left (x) right -> right (x) left between the given products.
 
     ``domain`` and ``codomain`` are left (x) right and right (x) left, or
-    graphs equal to them id by id: the element (a, b) of a two-fold product
-    has id a * |right| + b, which is also its id in a flat product of the
+    graphs equal to them id by id: the element a (x) b of a two-fold product
+    has id a * |right| + b, which is also its id in a longer product of the
     same factors, since the tensor rule is associative on ids.
     """
     xl, xr, xc = _xi_mapping(left), _xi_mapping(right), _xi_mapping(codomain)
@@ -125,17 +126,18 @@ def commutor_on(left, right, domain, codomain):
 
 @lru_cache(maxsize=None)
 def reversal_table(cartan, weights):
-    """Flat-tuple reversal map for B(w_1) (x) .. (x) B(w_m), cached by weights.
+    """Reversal map for B(w_1) (x) .. (x) B(w_m), cached by weights.
 
     Returns a dict from entry tuples to entry tuples; the output entries index
-    the factors in reversed order.  The target label (c_m, .., c_1) comes from
-    the domain entries (xi c_1, .., xi c_m) and goes to its own xi.
+    the factors in reversed order.  The target element with entries
+    (c_m, .., c_1), listed in id order, comes from the domain entries
+    (xi c_1, .., xi c_m) and goes to its own xi.
     """
-    target = product_of_weights(cartan, weights[::-1])
     xis = [_xi_mapping(build_irreducible(cartan, w)) for w in weights]
-    xi, labels = _xi_mapping(target), target.labels
-    return {tuple(x[c] for x, c in zip(xis, label[::-1])): labels[xi[u]]
-            for u, label in enumerate(labels)}
+    xi = _xi_mapping(product_of_weights(cartan, weights[::-1]))
+    entries = list(product(*(range(len(x)) for x in xis[::-1])))
+    return {tuple(x[c] for x, c in zip(xis, target[::-1])): entries[xi[u]]
+            for u, target in enumerate(entries)}
 
 
 def hexagon_holds(cartan, lam, mu, nu):
@@ -143,7 +145,7 @@ def hexagon_holds(cartan, lam, mu, nu):
 
     Left: reverse (mu, nu), then move lam past the block; right: reverse
     (lam, mu), then move nu in front.  Both outer commutors land in the same
-    flat product, so the paths are compared id by id.
+    product, so the paths are compared id by id.
     """
     lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
     inner_l = commutor_table(cartan, (mu,), (nu,)).mapping
@@ -158,21 +160,14 @@ def hexagon_holds(cartan, lam, mu, nu):
     return left == right
 
 
-def _factor(cartan, weights):
-    if len(weights) == 1:
-        return build_irreducible(cartan, weights[0])
-    return product_of_weights(cartan, weights)
-
-
 @lru_cache(maxsize=None)
 def commutor_table(cartan, left_weights, right_weights):
-    """Cached commutor between two flat products given by weight tuples.
+    """Cached commutor between two products given by weight tuples.
 
-    The domain and codomain are the cached flat products of
-    ``left_weights + right_weights`` and ``right_weights + left_weights``, so
-    their labels are flat id tuples, one entry per factor.
+    The domain and codomain are the cached products of
+    ``left_weights + right_weights`` and ``right_weights + left_weights``.
     """
-    return commutor_on(_factor(cartan, left_weights),
-                       _factor(cartan, right_weights),
+    return commutor_on(product_of_weights(cartan, left_weights),
+                       product_of_weights(cartan, right_weights),
                        product_of_weights(cartan, left_weights + right_weights),
                        product_of_weights(cartan, right_weights + left_weights))

@@ -20,7 +20,7 @@ leftmost surviving '-' and f_i lowers the rightmost surviving '+'.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from itertools import compress
 from math import factorial, prod
 from types import SimpleNamespace
@@ -43,12 +43,12 @@ class CrystalGraph:
     """A finite set with weights and partial raising/lowering maps.
 
     Treated as immutable after construction; ids are 0..size-1 and stable.
-    ``labels`` carries an arbitrary hashable per element (tableaux for
-    irreducibles, id tuples for products) so that derived graphs remember
-    where their elements came from.  ``f_maps`` and ``e_maps`` map i to a
-    tuple of target ids or None.  ``strings``, the eps and phi dicts derived
-    from graphs this one is built from, or a function that gives them on the
-    first read, spares walking each i-string.  Graphs are
+    ``labels``, distinct hashables, name the elements (tableaux for
+    irreducibles and their sub-crystals); by default they are the ids.
+    ``f_maps`` and ``e_maps`` map i to a tuple of target ids or None.  The
+    eps and phi dicts are computed on their first read, by ``strings``, a
+    function that derives them from graphs this one is built from, or else
+    by walking each i-string.  Graphs are
     equal when their fields are, whatever they have cached, and unhashable.
     A graph keeps what is computed from it once: its heads, component ids,
     xi, and, as the left factor, its two-fold products (see ``tensor``).
@@ -60,20 +60,17 @@ class CrystalGraph:
         self.e_maps = e_maps if e_maps is not None else {
             i: _invert_partial(f_maps[i], self.size, i) for i in f_maps}
         self._heads = self._comp = self._xi = self._products = None
-        if len(set(self.labels)) != self.size:
+        self._strings = strings
+        if labels is not None and len(set(labels)) != self.size:
             raise CrystalError("element labels are not distinct")
         self._check_axioms()
-        if callable(strings):
-            self._strings = strings
-        else:
-            self._eps, self._phi = strings or _string_walk(self)
 
     def __getattr__(self, name):
-        """Runs on the first read of _eps or _phi of a graph given them as a
-        function, and keeps both dicts it returns."""
-        if name not in ("_eps", "_phi") or "_strings" not in self.__dict__:
+        """Runs on the first read of _eps or _phi, and keeps both dicts."""
+        if name not in ("_eps", "_phi"):
             raise AttributeError(name)
-        self._eps, self._phi = self.__dict__.pop("_strings")()
+        strings = self.__dict__.pop("_strings", None)
+        self._eps, self._phi = strings() if strings else _string_walk(self)
         return self.__dict__[name]
 
     def __eq__(self, other):
@@ -172,7 +169,8 @@ def _undefined_everywhere(graph, maps):
 
 def _string_walk(graph):
     """The eps and phi dicts of a graph, index to tuple per element, by
-    walking each i-string top to bottom."""
+    walking each i-string top to bottom: by axioms (1) to (4) no string is
+    a cycle, and every element lies on one that starts at a top."""
     eps, phi = {}, {}
     for i in graph.index_range():
         e_map, f_map = graph.e_maps[i], graph.f_maps[i]
@@ -188,8 +186,6 @@ def _string_walk(graph):
             length = len(chain) - 1
             for k, b in enumerate(chain):
                 up[b], down[b] = k, length - k
-        if None in up:
-            raise CrystalError("broken i-string structure")
         eps[i], phi[i] = tuple(up), tuple(down)
     return eps, phi
 
@@ -384,9 +380,9 @@ def _component_walk(graph):
 
 
 def tensor(left, right):
-    """Two-fold tensor product crystal; elements are id pairs.
+    """Two-fold tensor product crystal, whose labels are its ids.
 
-    The element with label (a, b) has id a * right.size + b.  By the tensor
+    The element a (x) b has id a * right.size + b.  By the tensor
     rule, eps(a (x) b) = eps(b) + max(0, eps(a) - phi(b)) and dually phi,
     computed on the first read of either.
     A two-fold product is built once per factor pair: the left factor keeps
@@ -401,7 +397,7 @@ def tensor(left, right):
     kept = left._products.get(key)
     if kept is None:
         kept = left._products[key] = (ref(right, _forget(ref(left), key)),
-                                      _product(left, right, False))
+                                      _product(left, right))
     return kept[1]
 
 
@@ -416,16 +412,10 @@ def _forget(owner, key):
     return drop
 
 
-def _product(left, right, flatten):
-    """left (x) right; with ``flatten``, left's labels are id tuples and each
-    element's label extends its left label by its right id."""
+def _product(left, right):
+    """left (x) right, built by the tensor rule."""
     cartan = left.cartan
     nleft, nright = left.size, right.size
-    if flatten:
-        labels = tuple(head + (b,) for head in left.labels
-                       for b in range(nright))
-    else:
-        labels = tuple((a, b) for a in range(nleft) for b in range(nright))
     sums = {}
     wts = []
     for wa in left.wts:
@@ -459,7 +449,7 @@ def _product(left, right, flatten):
     # holds weakly
     strings = partial(_tensor_strings, left._eps, left._phi,
                       right._eps, right._phi)
-    return CrystalGraph(cartan, tuple(wts), f_maps, e_maps, labels, strings)
+    return CrystalGraph(cartan, tuple(wts), f_maps, e_maps, strings=strings)
 
 
 def _tensor_strings(l_eps, l_phi, r_eps, r_phi):
@@ -477,20 +467,12 @@ def _tensor_strings(l_eps, l_phi, r_eps, r_phi):
 
 @lru_cache(maxsize=None)
 def product_of_weights(cartan, weights):
-    """Cached flat tensor product of irreducibles B(w_1) x .. x B(w_m), with
-    id-tuple labels (a_1, .., a_m); from three factors on, the cached
-    product of the first m - 1 times B(w_m)."""
-    if len(weights) > 2:
-        return _product(product_of_weights(cartan, weights[:-1]),
-                        build_irreducible(cartan, weights[-1]), True)
+    """Cached tensor product B(w_1) (x) .. (x) B(w_m) of irreducibles: the
+    left fold of ``tensor``, so the element with entries (a_1, .., a_m) has
+    their mixed-radix number as its id.  One weight gives B(w_1) itself."""
     if not weights:
         raise CrystalError("empty tensor product")
-    first, *rest = [build_irreducible(cartan, w) for w in weights]
-    if rest:    # labels (a, b) are already flat
-        return tensor(first, *rest)
-    return CrystalGraph(cartan, first.wts, first.f_maps, first.e_maps,
-                        tuple((b,) for b in first.elements()),
-                        (first._eps, first._phi))
+    return reduce(tensor, [build_irreducible(cartan, w) for w in weights])
 
 
 def product_heads(cartan, left, right):
@@ -516,7 +498,7 @@ def components(graph):
 
     Every component must contain exactly one element killed by all e_i.
     Sub-crystals inherit the parent labels, so parent ids are recoverable
-    from them.
+    from them; each computes its own eps and phi on their first read.
     """
     return [(head, _subgraph(graph, group))
             for head, group in component_members(graph)]
@@ -551,14 +533,12 @@ def _subgraph(graph, members):
     local = {b: k for k, b in enumerate(members)}
     wts = tuple(graph.wts[b] for b in members)
     labels = tuple(graph.labels[b] for b in members)
-    f_maps, e_maps, eps, phi = {}, {}, {}, {}
+    f_maps, e_maps = {}, {}
     for i in graph.index_range():
         f_map, e_map = graph.f_maps[i], graph.e_maps[i]
         f_maps[i] = tuple(None if f_map[b] is None else local[f_map[b]] for b in members)
         e_maps[i] = tuple(None if e_map[b] is None else local[e_map[b]] for b in members)
-        eps[i] = tuple(map(graph._eps[i].__getitem__, members))
-        phi[i] = tuple(map(graph._phi[i].__getitem__, members))
-    return CrystalGraph(graph.cartan, wts, f_maps, e_maps, labels, (eps, phi))
+    return CrystalGraph(graph.cartan, wts, f_maps, e_maps, labels)
 
 
 def walk_in_step(graph, other, start, other_start):

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -20,10 +21,11 @@ from cactus_crystal.category_data import (
     mutate_category,
 )
 from cactus_crystal.cli import UsageError, main
-from cactus_crystal.crystal import CrystalError
+from cactus_crystal.crystal import CrystalError, build_irreducible
 from cactus_crystal.groups import GroupError, parse_word
 from cactus_crystal.perms import PermError
 from cactus_crystal.tableaux import TableauError, rsk_crosscheck
+from test_crystal import entries
 
 
 def run(capsys, argv):
@@ -84,6 +86,20 @@ def test_commutor_identity_pair(capsys):
     code, payload, _ = run(capsys, ["commutor", "--left", "1", "--right", "1"])
     assert code == 0
     assert payload["pairs"] == [[0, 0], [1, 1], [2, 2], [3, 3]]
+
+
+def test_commutor_labels_name_the_entries(capsys):
+    # B(1) (x) B(2) -> B(2) (x) B(1) on A1, of sizes 2 and 3: each label
+    # names the entries of a domain element and of its image
+    code, payload, _ = run(capsys, ["commutor", "--left", "1", "--right", "2"])
+    assert code == 0
+    pairs = payload["pairs"]
+    assert payload["labels"] == [[repr(entries(b, (2, 3))),
+                                  repr(entries(c, (3, 2)))] for b, c in pairs]
+    left, right = (build_irreducible(cartan_type_a(1), w) for w in ((1,), (2,)))
+    for (a, b), (c, d) in (map(ast.literal_eval, pair)
+                           for pair in payload["labels"]):
+        assert left.wt(a)[0] + right.wt(b)[0] == right.wt(c)[0] + left.wt(d)[0]
 
 
 def test_group_relations(capsys):
@@ -429,6 +445,44 @@ def test_category_entry_with_extra_field_is_usage_error(tmp_path, capsys):
     assert code == 2 and payload is None and captured.out == ""
     assert captured.err.startswith("error: malformed category data")
     assert "Traceback" not in captured.err
+
+
+def _nest_cl(doc):
+    doc["cl"]["0"] = [["0"]]
+
+
+def _nest_mult(doc):
+    doc["mult"][0][3][0] = ["0"]
+
+
+def _nest_sigma(doc):
+    doc["sigma"][0][2][0][1][0] = ["0"]
+
+
+def _object_in_phi(doc):
+    doc["phi"][0][2][0][1][0] = {"0": "0"}
+
+
+def _nest_assoc(doc):
+    doc["assoc"][0][3][0][1][2] = ["0"]
+
+
+@pytest.mark.parametrize("op", [["validate"], ["roundtrip"],
+                                ["mutate", "--count", "3", "--seed", "1"]],
+                         ids=["validate", "roundtrip", "mutate"])
+@pytest.mark.parametrize("plant", [_nest_cl, _nest_mult, _nest_sigma,
+                                   _object_in_phi, _nest_assoc],
+                         ids=["cl", "mult", "sigma", "phi", "assoc"])
+def test_category_unhashable_id_is_usage_error(tmp_path, capsys, plant, op):
+    # a list or object where an element id belongs, in a table value
+    doc = category_to_json(from_crystals(cartan_type_a(1), [(0,), (1,)]))
+    plant(doc)
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps(doc))
+    code, payload, captured = run(capsys, ["category", op[0], "--input",
+                                           str(path), *op[1:]])
+    assert code == 2 and payload is None and captured.out == ""
+    assert captured.err.startswith("error: malformed category data")
 
 
 def test_missing_input_file(capsys):

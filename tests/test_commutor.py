@@ -27,7 +27,7 @@ from cactus_crystal.crystal import (
     tensor,
     walk_in_step,
 )
-from test_crystal import plain_fold
+from test_crystal import entries, plain_fold
 
 A1 = cartan_type_a(1)
 A2 = cartan_type_a(2)
@@ -35,11 +35,11 @@ A3 = cartan_type_a(3)
 
 
 def internal_cactus(factors):
-    """Reversal bijection tensor(B1..Bm) -> tensor(Bm..B1) on flat id tuples.
+    """Reversal bijection tensor(B1..Bm) -> tensor(Bm..B1) on ids.
 
     Oracle for reversal_table: the same peeling recursion, but through
     ``commutor`` on the plain folds of test_crystal (not the cached
-    product_of_weights) and label lookups.
+    product_of_weights) and entry lookups.
     """
     if not factors:
         raise CrystalError("empty product has no reversal")
@@ -48,17 +48,22 @@ def internal_cactus(factors):
     if len(factors) == 1:
         return CrystalBijection(domain, codomain,
                                 tuple(range(domain.size)))
+    sizes = [f.size for f in factors]
     sub = internal_cactus(factors[1:])
-    right = sub.codomain          # Bm (x) .. (x) B2, flat labels
+    right = sub.codomain          # Bm (x) .. (x) B2
     left = factors[0]
     comm = commutor(left, right)
+    tails = [entries(b, sizes[1:]) for b in sub.domain.elements()]
+    heads = [entries(b, sizes[:0:-1]) for b in right.elements()]
+    targets = [entries(b, sizes[::-1]) for b in codomain.elements()]
     mapping = []
-    for flat in domain.labels:
-        tail_id = sub.domain.labels.index(flat[1:])
+    for b in domain.elements():
+        flat = entries(b, sizes)
+        tail_id = tails.index(flat[1:])
         b_id = sub(tail_id)
         pair = comm(flat[0] * right.size + b_id)
-        b2, a2 = comm.codomain.labels[pair]
-        mapping.append(codomain.labels.index(right.labels[b2] + (a2,)))
+        b2, a2 = entries(pair, (right.size, left.size))
+        mapping.append(targets.index(heads[b2] + (a2,)))
     return CrystalBijection(domain, codomain, tuple(mapping))
 
 
@@ -99,7 +104,7 @@ def plain_schutzenberger(graph):
     return tuple(xi)
 
 
-# (cartan, left factor weights, right factor weight or None, flatten)
+# (cartan, left factor weights, right factor weight or None, fold)
 XI_CASES = [
     (A1, ((1,),), (2,), False),
     (A1, ((3,),), (2,), False),
@@ -111,11 +116,10 @@ XI_CASES = [
 ]
 
 
-def _graph(cartan, left_weights, right_weight, flatten):
-    if flatten:
+def _graph(cartan, left_weights, right_weight, fold):
+    if fold:
         return product_of_weights(cartan, left_weights + (right_weight,))
-    left = (build_irreducible(cartan, left_weights[0]) if len(left_weights) == 1
-            else product_of_weights(cartan, left_weights))
+    left = product_of_weights(cartan, left_weights)
     if right_weight is None:
         return left
     return tensor(left, build_irreducible(cartan, right_weight))
@@ -200,9 +204,9 @@ def test_xi_intertwines_f_with_starred_e():
                 assert xi(c) == g.e(star(A2, i), xi(b))
 
 
-@pytest.mark.parametrize("cartan,left_weights,right_weight,flatten", XI_CASES)
-def test_xi_matches_plain_loop(cartan, left_weights, right_weight, flatten):
-    graph = _graph(cartan, left_weights, right_weight, flatten)
+@pytest.mark.parametrize("cartan,left_weights,right_weight,fold", XI_CASES)
+def test_xi_matches_plain_loop(cartan, left_weights, right_weight, fold):
+    graph = _graph(cartan, left_weights, right_weight, fold)
     assert schutzenberger(graph).mapping == plain_schutzenberger(graph)
 
 
@@ -317,11 +321,13 @@ REVERSAL_CASES = [
 
 @pytest.mark.parametrize("cartan,weights", REVERSAL_CASES)
 def test_internal_cactus_agrees_with_cached_table(cartan, weights):
-    rev = internal_cactus([build_irreducible(cartan, w) for w in weights])
+    factors = [build_irreducible(cartan, w) for w in weights]
+    sizes = [f.size for f in factors]
+    rev = internal_cactus(factors)
     table = reversal_table(cartan, weights)
     assert rev.domain.size == len(table)
     for b in rev.domain.elements():
-        assert table[rev.domain.labels[b]] == rev.codomain.labels[rev(b)]
+        assert table[entries(b, sizes)] == entries(rev(b), sizes[::-1])
 
 
 def test_reversal_table_involutive():
@@ -338,8 +344,10 @@ def test_reversal_table_preserves_weight():
     fwd = reversal_table(A1, weights)
     p = product_of_weights(A1, weights)
     q = product_of_weights(A1, tuple(reversed(weights)))
+    p_entries = [entries(b, (2, 3)) for b in p.elements()]
+    q_entries = [entries(b, (3, 2)) for b in q.elements()]
     for flat, out in fwd.items():
-        assert p.wt(p.labels.index(flat)) == q.wt(q.labels.index(out))
+        assert p.wt(p_entries.index(flat)) == q.wt(q_entries.index(out))
 
 
 @pytest.mark.parametrize("cartan,lam,mu,nu", [
@@ -369,16 +377,16 @@ def test_outer_commutor_tables_match_nested_commutor(lam):
             == commutor(tensor(b_mu, b_lam), b_nu).mapping, (lam, mu, nu)
 
 
-def test_commutor_table_labels_are_flat():
+def test_commutor_table_matches_the_nested_commutor():
     table = commutor_table(A2, ((1, 0),), ((0, 1), (1, 1)))
     assert table.domain is product_of_weights(A2, ((1, 0), (0, 1), (1, 1)))
     assert table.codomain is product_of_weights(A2, ((0, 1), (1, 1), (1, 0)))
     nested = commutor(build_irreducible(A2, (1, 0)),
                       product_of_weights(A2, ((0, 1), (1, 1))))
-    inner = nested.codomain.labels
-    right = product_of_weights(A2, ((0, 1), (1, 1)))
-    assert [table.codomain.labels[c] for c in table.mapping] \
-        == [right.labels[inner[c][0]] + (inner[c][1],) for c in nested.mapping]
+    # B1 (x) (B2 (x) B3) numbers its elements as B1 (x) B2 (x) B3 does
+    assert nested.domain == table.domain
+    assert nested.codomain is table.codomain
+    assert nested.mapping == table.mapping
 
 
 @pytest.mark.parametrize("which", range(4))

@@ -39,15 +39,22 @@ W1 = fundamental_weight(A2, 1)
 W2 = fundamental_weight(A2, 2)
 
 
-def plain_tensor(left, right, flatten=False):
+def entries(b, sizes):
+    """The entries (a_1, .., a_m) of the element with id b of a product of
+    factors of these sizes: the digits of b in mixed radix."""
+    digits = []
+    for size in reversed(sizes):
+        b, a = divmod(b, size)
+        digits.append(a)
+    return tuple(digits[::-1])
+
+
+def plain_tensor(left, right):
     """(wts, f_maps, e_maps, labels) of the product, through per-element
-    method calls: the oracle for tensor.  With ``flatten``, left's labels are
-    id tuples that each product label extends by its right id."""
+    method calls: the oracle for tensor.  The element a (x) b has id
+    a * |right| + b, and its id is its label."""
     pairs = [(a, b) for a in left.elements() for b in right.elements()]
-    if flatten:
-        labels = tuple(left.labels[a] + (b,) for a, b in pairs)
-    else:
-        labels = tuple(pairs)
+    labels = tuple(range(len(pairs)))
     wts = tuple(weight_add(left.wt(a), right.wt(b)) for a, b in pairs)
     nright = right.size
     f_maps, e_maps = {}, {}
@@ -72,16 +79,15 @@ def plain_tensor(left, right, flatten=False):
 
 
 def plain_fold(factors):
-    """B_1 (x) .. (x) B_m with flat id-tuple labels (a_1, .., a_m): the plain
-    left fold through plain_tensor, into fresh graphs that walk their own
-    i-strings.  The oracle for product_of_weights, sharing no product with
-    it."""
+    """B_1 (x) .. (x) B_m, whose element with entries (a_1, .., a_m) has id
+    their mixed-radix number: the plain left fold through plain_tensor, into
+    fresh graphs that walk their own i-strings.  The oracle for
+    product_of_weights, sharing no product with it."""
     first = factors[0]
     graph = CrystalGraph(first.cartan, first.wts, first.f_maps, first.e_maps,
-                         tuple((b,) for b in first.elements()))
+                         first.labels)
     for right in factors[1:]:
-        wts, f_maps, e_maps, labels = plain_tensor(graph, right, flatten=True)
-        graph = CrystalGraph(graph.cartan, wts, f_maps, e_maps, labels)
+        graph = CrystalGraph(graph.cartan, *plain_tensor(graph, right))
     return graph
 
 
@@ -104,8 +110,8 @@ def plain_component_ids(graph):
     return comp
 
 
-# (cartan, left factor weights, right factor weight, flatten), up to the
-# 2800-element A3 product; a flattened case is the fold of product_of_weights
+# (cartan, left factor weights, right factor weight, fold), up to the
+# 2800-element A3 product; a fold case is the product of product_of_weights
 TENSOR_CASES = [
     (A1, ((1,),), (2,), False),
     (A1, ((3,),), (2,), False),
@@ -118,16 +124,15 @@ TENSOR_CASES = [
 ]
 
 
-@pytest.mark.parametrize("cartan,left_weights,right_weight,flatten", TENSOR_CASES)
-def test_tensor_matches_plain_loop(cartan, left_weights, right_weight, flatten):
-    left = (build_irreducible(cartan, left_weights[0]) if len(left_weights) == 1
-            else product_of_weights(cartan, left_weights))
+@pytest.mark.parametrize("cartan,left_weights,right_weight,fold", TENSOR_CASES)
+def test_tensor_matches_plain_loop(cartan, left_weights, right_weight, fold):
+    left = product_of_weights(cartan, left_weights)
     right = build_irreducible(cartan, right_weight)
-    if flatten:
+    if fold:
         t = product_of_weights(cartan, left_weights + (right_weight,))
     else:
         t = tensor(left, right)
-    assert (t.wts, t.f_maps, t.e_maps, t.labels) == plain_tensor(left, right, flatten)
+    assert (t.wts, t.f_maps, t.e_maps, t.labels) == plain_tensor(left, right)
     assert component_ids(t) == plain_component_ids(t)
 
 
@@ -297,24 +302,24 @@ def test_trivial_component_sits_at_lowest_highest_pair():
     t = tensor(build_irreducible(A1, (1,)), build_irreducible(A1, (1,)))
     head = [h for h, sub in components(t) if sub.size == 1]
     assert head == [2]
-    assert t.labels[2] == (1, 0)
+    assert entries(2, (2, 2)) == (1, 0)
 
 
-def test_product_of_weights_flat_labels():
+def test_product_of_one_weight_is_its_irreducible():
     g = product_of_weights(A1, ((1,),) * 3)
     assert g.size == 8
-    assert g.labels[0] == (0, 0, 0)
-    assert g.labels[5] == (1, 0, 1)
-    single = product_of_weights(A1, ((2,),))
-    assert single.labels == ((0,), (1,), (2,))
-    assert single.f_maps == build_irreducible(A1, (2,)).f_maps
+    assert g.labels == tuple(range(8))
+    # id 5 has entries (1, 0, 1), of weights -1, 1 and -1
+    assert entries(5, (2, 2, 2)) == (1, 0, 1)
+    assert g.wt(5) == (-1,)
+    assert product_of_weights(A1, ((2,),)) is build_irreducible(A1, (2,))
     with pytest.raises(CrystalError, match="empty tensor product"):
         product_of_weights(A1, ())
 
 
 @pytest.mark.parametrize("cartan", [A1, A2, A3], ids=["A1", "A2", "A3"])
 def test_tensor_rule_strings_match_the_string_walk(cartan):
-    # tensor reads eps/phi off its factors and components restrict them;
+    # tensor reads eps/phi off its factors and components walk their own;
     # the plain path walks every i-string of the graph itself
     weights = [w for w in product(range(3), repeat=cartan.rank) if sum(w) <= 2]
     for left, right in product(weights, repeat=2):
@@ -345,6 +350,65 @@ def test_hexagon_reads_no_strings_of_its_three_fold_products():
         g = product_of_weights(A2, weights)
         assert "_strings" in vars(g) and "_eps" not in vars(g), weights
         assert (g._eps, g._phi) == _string_walk(g)
+
+
+@pytest.mark.parametrize("f_map", [(0, None), (1, 0)],
+                         ids=["loop", "two-cycle"])
+def test_an_f_string_that_closes_a_cycle_is_refused(f_map):
+    # f_i lowers the weight by alpha_i, so no i-string returns to its start
+    # and every element lies on a string that runs down from a top; with no
+    # e-edges, f alone is checked, and with them, e closes the cycle too
+    with pytest.raises(CrystalError, match=r"axiom \(2\)"):
+        CrystalGraph(A1, ((0,), (0,)), {1: f_map}, {1: (None, None)})
+    with pytest.raises(CrystalError, match=r"axiom \(1\)"):
+        CrystalGraph(A1, ((0,), (0,)), {1: f_map})
+
+
+def counted_strings(graph):
+    """The eps and phi dicts by applying e_i and f_i until they are
+    undefined: the oracle for the strings of a graph."""
+    def moves(step, i, b):
+        n, b = 0, step(i, b)
+        while b is not None:
+            n, b = n + 1, step(i, b)
+        return n
+    return tuple({i: tuple(moves(step, i, b) for b in graph.elements())
+                  for i in graph.index_range()} for step in (graph.e, graph.f))
+
+
+@pytest.mark.parametrize("cartan", [A1, A2, A3], ids=["A1", "A2", "A3"])
+def test_strings_walked_on_first_read_count_the_moves(cartan):
+    # irreducibles and sub-crystals walk their own i-strings when first read
+    weights = [w for w in product(range(3), repeat=cartan.rank) if sum(w) <= 2]
+    for w in weights:
+        g = build_irreducible(cartan, w)
+        assert (g._eps, g._phi) == _string_walk(g) == counted_strings(g), w
+    for left, right in zip(weights, weights[::-1]):
+        t = tensor(fresh(build_irreducible(cartan, left)),
+                   build_irreducible(cartan, right))
+        for _, sub in components(t):
+            assert "_eps" not in vars(sub) and "_phi" not in vars(sub)
+            assert (sub._eps, sub._phi) == _string_walk(sub) \
+                == counted_strings(sub), (left, right)
+            # a sub-crystal's labels are its parent ids
+            assert all(sub._eps[i] == tuple(t._eps[i][b] for b in sub.labels)
+                       for i in sub.index_range())
+
+
+def test_product_op_reads_no_strings_of_its_products():
+    # the steps of the crystals benchmark's product op read eps and phi of
+    # the two factors only
+    left = fresh(build_irreducible(A3, (2, 1, 1)))
+    right = fresh(build_irreducible(A3, (1, 1, 0)))
+    t = tensor(left, right)
+    parts = components(t)
+    assert normality_report(t) == {"status": "normal"}
+    commutor_module.schutzenberger(t)
+    there = commutor_module.commutor(left, right)
+    back = commutor_module.commutor(right, left)
+    assert there.domain is t is back.codomain
+    for g in [t, there.codomain, *(sub for _, sub in parts)]:
+        assert "_eps" not in vars(g) and "_phi" not in vars(g)
 
 
 @settings(max_examples=40, deadline=None)
@@ -388,9 +452,9 @@ def test_there_and_back_commutor_builds_two_products(monkeypatch):
         walked.append(graph)
         return walk(graph)
 
-    def counting_product(a, b, flatten):
+    def counting_product(a, b):
         built.append((a, b))
-        return product_of(a, b, flatten)
+        return product_of(a, b)
 
     def counting_xi(graph):
         if graph._xi is None:

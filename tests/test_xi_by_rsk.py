@@ -20,7 +20,7 @@ satisfies every relation the action does, so no relation check can see it.
 """
 
 from itertools import product
-from math import prod
+from math import log, prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -30,6 +30,7 @@ from cactus_crystal import commutor as commutor_module
 from cactus_crystal.cartan import cartan_type_a, fundamental_weight
 from cactus_crystal.crystal import build_irreducible, product_of_weights
 from cactus_crystal.tableaux import rsk, rsk_inverse, shape
+from test_crystal import entries
 
 A2 = cartan_type_a(2)
 W1 = fundamental_weight(A2, 1)
@@ -97,14 +98,15 @@ def tableau_disagreements(cartan, weight):
 
 
 def word_disagreements(cartan, m):
-    """xi of B(omega_1)^m, whose flat labels (a_1, .., a_m) are the words
-    (a_1 + 1, .., a_m + 1)."""
+    """xi of B(omega_1)^m, whose element with entries (a_1, .., a_m) is the
+    word (a_1 + 1, .., a_m + 1)."""
     graph = product_of_weights(cartan, (fundamental_weight(cartan, 1),) * m)
     xi = commutor_module.schutzenberger(graph).mapping
     n = cartan.rank + 1
-    return [label for u, label in enumerate(graph.labels)
-            if tuple(a + 1 for a in graph.labels[xi[u]])
-            != xi_word(tuple(a + 1 for a in label), n)]
+    words = [tuple(a + 1 for a in entries(u, (n,) * m))
+             for u in graph.elements()]
+    return [word for u, word in enumerate(words)
+            if words[xi[u]] != xi_word(word, n)]
 
 
 def reversal_disagreements(cartan, weights):
@@ -171,7 +173,7 @@ def plant_tau_conjugation(monkeypatch):
     original_table = commutor_module.reversal_table
 
     def conjugated_xi(graph):
-        xi, m = original_xi(graph), len(graph.labels[0])
+        xi, m = original_xi(graph), round(log(graph.size, 3))
         return commutor_module.CrystalBijection(graph, graph, tuple(
             tau(xi(tau(u, m)), m) for u in graph.elements()))
 
