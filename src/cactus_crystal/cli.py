@@ -84,10 +84,10 @@ def _parse_tableau(text):
     rows = []
     for row in text.split(";"):
         try:
-            rows.append(tuple(int(v) for v in row.split(",") if v != ""))
-        except ValueError:
+            rows.append(tuple(int(v) for v in row.split(",")))
+        except ValueError:  # an empty row or entry too
             raise UsageError("bad tableau row %r" % row) from None
-    return tuple(r for r in rows if r)
+    return tuple(rows)
 
 
 def _parse_point(text, weights):
@@ -296,7 +296,8 @@ def cmd_evac(args):
     from .tableaux import evacuation, partial_evacuation
 
     t = _parse_tableau(args.tableau)
-    out = partial_evacuation(args.partial, t) if args.partial else evacuation(t)
+    out = (evacuation(t) if args.partial is None
+           else partial_evacuation(args.partial, t))
     return _report("evac", True, tableau=t, partial=args.partial, result=out)
 
 

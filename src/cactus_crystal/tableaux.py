@@ -5,6 +5,8 @@ corner, sliding the smaller neighbour into the hole, and records complements;
 the partial variant evacuates the subtableau of entries 1..j in place.  The
 interval operators q_ij = q_1j q_{1,j-i+1} q_1j give the cactus action on
 standard tableaux; the adjacent-swap operators are the Bender-Knuth moves.
+Each public operator checks its input on entry and its result on exit; the
+private kernels it and the scans in this module call check nothing.
 """
 
 from __future__ import annotations
@@ -164,18 +166,15 @@ def rsk_inverse(p, q):
     return tuple(reversed(word))
 
 
-def evacuation(t):
-    """Schutzenberger evacuation of a standard tableau."""
-    t = check_tableau(t)
-    if not _numbered_once(t):
-        raise TableauError("evacuation wants a standard tableau")
+def _evacuate(t):
+    """Evacuation of a standard tableau of tuples, unchecked."""
     n = size(t)
     cur = [list(row) for row in t]
     out = [[None] * len(row) for row in t]
     for k in range(n):
         r = c = 0
         while True:
-            right = cur[r][c + 1] if c + 1 < len(cur[r]) and cur[r][c + 1] is not None else None
+            right = cur[r][c + 1] if c + 1 < len(cur[r]) else None
             below = None
             if r + 1 < len(cur) and c < len(cur[r + 1]):
                 below = cur[r + 1][c]
@@ -189,41 +188,65 @@ def evacuation(t):
                 r += 1
         cur[r] = cur[r][:c]
         out[r][c] = n - k
-    return check_tableau(tuple(tuple(row) for row in out))
+    return tuple(tuple(row) for row in out)
+
+
+def _partial_evacuate(j, t):
+    """Partial evacuation of a standard tableau of tuples, unchecked: on an
+    increasing row the entries 1..j are its first ones."""
+    if j <= 1:
+        return t
+    prefix = [sum(1 for v in row if v <= j) for row in t]
+    esub = _evacuate(tuple(row[:m] for row, m in zip(t, prefix) if m))
+    return tuple((esub[r] if r < len(esub) else ()) + row[m:]
+                 for r, (row, m) in enumerate(zip(t, prefix)))
+
+
+def _bender_knuth(i, t):
+    """t_i on a semistandard tableau of tuples, unchecked: in each row the
+    free entries are the last i's and the first i+1's, next to each other."""
+    rows = [list(row) for row in t]
+    for r, row in enumerate(t):
+        free = [c for c, v in enumerate(row) if
+                (v == i and not (r + 1 < len(t) and c < len(t[r + 1])
+                                 and t[r + 1][c] == i + 1))
+                or (v == i + 1 and not (r > 0 and t[r - 1][c] == i))]
+        if free:
+            ones = sum(1 for c in free if row[c] == i)
+            rows[r][free[0]:free[-1] + 1] = ([i] * (len(free) - ones)
+                                             + [i + 1] * ones)
+    return tuple(tuple(row) for row in rows)
+
+
+def _standard(t, what):
+    """t as row tuples, refused unless it is a standard tableau."""
+    t = check_tableau(t)
+    if not _numbered_once(t):
+        raise TableauError("%s wants a standard tableau" % what)
+    return t
+
+
+def evacuation(t):
+    """Schutzenberger evacuation of a standard tableau."""
+    return check_tableau(_evacuate(_standard(t, "evacuation")))
 
 
 def partial_evacuation(j, t):
     """Evacuate the subtableau of entries 1..j, leaving the rest in place."""
-    t = check_tableau(t)
-    if not _numbered_once(t):
-        raise TableauError("partial evacuation wants a standard tableau")
+    t = _standard(t, "partial evacuation")
     if not 0 <= j <= size(t):
         raise TableauError("cutoff %d out of range" % j)
-    if j <= 1:
-        return t
-    prefix = []
-    for row in t:
-        m = sum(1 for v in row if v <= j)
-        if any(v <= j for v in row[m:]):
-            raise TableauError("entries 1..%d are not a subtableau" % j)
-        prefix.append(m)
-    sub = tuple(tuple(row[:m]) for row, m in zip(t, prefix) if m)
-    esub = evacuation(sub)
-    rows = []
-    for r, row in enumerate(t):
-        head = esub[r] if r < len(esub) else ()
-        rows.append(tuple(head) + row[prefix[r]:])
-    return check_tableau(tuple(rows))
+    return check_tableau(_partial_evacuate(j, t))
 
 
 def bk_cactus_act(i, j, t):
     """Interval operator on standard tableaux: q_ij = q_1j q_{1,j-i+1} q_1j."""
     if not 1 <= i < j <= size(t):
         raise TableauError("bad interval [%d, %d]" % (i, j))
-    if i == 1:
-        return partial_evacuation(j, t)
-    return partial_evacuation(
-        j, partial_evacuation(j - i + 1, partial_evacuation(j, t)))
+    t = _partial_evacuate(j, _standard(t, "partial evacuation"))
+    if i > 1:
+        t = _partial_evacuate(j, _partial_evacuate(j - i + 1, t))
+    return check_tableau(t)
 
 
 def bender_knuth(i, t):
@@ -231,32 +254,7 @@ def bender_knuth(i, t):
     t = check_tableau(t)
     if i < 1:
         raise TableauError("index must be positive")
-    rows = [list(row) for row in t]
-    for r, row in enumerate(rows):
-        free = []
-        for c, v in enumerate(row):
-            if v == i:
-                below = t[r + 1][c] if r + 1 < len(t) and c < len(t[r + 1]) else None
-                if below != i + 1:
-                    free.append((c, v))
-            elif v == i + 1:
-                above = t[r - 1][c] if r > 0 else None
-                if above != i:
-                    free.append((c, v))
-        if not free:
-            continue
-        cols = [c for c, _ in free]
-        if cols != list(range(cols[0], cols[0] + len(cols))):
-            raise TableauError("free entries are not contiguous in %r" % (t,))
-        ones = sum(1 for _, v in free if v == i)
-        twos = len(free) - ones
-        if any(v == i for _, v in free[ones:]):
-            raise TableauError("free entries out of order in %r" % (t,))
-        for c in range(cols[0], cols[0] + twos):
-            rows[r][c] = i
-        for c in range(cols[0] + twos, cols[0] + len(free)):
-            rows[r][c] = i + 1
-    return check_tableau(tuple(tuple(row) for row in rows))
+    return check_tableau(_bender_knuth(i, t))
 
 
 def bk_braid_witness(max_cells=6, max_entry=4):
@@ -277,8 +275,8 @@ def bk_braid_witness(max_cells=6, max_entry=4):
                 continue
             for t in sorted(semistandard_tableaux(shp, max_entry)):
                 for i in range(1, max_entry - 1):
-                    lhs = bender_knuth(i, bender_knuth(i + 1, bender_knuth(i, t)))
-                    rhs = bender_knuth(i + 1, bender_knuth(i, bender_knuth(i + 1, t)))
+                    lhs = _bender_knuth(i, _bender_knuth(i + 1, _bender_knuth(i, t)))
+                    rhs = _bender_knuth(i + 1, _bender_knuth(i, _bender_knuth(i + 1, t)))
                     if lhs != rhs:
                         return {"tableau": t, "index": i, "cells": n,
                                 "shape": shp, "lhs": lhs, "rhs": rhs}
@@ -317,39 +315,49 @@ def rsk_crosscheck(n):
     rsk_of = lru_cache(maxsize=None)(rsk)
     cactus_of = lru_cache(maxsize=None)(bk_cactus_act)
 
-    def images(g):  # (word, image word) pairs; g runs once on all columns
+    def images(g):  # the image word of each word; g runs once on all columns
         _, steps = _resolve(cartan, g, weights)
-        for a, out in zip(words, zip(*_apply_columns(steps, columns))):
-            if out not in word_of:
-                raise TableauError("letter %s maps the permutation word %s to "
-                                   "%s, which is not a permutation"
-                                   % (g, a, tuple(e + 1 for e in out)))
-            yield a, word_of[out]
+        outs = list(zip(*_apply_columns(steps, columns)))
+        try:
+            return list(map(word_of.__getitem__, outs))
+        except KeyError as exc:  # the first word sent outside them
+            bad = exc.args[0]
+            raise TableauError("letter %s maps the permutation word %s to "
+                               "%s, which is not a permutation"
+                               % (g, words[outs.index(bad)],
+                                  tuple(e + 1 for e in bad))) from None
 
-    # pull[u](v) is v o u, so a o w is pull[w](a) and w o a is pull[a](w)
+    # pull[u](v) is v o u, so a o w is pull[w](a) and w o a is pull[a](w); a
+    # rule or story that fails is not tested again, as it cannot hold again
     pull = {a: itemgetter(*(v - 1 for v in a)) for a in words}
     perm_rules = {"precompose": True, "postcompose": True}
     for w in words:
-        for a, out in images(PermGen(w)):
-            if out != pull[w](a):
-                perm_rules["precompose"] = False
-            if out != pull[a](w):
-                perm_rules["postcompose"] = False
+        outs = images(PermGen(w))
+        perm_rules["precompose"] = (perm_rules["precompose"]
+                                    and outs == list(map(pull[w], words)))
+        perm_rules["postcompose"] = (perm_rules["postcompose"]
+                                     and outs == [pull[a](w) for a in words])
 
+    def moves_only(i, j, factor, pairs):  # q_ij moves this RSK factor alone
+        for src, dst in pairs:
+            (p1, q1), (p2, q2) = rsk_of(src), rsk_of(dst)
+            if factor == "P":
+                p1, q1, p2, q2 = q1, p1, q2, p2
+            if p2 != p1 or q2 != cactus_of(i, j, q1):
+                return False
+        return True
+
+    inv = {a: inverse(a) for a in words}
     stories = {(ident, factor): True
                for ident in ("one-line", "inverse") for factor in ("P", "Q")}
     for i in range(1, n):
         for j in range(i + 1, n + 1):
-            for a, out in images(CactusGen(i, j)):
-                for ident in ("one-line", "inverse"):
-                    src = a if ident == "one-line" else inverse(a)
-                    dst = out if ident == "one-line" else inverse(out)
-                    p1, q1 = rsk_of(src)
-                    p2, q2 = rsk_of(dst)
-                    if not (p2 == p1 and q2 == cactus_of(i, j, q1)):
-                        stories[(ident, "Q")] = False
-                    if not (q2 == q1 and p2 == cactus_of(i, j, p1)):
-                        stories[(ident, "P")] = False
+            outs = images(CactusGen(i, j))
+            for ident, factor in stories:
+                if stories[ident, factor]:
+                    pairs = zip(words, outs) if ident == "one-line" else \
+                        ((inv[a], inv[out]) for a, out in zip(words, outs))
+                    stories[ident, factor] = moves_only(i, j, factor, pairs)
 
     winners = [k for k, v in stories.items() if v]
     perm_winners = [k for k, v in perm_rules.items() if v]

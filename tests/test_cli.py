@@ -273,6 +273,26 @@ def test_evac_full_and_partial(capsys):
     assert code == 0 and payload["result"] == [[1, 2], [3]]
 
 
+def test_evac_partial_zero_returns_its_input(capsys):
+    code, payload, _ = run(capsys, ["evac", "--tableau", "1,2;3",
+                                    "--partial", "0"])
+    assert code == 0 and payload["partial"] == 0
+    assert payload["result"] == payload["tableau"] == [[1, 2], [3]]
+
+
+# every row is a non-empty list of integers: the empty tableau and a
+# trailing ";" are refused like an empty row inside
+@pytest.mark.parametrize("text, row", [
+    ("1;;2", ""), ("1,,2", "1,,2"), ("", ""), ("1,2;3;", ""), ("1,", "1,"),
+])
+@pytest.mark.parametrize("argv", [["evac"], ["bk", "--i", "1"]])
+def test_tableau_with_an_empty_row_or_entry_is_bad_input(capsys, argv, text,
+                                                         row):
+    code, payload, captured = run(capsys, argv + ["--tableau", text])
+    assert code == 2 and payload is None
+    assert captured.err == "error: bad tableau row %r\n" % row
+
+
 def test_bk_moves(capsys):
     code, payload, _ = run(capsys, ["bk", "--tableau", "1,1,2", "--i", "1"])
     assert code == 0 and payload["result"] == [[1, 2, 2]]

@@ -3,9 +3,10 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cactus_crystal import actions
+from cactus_crystal import actions, tableaux
 from cactus_crystal.crystal import CrystalError, semistandard_tableaux
-from cactus_crystal.groups import defining_relation_families, format_word
+from cactus_crystal.groups import (PermGen, defining_relation_families,
+                                   format_word)
 from cactus_crystal.tableaux import (
     TableauError,
     _numbered_once,
@@ -171,6 +172,59 @@ def test_bk_cactus_interval_validated():
         bk_cactus_act(2, 2, ((1, 2), (3,)))
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_cactus_kernel_matches_the_checked_chain(n):
+    # q_ij = q_1j q_{1,j-i+1} q_1j through the public, checked calls
+    for shp in partitions_of(n):
+        for t in syt(shp):
+            for i in range(1, n):
+                for j in range(i + 1, n + 1):
+                    want = partial_evacuation(j, t)
+                    if i > 1:
+                        want = partial_evacuation(
+                            j, partial_evacuation(j - i + 1, want))
+                    assert bk_cactus_act(i, j, t) == want
+
+
+@pytest.mark.parametrize("i, j, t, message", [
+    (2, 2, ((1, 1),), r"bad interval \[2, 2\]"),
+    (0, 2, ((2, 1),), r"bad interval \[0, 2\]"),
+    (1, 3, ((1, 2),), r"bad interval \[1, 3\]"),
+    (1, 2, ((1, 1),), "partial evacuation wants a standard tableau"),
+    (1, 3, ((1, 4), (2,)), "partial evacuation wants a standard tableau"),
+    (1, 2, ((2, 1),), "row decreases"),
+    (1, 3, ((1, 2), (1,)), "column does not increase"),
+    (1, 3, ((1,), (2, 3)), "partition shape"),
+])
+def test_cactus_act_refuses_the_interval_then_the_tableau(i, j, t, message):
+    with pytest.raises(TableauError, match=message):
+        bk_cactus_act(i, j, t)
+
+
+@pytest.mark.parametrize("i, t, message", [
+    (1, ((2, 1),), "row decreases"),
+    (1, ((1, 2), (1,)), "column does not increase"),
+    (1, ((1,), (2, 3)), "partition shape"),
+    (0, ((2, 1),), "row decreases"),
+    (0, ((1, 2),), "index must be positive"),
+])
+def test_bender_knuth_refuses_what_is_not_semistandard(i, t, message):
+    with pytest.raises(TableauError, match=message):
+        bender_knuth(i, t)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_bender_knuth_swaps_the_counts_of_i_and_i_plus_1(n):
+    for shp in partitions_of(n):
+        for t in semistandard_tableaux(shp, 4) if len(shp) <= 4 else ():
+            for i in (1, 2, 3):
+                out = bender_knuth(i, t)
+                content = [v for row in t for v in row]
+                swapped = [{i: i + 1, i + 1: i}.get(v, v) for v in content]
+                assert sorted(v for row in out for v in row) == sorted(swapped)
+                assert shape(out) == shape(t) and bender_knuth(i, out) == t
+
+
 def test_bk_cactus_satisfies_interval_relations():
     shp = (2, 2, 1)
     tabs = syt(shp)
@@ -301,3 +355,32 @@ def test_rsk_crosscheck_fails_loudly_when_a_word_leaves_the_permutations(
         rsk_crosscheck(3)
     monkeypatch.setattr(actions, "reversal_table", right)
     assert rsk_crosscheck(3)["passed"] is True
+
+
+def test_rsk_crosscheck_stopping_early_hides_no_fault(monkeypatch):
+    right = tableaux.bk_cactus_act
+
+    def wrong_at_1_4(i, j, t):  # q_14, evacuation at n = 4, does nothing
+        return check_tableau(t) if (i, j) == (1, 4) else right(i, j, t)
+
+    monkeypatch.setattr(tableaux, "bk_cactus_act", wrong_at_1_4)
+    rep = rsk_crosscheck(4)
+    assert rep["stories"] == dict.fromkeys(RECORDED_CROSSCHECK["stories"],
+                                           False)
+    assert rep["winners"] == [] and rep["passed"] is False
+    assert rep["perm_rule"] == ["precompose"]
+
+
+def test_rsk_crosscheck_stopping_early_hides_no_wrong_permutation(
+        monkeypatch):
+    right = actions._resolve
+
+    def swapped(cartan, g, weights, budget=None):  # w[2,3,1] acts as w[3,1,2]
+        if isinstance(g, PermGen) and g.perm == (2, 3, 1):
+            g = PermGen((3, 1, 2))
+        return right(cartan, g, weights, budget)
+
+    monkeypatch.setattr(actions, "_resolve", swapped)
+    rep = rsk_crosscheck(3)
+    assert rep["perm_rule"] == [] and rep["passed"] is False
+    assert rep["winners"] == ["one-line/Q", "inverse/P"]
