@@ -4,21 +4,24 @@
     python3 scripts/record_bench.py --pr N --seconds 30 --pairs 10 \\
         --baseline ../parent-checkout
 
-Runs the four workloads at --trace 0, and one --trace 1 run each of
-relations and crystals, for this checkout and, with --baseline, for a second
-checkout (the parent commit), alternating which side runs first.  Pair k
-runs seed k, and the traced runs seed 1.  For each side the file holds
-the run metadata (commit, Python, nproc, src/ line count), the median and
-the per-run values of every end-to-end metric and of failed_ratio for each
-workload, the per-layer *.s totals of the traced relations run
-("per_layer_s"), and those of the traced crystals run with the
-build_irreducible cache misses of each of its ops per traced pass
-("crystals_trace").  With --baseline,
-"compare" gives for each workload and metric (all lower-is-better) the
-pairs the change wins, the parent's quartiles, and a verdict: "unchanged"
-when the medians differ by no more than the parent's interquartile range,
-else "better" or "worse" when at least 9 in 10 pairs agree, else
-"unresolved".  Runs inherit the environment as it is, as the benchmark's
+Runs the four workloads at --trace 0, and relations and crystals at
+--trace 1 in the first --trace-pairs pairs, for this checkout and, with
+--baseline, for a second checkout (the parent commit), alternating which
+side runs first.  Pair k runs seed k, traced runs included, so the traced
+runs of both sides are spread over the recording as the untraced ones are.
+For each side the file holds the run metadata (commit, Python, nproc, src/
+line count), the median and the per-run values of every end-to-end metric
+and of failed_ratio for each workload, the medians of the per-layer *.s
+totals of the traced relations runs ("per_layer_s", per run in
+"per_layer_s_runs"), and those of the traced crystals runs ("runs" per run)
+with the build_irreducible cache misses of each op of its seed-1 run per
+traced pass ("crystals_trace").  With --baseline, "compare" gives for each
+workload and metric (all lower-is-better) the pairs the change wins, the
+parent's quartiles, and a verdict: "unchanged" when the medians differ by
+no more than the parent's interquartile range, else "better" or "worse"
+when at least 9 in 10 pairs agree, else "unresolved"; "compare_traced"
+gives the same for each *.s total of the traced relations and crystals
+runs.  Runs inherit the environment as it is, as the benchmark's
 own runs do; the file records whether PYTHONDONTWRITEBYTECODE is set.  When
 it is, no .pyc is written, so every process compiles the package and the
 cli workload pays that on every command, while the Python install's .pyc
@@ -40,6 +43,7 @@ from statistics import median, quantiles
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("relations", "category", "crystals", "cli")
+TRACED = ("relations", "crystals")
 
 
 def run_bench(checkout, workload, seed, seconds, trace):
@@ -99,6 +103,9 @@ def main(argv=None):
     parser.add_argument("--seconds", type=float, default=30)
     parser.add_argument("--pairs", type=int, default=1,
                         help="runs per workload and side, seeds 1..pairs")
+    parser.add_argument("--trace-pairs", type=int, default=1,
+                        help="pairs that also run relations and crystals "
+                        "traced (at most --pairs)")
     parser.add_argument("--baseline", type=Path,
                         help="checkout of the parent commit to run as well")
     parser.add_argument("--out", type=Path,
@@ -115,8 +122,11 @@ def main(argv=None):
     if dont_write_bytecode and cached:
         parser.error("PYTHONDONTWRITEBYTECODE is set, but runs would read "
                      "these .pyc files: " + " ".join(cached))
+    if not 1 <= args.trace_pairs <= args.pairs:
+        parser.error("--trace-pairs must be between 1 and --pairs")
     metas = {}
     runs = {side: {w: [] for w in WORKLOADS} for side in sides}
+    traced = {side: {w: [] for w in TRACED} for side in sides}
     correct = True
     for k in range(args.pairs):
         order = list(sides) if k % 2 == 0 else list(sides)[::-1]
@@ -127,23 +137,30 @@ def main(argv=None):
                 metas.setdefault(side, meta)
                 runs[side][workload].append(values)
                 correct &= ok
+        for workload in TRACED if k < args.trace_pairs else ():
+            for side in order:
+                _, layers, ok = run_bench(sides[side], workload, k + 1,
+                                          args.seconds, 1)
+                traced[side][workload].append(
+                    {name: v for name, v in layers.items()
+                     if name.endswith(".s")})
+                correct &= ok
     record = {"pr": args.pr, "seconds": args.seconds, "pairs": args.pairs,
+              "trace_pairs": args.trace_pairs,
               "seeds": list(range(1, args.pairs + 1)),
               "dont_write_bytecode": dont_write_bytecode}
     for side in sides:
-        traced = {}
-        for workload in ("relations", "crystals"):
-            _, layers, ok = run_bench(sides[side], workload, 1,
-                                      args.seconds, 1)
-            correct &= ok
-            traced[workload] = {k: v for k, v in layers.items()
-                                if k.endswith(".s")}
+        spans = {w: summarise(traced[side][w]) for w in TRACED}
         record[side] = {
             "meta": metas[side],
             "end_to_end": {w: summarise(runs[side][w]) for w in WORKLOADS},
-            "per_layer_s": traced["relations"],
+            "per_layer_s": {name: v["median"]
+                            for name, v in spans["relations"].items()},
+            "per_layer_s_runs": traced[side]["relations"],
             "crystals_trace": {
-                "per_layer_s": traced["crystals"],
+                "per_layer_s": {name: v["median"]
+                                for name, v in spans["crystals"].items()},
+                "runs": traced[side]["crystals"],
                 "build_irreducible_misses": op_misses(
                     sides[side], "crystals", "crystal.build_irreducible"),
             },
@@ -151,6 +168,9 @@ def main(argv=None):
     if args.baseline:
         record["compare"] = {w: compare(runs["parent"][w], runs["change"][w])
                              for w in WORKLOADS}
+        record["compare_traced"] = {
+            w: compare(traced["parent"][w], traced["change"][w])
+            for w in TRACED}
     out = args.out or ROOT / ("BENCH_%d.json" % args.pr)
     out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     return 0 if correct else 1

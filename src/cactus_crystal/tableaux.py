@@ -6,7 +6,8 @@ the partial variant evacuates the subtableau of entries 1..j in place.  The
 interval operators q_ij = q_1j q_{1,j-i+1} q_1j give the cactus action on
 standard tableaux; the adjacent-swap operators are the Bender-Knuth moves.
 Each public operator checks its input on entry and its result on exit; the
-private kernels it and the scans in this module call check nothing.
+private kernels it and the scans in this module call repeat none of those
+checks.
 """
 
 from __future__ import annotations
@@ -203,18 +204,23 @@ def _partial_evacuate(j, t):
 
 
 def _bender_knuth(i, t):
-    """t_i on a semistandard tableau of tuples, unchecked: in each row the
-    free entries are the last i's and the first i+1's, next to each other."""
+    """t_i on a semistandard tableau of tuples: in each row the free
+    entries must be the last i's and the first i+1's, next to each other."""
     rows = [list(row) for row in t]
     for r, row in enumerate(t):
         free = [c for c, v in enumerate(row) if
                 (v == i and not (r + 1 < len(t) and c < len(t[r + 1])
                                  and t[r + 1][c] == i + 1))
                 or (v == i + 1 and not (r > 0 and t[r - 1][c] == i))]
-        if free:
-            ones = sum(1 for c in free if row[c] == i)
-            rows[r][free[0]:free[-1] + 1] = ([i] * (len(free) - ones)
-                                             + [i + 1] * ones)
+        if not free:
+            continue
+        if free[-1] - free[0] + 1 != len(free):
+            raise TableauError("free entries are not contiguous in %r" % (t,))
+        ones = sum(1 for c in free if row[c] == i)
+        if any(row[c] == i for c in free[ones:]):
+            raise TableauError("free entries out of order in %r" % (t,))
+        rows[r][free[0]:free[-1] + 1] = ([i] * (len(free) - ones)
+                                         + [i + 1] * ones)
     return tuple(tuple(row) for row in rows)
 
 

@@ -129,11 +129,16 @@ def test_evacuation_rejects_semistandard_input():
     (((0, 1),), "wants a standard tableau"),
     (((2, 1),), "row decreases"),
     (((1, 2), (1,)), "column does not increase"),
+    (((1,), (2, 3)), "partition shape"),
 ])
 def test_evacuations_refuse_what_is_not_standard(t, message):
-    for evacuate in (evacuation, lambda t: partial_evacuation(1, t)):
+    refusers = [evacuation, lambda t: partial_evacuation(1, t),
+                lambda t: bk_cactus_act(1, 2, t)]
+    if "standard" not in message:     # not even semistandard
+        refusers.append(lambda t: bender_knuth(1, t))
+    for refuse in refusers:
         with pytest.raises(TableauError, match=message):
-            evacuate(t)
+            refuse(t)
 
 
 @pytest.mark.parametrize("shp", [(3,), (2, 1), (2, 2), (3, 2), (2, 2, 1)])
@@ -192,9 +197,6 @@ def test_cactus_kernel_matches_the_checked_chain(n):
     (1, 3, ((1, 2),), r"bad interval \[1, 3\]"),
     (1, 2, ((1, 1),), "partial evacuation wants a standard tableau"),
     (1, 3, ((1, 4), (2,)), "partial evacuation wants a standard tableau"),
-    (1, 2, ((2, 1),), "row decreases"),
-    (1, 3, ((1, 2), (1,)), "column does not increase"),
-    (1, 3, ((1,), (2, 3)), "partition shape"),
 ])
 def test_cactus_act_refuses_the_interval_then_the_tableau(i, j, t, message):
     with pytest.raises(TableauError, match=message):
@@ -202,27 +204,15 @@ def test_cactus_act_refuses_the_interval_then_the_tableau(i, j, t, message):
 
 
 @pytest.mark.parametrize("i, t, message", [
-    (1, ((2, 1),), "row decreases"),
-    (1, ((1, 2), (1,)), "column does not increase"),
-    (1, ((1,), (2, 3)), "partition shape"),
     (0, ((2, 1),), "row decreases"),
     (0, ((1, 2),), "index must be positive"),
+    # entries need not be integers: 1.5 or 2.5 parts the free entries
+    (1, ((1, 1.5, 2),), "not contiguous"),
+    (2, ((1, 1, 1), (2, 2.5, 3)), "not contiguous"),
 ])
 def test_bender_knuth_refuses_what_is_not_semistandard(i, t, message):
     with pytest.raises(TableauError, match=message):
         bender_knuth(i, t)
-
-
-@pytest.mark.parametrize("n", range(1, 6))
-def test_bender_knuth_swaps_the_counts_of_i_and_i_plus_1(n):
-    for shp in partitions_of(n):
-        for t in semistandard_tableaux(shp, 4) if len(shp) <= 4 else ():
-            for i in (1, 2, 3):
-                out = bender_knuth(i, t)
-                content = [v for row in t for v in row]
-                swapped = [{i: i + 1, i + 1: i}.get(v, v) for v in content]
-                assert sorted(v for row in out for v in row) == sorted(swapped)
-                assert shape(out) == shape(t) and bender_knuth(i, out) == t
 
 
 def test_bk_cactus_satisfies_interval_relations():
@@ -244,9 +234,15 @@ def test_bk_cactus_satisfies_interval_relations():
 
 def test_bender_knuth_frozen_and_involutive():
     assert bender_knuth(1, ((1, 1, 2),)) == ((1, 2, 2),)
-    for t in semistandard_tableaux((2, 1), 3):
-        for i in (1, 2):
-            assert bender_knuth(i, bender_knuth(i, t)) == t
+    for shp in (p for n in range(1, 6) for p in partitions_of(n)):
+        for t in semistandard_tableaux(shp, 4) if len(shp) <= 4 else ():
+            for i in (1, 2, 3):
+                out = bender_knuth(i, t)
+                assert shape(out) == shape(t) and bender_knuth(i, out) == t
+                # the counts of i and i+1 trade places
+                swapped = [{i: i + 1, i + 1: i}.get(v, v)
+                           for row in t for v in row]
+                assert sorted(v for row in out for v in row) == sorted(swapped)
 
 
 def test_bender_knuth_balanced_row_is_fixed():
