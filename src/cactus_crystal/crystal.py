@@ -29,6 +29,7 @@ from weakref import ref
 from . import CactusError, Memo, fields_repr
 from .cartan import (
     cartan_to_json,
+    cartan_type_a,
     simple_root,
     weight_add,
     weight_sub,
@@ -206,29 +207,22 @@ def shape_of_weight(weight):
 
 
 def semistandard_tableaux(shp, max_entry):
-    """All semistandard tableaux of the shape with entries <= max_entry."""
+    """All semistandard tableaux of the shape with entries <= max_entry,
+    sorted by rows: row r holds r + 1 in each column of height max_entry, and
+    the rest of the shape is read off the crystal of words of A_{max_entry-1}.
+    """
     if not all(isinstance(p, int) and p > 0 for p in shp) or \
             any(a < b for a, b in zip(shp, shp[1:])):
         raise CrystalError("not a partition: %r" % (shp,))
-    cells = [(r, c) for r in range(len(shp)) for c in range(shp[r])]
-    out = []
-
-    def rec(idx, grid):
-        if idx == len(cells):
-            out.append(tuple(tuple(row) for row in grid))
-            return
-        r, c = cells[idx]
-        lo = 1
-        if c > 0:
-            lo = max(lo, grid[r][c - 1])
-        if r > 0:
-            lo = max(lo, grid[r - 1][c] + 1)
-        for v in range(lo, max_entry + 1):
-            grid[r].append(v)
-            rec(idx + 1, grid)
-            grid[r].pop()
-    rec(0, [[] for _ in shp])
-    return out
+    if not shp or len(shp) > max_entry:
+        return [] if shp else [()]
+    full = shp[-1] if len(shp) == max_entry else 0
+    rest = tuple(p - full for p in shp if p > full)
+    fillings = ([t for t, _ in _closure(cartan_type_a(max_entry - 1), rest)[0]]
+                if rest else [()])
+    pad = ((),) * (len(shp) - len(rest))
+    return [tuple((r + 1,) * full + row for r, row in enumerate(t + pad))
+            for t in fillings]
 
 
 def reading_order(shape):
@@ -247,27 +241,19 @@ def reading_order(shape):
     return order
 
 
-def _bracket_positions(word, i):
-    """(position of f_i move, position of e_i move) under the bracket rule."""
-    stack = []            # unmatched '-' positions
-    plus_survivors = []
-    for pos, letter in enumerate(word):
-        if letter == i:
-            if stack:
-                stack.pop()
-            else:
-                plus_survivors.append(pos)
-        elif letter == i + 1:
-            stack.append(pos)
-    f_pos = plus_survivors[-1] if plus_survivors else None
-    e_pos = stack[0] if stack else None
-    return f_pos, e_pos
-
-
 def _lowered(i, word):
-    """f_i of a word under the bracket rule, or None."""
-    pos = _bracket_positions(word, i)[0]
-    return None if pos is None else word[:pos] + (i + 1,) + word[pos + 1:]
+    """f_i of a word under the bracket rule, or None: it lowers the rightmost
+    i that no earlier unmatched i+1 cancels."""
+    j, unmatched, plus = i + 1, 0, None
+    for pos, letter in enumerate(word):
+        if letter == j:
+            unmatched += 1
+        elif letter == i:
+            if unmatched:
+                unmatched -= 1
+            else:
+                plus = pos
+    return None if plus is None else word[:plus] + (j,) + word[plus + 1:]
 
 
 def _word_weight(word, rank):
@@ -287,13 +273,17 @@ def _check_weight(cartan, weight):
 
 
 def weyl_dimension(cartan, weight):
-    """Size of build_irreducible(cartan, weight), by the hook-content formula,
-    without building it."""
-    shape = _check_weight(cartan, weight)
+    """Size of build_irreducible(cartan, weight), without building it."""
+    return semistandard_count(_check_weight(cartan, weight), cartan.rank + 1)
+
+
+def semistandard_count(shape, max_entry):
+    """len(semistandard_tableaux(shape, max_entry)) for max_entry >= 0, by
+    the hook-content formula; a shape of more rows gets a factor 0."""
     num = den = 1
     for r, length in enumerate(shape):
         for c in range(length):
-            num *= cartan.rank + 1 + c - r
+            num *= max_entry + c - r
             den *= length - c + sum(1 for below in shape[r + 1:] if below > c)
     return num // den
 
@@ -305,46 +295,41 @@ def multinomial(counts):
 
 @lru_cache(maxsize=None)
 def build_irreducible(cartan, weight):
-    """The connected normal crystal with highest weight ``weight``.
-
-    Realized on semistandard Young tableaux; only type-A Cartan matrices are
-    supported.  Elements are sorted by their row tuples, so the ids are stable
-    across runs.
+    """The connected normal crystal with highest weight ``weight``, on the
+    semistandard tableaux of its shape (see ``_closure``), sorted by rows so
+    that the ids are stable; its e_i are the inverses of its f_i.
     """
-    shape = _check_weight(cartan, weight)
-    rank = cartan.rank
-    tableaux = sorted(semistandard_tableaux(shape, rank + 1))
+    pairs, words = _closure(cartan, _check_weight(cartan, weight))
+    index = {word: k for k, (_, word) in enumerate(pairs)}
+    f_maps = {i: tuple(index.get(f_map[word]) for word in index)
+              for i, f_map in words.f_maps.items()}
+    return CrystalGraph(cartan, tuple(words.wts[word] for word in index),
+                        f_maps, labels=tuple(t for t, _ in pairs))
+
+
+def _closure(cartan, shape):
+    """The f-closure of the highest reading word of the shape in the crystal
+    of words, connected by construction: its (tableau, word) pairs sorted,
+    each word filled into the shape by ``reading_order``, and the crystal of
+    words, which holds their f_i.  Its size is checked by hook-content."""
+    words = _word_crystal(cartan)
     order = reading_order(shape)
-    # a tableau of the shape is its reading word; the bracket rule moves
-    # one letter of it
-    words = [tuple(t[r][c] for r, c in order) for t in tableaux]
-    index = {word: k for k, word in enumerate(words)}
-    wts = tuple(_word_weight(word, rank) for word in words)
-
-    f_maps, e_maps = {}, {}
-    for i in cartan.index_range():
-        f_arr, e_arr = [], []
-        for word in words:
-            f_pos, e_pos = _bracket_positions(word, i)
-            for pos, letter, arr in ((f_pos, i + 1, f_arr), (e_pos, i, e_arr)):
-                if pos is None:
-                    arr.append(None)
-                    continue
-                image = word[:pos] + (letter,) + word[pos + 1:]
-                if image not in index:
-                    raise CrystalError(
-                        "tableau operator left the semistandard family")
-                arr.append(index[image])
-        f_maps[i] = tuple(f_arr)
-        e_maps[i] = tuple(e_arr)
-
-    graph = CrystalGraph(cartan, wts, f_maps, e_maps, labels=tuple(tableaux))
-    hw = graph.highest_weight_elements()
-    if len(hw) != 1 or graph.wt(hw[0]) != weight:
-        raise CrystalError("tableau crystal is not connected with head %r" % (weight,))
-    if len(set(component_ids(graph))) != 1:
-        raise CrystalError("tableau crystal is not connected")
-    return graph
+    top = tuple(r + 1 for r, _ in order)
+    seen, frontier = {top}, [top]
+    while frontier:
+        word = frontier.pop()
+        for f_map in words.f_maps.values():
+            image = f_map[word]
+            if image is not None and image not in seen:
+                seen.add(image)
+                frontier.append(image)
+    size = semistandard_count(shape, cartan.rank + 1)
+    if len(seen) != size:
+        raise CrystalError("the crystal of words from the highest word of shape"
+                           " %r has %d elements, not %d" % (shape, len(seen), size))
+    rows = [[k for k, (r, _) in enumerate(order) if r == row] for row in range(len(shape))]
+    return sorted((tuple(tuple(word[k] for k in row) for row in rows), word)
+                  for word in seen), words
 
 
 def component_ids(graph):

@@ -268,18 +268,21 @@ def bk_braid_witness(max_cells=6, max_entry=4):
 
     Scans shapes by cell count, then fillings, then the index i; returns a
     dict with the tableau and both triple products, or None.  With entries
-    below 3 there is no index to test, and a shape with more rows than
-    max_entry has no filling, so neither is scanned.
+    below 3 there is no index to test, so nothing is scanned.  Each shape's
+    tests, its fillings by the hook-content formula times the max_entry - 2
+    indices, are checked against the point budget before it is listed.
     """
-    from .crystal import semistandard_tableaux
+    from .crystal import semistandard_count, semistandard_tableaux
 
     if max_entry < 3:
         return None
+    budget = point_budget(TableauError)
     for n in range(1, max_cells + 1):
         for shp in partitions_of(n):
-            if len(shp) > max_entry:
-                continue
-            for t in sorted(semistandard_tableaux(shp, max_entry)):
+            check_budget(semistandard_count(shp, max_entry) * (max_entry - 2),
+                         "the braid scan of shape %r" % (shp,), budget,
+                         TableauError)
+            for t in semistandard_tableaux(shp, max_entry):
                 for i in range(1, max_entry - 1):
                     lhs = _bender_knuth(i, _bender_knuth(i + 1, _bender_knuth(i, t)))
                     rhs = _bender_knuth(i + 1, _bender_knuth(i, _bender_knuth(i + 1, t)))

@@ -319,6 +319,26 @@ def test_braid_witness_with_entries_below_three_stops_at_once(capsys):
     assert time.monotonic() - start < 2
 
 
+def test_braid_witness_respects_point_budget(capsys, monkeypatch):
+    # shape (1,) has 100 fillings, each tested at 98 indices: refused before
+    # any filling is listed
+    monkeypatch.setenv("CACTUS_CRYSTAL_MAX_POINTS", "1000")
+    start = time.monotonic()
+    code, payload, captured = run(capsys, ["bk", "--braid-witness",
+                                           "--max-entry", "100"])
+    assert code == 2 and payload is None
+    assert captured.err == ("error: the braid scan of shape (1,) has 9800 "
+                            "points, over the budget of 1000; raise "
+                            "CACTUS_CRYSTAL_MAX_POINTS to override\n")
+    assert time.monotonic() - start < 2
+    # the default scan's largest shapes, (3) and (2, 1), have 20 x 2 tests
+    for budget, want in (("40", 0), ("39", 2)):
+        monkeypatch.setenv("CACTUS_CRYSTAL_MAX_POINTS", budget)
+        code, _, captured = run(capsys, ["bk", "--braid-witness"])
+        assert code == want, budget
+    assert "the braid scan of shape (3,) has 40 points" in captured.err
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--max-cells", "-1"), ("--max-cells", "0"), ("--max-entry", "-3"),
 ])

@@ -24,7 +24,6 @@ from cactus_crystal.crystal import (
     normality_report,
     product_of_weights,
     reading_order,
-    semistandard_tableaux,
     shape_of_weight,
     tensor,
     weyl_dimension,
@@ -136,12 +135,37 @@ def test_tensor_matches_plain_loop(cartan, left_weights, right_weight, fold):
     assert component_ids(t) == plain_component_ids(t)
 
 
+def plain_semistandard(shp, max_entry):
+    """Every semistandard tableau of the shape with entries <= max_entry,
+    cell by cell in row order, each entry from its lower bound up: the oracle
+    for crystal.semistandard_tableaux, unsorted."""
+    cells = [(r, c) for r in range(len(shp)) for c in range(shp[r])]
+    out = []
+
+    def rec(idx, grid):
+        if idx == len(cells):
+            out.append(tuple(tuple(row) for row in grid))
+            return
+        r, c = cells[idx]
+        lo = 1
+        if c > 0:
+            lo = max(lo, grid[r][c - 1])
+        if r > 0:
+            lo = max(lo, grid[r - 1][c] + 1)
+        for v in range(lo, max_entry + 1):
+            grid[r].append(v)
+            rec(idx + 1, grid)
+            grid[r].pop()
+    rec(0, [[] for _ in shp])
+    return out
+
+
 def plain_irreducible(cartan, weight):
     """(labels, wts, f_maps, e_maps) of B(weight) on tableaux: the oracle for
-    build_irreducible.  Reads the word once per colour and copies the whole
-    tableau for every move."""
+    build_irreducible.  Lists the tableaux with plain_semistandard, reads the
+    word once per colour and copies the whole tableau for every move."""
     rank = cartan.rank
-    tableaux = sorted(semistandard_tableaux(shape_of_weight(weight), rank + 1))
+    tableaux = sorted(plain_semistandard(shape_of_weight(weight), rank + 1))
     order = reading_order(shape_of_weight(weight))
     index = {t: k for k, t in enumerate(tableaux)}
     wts = []
@@ -238,6 +262,31 @@ def test_weyl_dimension_keeps_the_construction_errors():
         weyl_dimension(A2, (-1, 0))
     with pytest.raises(CrystalError, match="rank"):
         weyl_dimension(A2, (1,))
+
+
+def _unbracketed(i, word):
+    """f_i lowering the last i of a word, whether an i+1 cancels it or not."""
+    if i not in word:
+        return None
+    pos = len(word) - 1 - word[::-1].index(i)
+    return word[:pos] + (i + 1,) + word[pos + 1:]
+
+
+@pytest.mark.parametrize("fault, size", [
+    # f_1 is undefined once a word holds a 2: the closure falls short
+    (lambda lowered: lambda i, word: None if i == 1 and 2 in word
+     else lowered(i, word), 3),
+    # no bracketing: the closure leaves the tableau words
+    (lambda lowered: _unbracketed, 12),
+])
+def test_a_faulty_bracket_rule_fails_the_closure_size(monkeypatch, fault,
+                                                      size):
+    # every cache, build_irreducible's among them, so that B(1, 1) is built
+    clear_caches()
+    monkeypatch.setattr(crystal_module, "_lowered",
+                        fault(crystal_module._lowered))
+    with pytest.raises(CrystalError, match="has %d elements, not 8" % size):
+        build_irreducible(A2, (1, 1))
 
 
 def test_defining_crystal_labels_frozen():
