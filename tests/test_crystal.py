@@ -264,6 +264,11 @@ def test_weyl_dimension_keeps_the_construction_errors():
         weyl_dimension(A2, (1,))
 
 
+def _stops_at_a_2(i, word, lowered=crystal_module._lowered):
+    """f_i, but f_1 is undefined once the word holds a 2."""
+    return None if i == 1 and 2 in word else lowered(i, word)
+
+
 def _unbracketed(i, word):
     """f_i lowering the last i of a word, whether an i+1 cancels it or not."""
     if i not in word:
@@ -273,18 +278,14 @@ def _unbracketed(i, word):
 
 
 @pytest.mark.parametrize("fault, size", [
-    # f_1 is undefined once a word holds a 2: the closure falls short
-    (lambda lowered: lambda i, word: None if i == 1 and 2 in word
-     else lowered(i, word), 3),
-    # no bracketing: the closure leaves the tableau words
-    (lambda lowered: _unbracketed, 12),
-])
+    (_stops_at_a_2, 3),     # the closure falls short
+    (_unbracketed, 12),     # the closure leaves the tableau words
+], ids=["stops_at_a_2", "unbracketed"])
 def test_a_faulty_bracket_rule_fails_the_closure_size(monkeypatch, fault,
                                                       size):
     # every cache, build_irreducible's among them, so that B(1, 1) is built
     clear_caches()
-    monkeypatch.setattr(crystal_module, "_lowered",
-                        fault(crystal_module._lowered))
+    monkeypatch.setattr(crystal_module, "_lowered", fault)
     with pytest.raises(CrystalError, match="has %d elements, not 8" % size):
         build_irreducible(A2, (1, 1))
 
