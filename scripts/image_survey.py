@@ -12,7 +12,7 @@ Example:
 import argparse
 import sys
 
-from cactus_crystal.perms import contains_alternating, permutation_image
+from cactus_crystal.perms import permutation_image
 from cactus_crystal.tableaux import partitions_of, standard_tableaux
 
 
@@ -22,10 +22,7 @@ def survey_shape(shp):
     from cactus_crystal.tableaux import bk_cactus_act
     maps = [{t: bk_cactus_act(i, j, t) for t in states}
             for i in range(1, n) for j in range(i + 1, n + 1)]
-    rep = permutation_image(states, maps)
-    alt = (contains_alternating(rep["group"], rep["degree"])
-           if 1 < rep["degree"] <= 8 else None)
-    return rep, alt
+    return permutation_image(states, maps)
 
 
 def main(argv=None):
@@ -37,11 +34,12 @@ def main(argv=None):
     print("shape          degree  order  even  odd  contains-alternating")
     for n in (int(v) for v in args.sizes.split(",")):
         for shp in partitions_of(n):
-            rep, alt = survey_shape(shp)
+            rep = survey_shape(shp)
             print("%-14s %6d %6d %5d %4d  %s"
                   % (str(shp), rep["degree"], rep["order"],
                      rep["even"], rep["odd"],
-                     {True: "yes", False: "NO", None: "-"}[alt]))
+                     {True: "yes", False: "NO", None: "-"}[
+                         rep["contains_alternating"]]))
     return 0
 
 

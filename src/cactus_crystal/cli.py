@@ -249,7 +249,7 @@ def cmd_orbit(args):
 
 
 def cmd_image(args):
-    from .perms import contains_alternating, permutation_image
+    from .perms import permutation_image
     from .tableaux import (bk_cactus_act, count_standard_tableaux,
                            standard_tableaux)
 
@@ -264,8 +264,7 @@ def cmd_image(args):
     states = standard_tableaux(shape)
     maps = [{t: bk_cactus_act(i, j, t) for t in states} for i, j in gens]
     rep = permutation_image(states, maps, limit=point_budget())
-    alternating = (contains_alternating(rep["group"], rep["degree"])
-                   if rep["degree"] <= 8 else None)
+    alternating = rep["contains_alternating"]
     ok = rep["order"] >= args.min_order and (alternating is not False)
     if args.report == "contains-alternating":
         ok = ok and alternating is True

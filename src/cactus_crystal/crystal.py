@@ -41,30 +41,25 @@ class CrystalError(CactusError):
 
 
 class CrystalGraph:
-    """A finite set with weights and partial raising/lowering maps.
+    """A finite set with weights and partial lowering maps f_i.
 
     Treated as immutable after construction; ids are 0..size-1 and stable.
-    ``labels``, distinct hashables, name the elements (tableaux for
-    irreducibles and their sub-crystals); by default they are the ids.
-    ``f_maps`` and ``e_maps`` map i to a tuple of target ids or None.  The
-    eps and phi dicts are computed on their first read, by ``strings``, a
-    function that derives them from graphs this one is built from, or else
-    by walking each i-string.  Graphs are
-    equal when their fields are, whatever they have cached, and unhashable.
-    A graph keeps what is computed from it once: its heads, component ids,
-    xi, and, as the left factor, its two-fold products (see ``tensor``).
+    ``f_maps`` maps i to a tuple of target ids or None; ``e_maps``, the same
+    for the raising maps, holds their partial inverses, since f_i and the
+    weights determine a crystal.  The eps and phi dicts are computed on
+    their first read, by ``strings``, a function that derives them from
+    graphs this one is built from, or else by walking each i-string.  Graphs
+    are equal when their weights and f_i are, whatever they have cached, and
+    unhashable.  A graph keeps what is computed from it once: its heads,
+    component ids, xi, and, as the left factor, its two-fold products (see
+    ``tensor``).
     """
 
-    def __init__(self, cartan, wts, f_maps, e_maps=None, labels=None, strings=None):
+    def __init__(self, cartan, wts, f_maps, strings=None):
         self.cartan, self.wts, self.f_maps = cartan, wts, f_maps
-        self.labels = tuple(range(self.size)) if labels is None else labels
-        self.e_maps = e_maps if e_maps is not None else {
-            i: _invert_partial(f_maps[i], self.size, i) for i in f_maps}
+        self.e_maps = {i: _invert_partial(self, i) for i in self.index_range()}
         self._heads = self._comp = self._xi = self._products = None
         self._strings = strings
-        if labels is not None and len(set(labels)) != self.size:
-            raise CrystalError("element labels are not distinct")
-        self._check_axioms()
 
     def __getattr__(self, name):
         """Runs on the first read of _eps or _phi, and keeps both dicts."""
@@ -77,13 +72,11 @@ class CrystalGraph:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return ((self.cartan, self.wts, self.f_maps, self.e_maps, self.labels)
-                == (other.cartan, other.wts, other.f_maps, other.e_maps,
-                    other.labels))
+        return ((self.cartan, self.wts, self.f_maps)
+                == (other.cartan, other.wts, other.f_maps))
 
     def __repr__(self):
-        return fields_repr(self, ("cartan", "wts", "f_maps", "e_maps",
-                                  "labels"))
+        return fields_repr(self, ("cartan", "wts", "f_maps"))
 
     # -- basic access ------------------------------------------------------
 
@@ -120,39 +113,22 @@ class CrystalGraph:
     def lowest_weight_elements(self):
         return list(_undefined_everywhere(self, self.f_maps))
 
-    # -- validation --------------------------------------------------------
 
-    def _check_axioms(self):
-        wts, labels = self.wts, self.labels
-        distinct = set(wts)
-        for i in self.index_range():
-            alpha = simple_root(self.cartan, i)
-            raised = {w: weight_add(w, alpha) for w in distinct}
-            lowered = {w: weight_sub(w, alpha) for w in distinct}
-            f_map, e_map = self.f_maps[i], self.e_maps[i]
-            for b in range(len(wts)):
-                wt, ce, cf = wts[b], e_map[b], f_map[b]
-                if ce is not None and wts[ce] != raised[wt]:
-                    raise CrystalError(
-                        "axiom (1): wt(e_%d %r) != wt + alpha_%d at element %d"
-                        % (i, labels[b], i, b))
-                if cf is not None and wts[cf] != lowered[wt]:
-                    raise CrystalError(
-                        "axiom (2): wt(f_%d %r) != wt - alpha_%d at element %d"
-                        % (i, labels[b], i, b))
-                if ce is not None and f_map[ce] != b:
-                    raise CrystalError(
-                        "axiom (3): f_%d e_%d != id at element %d" % (i, i, b))
-                if cf is not None and e_map[cf] != b:
-                    raise CrystalError(
-                        "axiom (4): e_%d f_%d != id at element %d" % (i, i, b))
-
-
-def _invert_partial(f_map, size, i):
-    e_map = [None] * size
-    for b, c in enumerate(f_map):
+def _invert_partial(graph, i):
+    """e_i of a graph, the partial inverse of its f_i, which must satisfy
+    axiom (2), wt(f_i b) = wt(b) - alpha_i, on every edge.  Axioms (3) and
+    (4), that e_i and f_i invert each other, then hold by definition unless
+    some element has two f_i-preimages, and (1) is (2) read backwards."""
+    wts = graph.wts
+    alpha = simple_root(graph.cartan, i)
+    lowered = {w: weight_sub(w, alpha) for w in set(wts)}
+    e_map = [None] * len(wts)
+    for b, c in enumerate(graph.f_maps[i]):
         if c is None:
             continue
+        if wts[c] != lowered[wts[b]]:
+            raise CrystalError("axiom (2): wt(f_%d %d) != wt - alpha_%d at "
+                               "element %d" % (i, b, i, b))
         if e_map[c] is not None:
             raise CrystalError(
                 "axiom (3): element %d has two f_%d-preimages" % (c, i))
@@ -170,8 +146,9 @@ def _undefined_everywhere(graph, maps):
 
 def _string_walk(graph):
     """The eps and phi dicts of a graph, index to tuple per element, by
-    walking each i-string top to bottom: by axioms (1) to (4) no string is
-    a cycle, and every element lies on one that starts at a top."""
+    walking each i-string top to bottom: f_i lowers the weight by alpha_i
+    (axiom (2)), so no string is a cycle, and as e_i inverts f_i, every
+    element lies on one that starts at a top."""
     eps, phi = {}, {}
     for i in graph.index_range():
         e_map, f_map = graph.e_maps[i], graph.f_maps[i]
@@ -209,7 +186,8 @@ def shape_of_weight(weight):
 def semistandard_tableaux(shp, max_entry):
     """All semistandard tableaux of the shape with entries <= max_entry,
     sorted by rows: row r holds r + 1 in each column of height max_entry, and
-    the rest of the shape is read off the crystal of words of A_{max_entry-1}.
+    the rest of the shape is filled in from the crystal of words of
+    A_{max_entry-1}, whose closure lists the words in that order.
     """
     if not all(isinstance(p, int) and p > 0 for p in shp) or \
             any(a < b for a, b in zip(shp, shp[1:])):
@@ -218,7 +196,11 @@ def semistandard_tableaux(shp, max_entry):
         return [] if shp else [()]
     full = shp[-1] if len(shp) == max_entry else 0
     rest = tuple(p - full for p in shp if p > full)
-    fillings = ([t for t, _ in _closure(cartan_type_a(max_entry - 1), rest)[0]]
+    order = reading_order(rest)
+    rows = [[k for k, (r, _) in enumerate(order) if r == row]
+            for row in range(len(rest))]
+    fillings = ([tuple(tuple(word[k] for k in row) for row in rows)
+                 for word in _closure(cartan_type_a(max_entry - 1), rest)[0]]
                 if rest else [()])
     pad = ((),) * (len(shp) - len(rest))
     return [tuple((r + 1,) * full + row for r, row in enumerate(t + pad))
@@ -296,40 +278,44 @@ def multinomial(counts):
 @lru_cache(maxsize=None)
 def build_irreducible(cartan, weight):
     """The connected normal crystal with highest weight ``weight``, on the
-    semistandard tableaux of its shape (see ``_closure``), sorted by rows so
-    that the ids are stable; its e_i are the inverses of its f_i.
+    reading words of the semistandard tableaux of its shape (see
+    ``_closure``): id k is the k-th of ``semistandard_tableaux(shape,
+    rank + 1)``.
     """
-    pairs, words = _closure(cartan, _check_weight(cartan, weight))
-    index = {word: k for k, (_, word) in enumerate(pairs)}
-    f_maps = {i: tuple(index.get(f_map[word]) for word in index)
-              for i, f_map in words.f_maps.items()}
-    return CrystalGraph(cartan, tuple(words.wts[word] for word in index),
-                        f_maps, labels=tuple(t for t, _ in pairs))
+    words, crystal = _closure(cartan, _check_weight(cartan, weight))
+    index = {word: k for k, word in enumerate(words)}
+    f_maps = {i: tuple(index.get(f_map[word]) for word in words)
+              for i, f_map in crystal.f_maps.items()}
+    return CrystalGraph(cartan, tuple(crystal.wts[word] for word in words),
+                        f_maps)
 
 
 def _closure(cartan, shape):
     """The f-closure of the highest reading word of the shape in the crystal
-    of words, connected by construction: its (tableau, word) pairs sorted,
-    each word filled into the shape by ``reading_order``, and the crystal of
-    words, which holds their f_i.  Its size is checked by hook-content."""
+    of words, connected by construction, and that crystal of words.  The
+    words are sorted by their cells read row by row, which sorts their
+    tableaux by rows, and the Memo'd f_i hold the closure's own word objects,
+    so no word is kept twice.  Its size is checked by hook-content."""
     words = _word_crystal(cartan)
     order = reading_order(shape)
     top = tuple(r + 1 for r, _ in order)
-    seen, frontier = {top}, [top]
+    seen, frontier = {top: top}, [top]
     while frontier:
         word = frontier.pop()
         for f_map in words.f_maps.values():
             image = f_map[word]
-            if image is not None and image not in seen:
-                seen.add(image)
-                frontier.append(image)
+            if image is not None:
+                known = seen.setdefault(image, image)
+                if known is image:
+                    frontier.append(image)
+                else:
+                    f_map[word] = known
     size = semistandard_count(shape, cartan.rank + 1)
     if len(seen) != size:
         raise CrystalError("the crystal of words from the highest word of shape"
                            " %r has %d elements, not %d" % (shape, len(seen), size))
-    rows = [[k for k, (r, _) in enumerate(order) if r == row] for row in range(len(shape))]
-    return sorted((tuple(tuple(word[k] for k in row) for row in rows), word)
-                  for word in seen), words
+    by_rows = sorted(range(len(order)), key=order.__getitem__)
+    return sorted(seen, key=lambda word: [word[k] for k in by_rows]), words
 
 
 def component_ids(graph):
@@ -365,9 +351,10 @@ def _component_walk(graph):
 
 
 def tensor(left, right):
-    """Two-fold tensor product crystal, whose labels are its ids.
+    """Two-fold tensor product crystal.
 
-    The element a (x) b has id a * right.size + b.  By the tensor
+    The element a (x) b has id a * right.size + b.  Its f_i follow the
+    tensor rule, and its e_i, their inverses, follow it too.  By the tensor
     rule, eps(a (x) b) = eps(b) + max(0, eps(a) - phi(b)) and dually phi,
     computed on the first read of either.
     A two-fold product is built once per factor pair: the left factor keeps
@@ -398,7 +385,7 @@ def _forget(owner, key):
 
 
 def _product(left, right):
-    """left (x) right, built by the tensor rule."""
+    """left (x) right, its f_i built by the tensor rule."""
     cartan = left.cartan
     nleft, nright = left.size, right.size
     sums = {}
@@ -409,32 +396,25 @@ def _product(left, right):
             if wt is None:
                 wt = sums[(wa, wb)] = weight_add(wa, wb)
             wts.append(wt)
-    f_maps, e_maps = {}, {}
+    f_maps = {}
     for i in cartan.index_range():
-        l_eps, l_f, l_e = left._eps[i], left.f_maps[i], left.e_maps[i]
-        r_phi, r_f, r_e = right._phi[i], right.f_maps[i], right.e_maps[i]
-        f_arr, e_arr = [], []
+        l_eps, l_f = left._eps[i], left.f_maps[i]
+        r_phi, r_f = right._phi[i], right.f_maps[i]
+        f_arr = []
         for a in range(nleft):
-            eps_a, fa, ea, row = l_eps[a], l_f[a], l_e[a], a * nright
+            eps_a, fa, row = l_eps[a], l_f[a], a * nright
             for b in range(nright):
-                phi_b = r_phi[b]
-                if eps_a >= phi_b:
+                if eps_a >= r_phi[b]:
                     f_arr.append(None if fa is None else fa * nright + b)
                 else:
                     fb = r_f[b]
                     f_arr.append(None if fb is None else row + fb)
-                if eps_a > phi_b:
-                    e_arr.append(None if ea is None else ea * nright + b)
-                else:
-                    eb = r_e[b]
-                    e_arr.append(None if eb is None else row + eb)
         f_maps[i] = tuple(f_arr)
-        e_maps[i] = tuple(e_arr)
     # a closure over the factors' dicts, not the factors, which tensor
     # holds weakly
     strings = partial(_tensor_strings, left._eps, left._phi,
                       right._eps, right._phi)
-    return CrystalGraph(cartan, tuple(wts), f_maps, e_maps, strings=strings)
+    return CrystalGraph(cartan, tuple(wts), f_maps, strings=strings)
 
 
 def _tensor_strings(l_eps, l_phi, r_eps, r_phi):
@@ -482,8 +462,9 @@ def components(graph):
     """Connected components as (highest element id, sub-crystal) pairs.
 
     Every component must contain exactly one element killed by all e_i.
-    Sub-crystals inherit the parent labels, so parent ids are recoverable
-    from them; each computes its own eps and phi on their first read.
+    Element k of a sub-crystal is the k-th of the ascending parent ids that
+    ``component_members`` lists with its head; each sub-crystal computes its
+    own eps and phi on their first read.
     """
     return [(head, _subgraph(graph, group))
             for head, group in component_members(graph)]
@@ -516,14 +497,11 @@ def group_by_component(comp, elements):
 
 def _subgraph(graph, members):
     local = {b: k for k, b in enumerate(members)}
-    wts = tuple(graph.wts[b] for b in members)
-    labels = tuple(graph.labels[b] for b in members)
-    f_maps, e_maps = {}, {}
-    for i in graph.index_range():
-        f_map, e_map = graph.f_maps[i], graph.e_maps[i]
-        f_maps[i] = tuple(None if f_map[b] is None else local[f_map[b]] for b in members)
-        e_maps[i] = tuple(None if e_map[b] is None else local[e_map[b]] for b in members)
-    return CrystalGraph(graph.cartan, wts, f_maps, e_maps, labels)
+    local[None] = None      # an undefined f_i stays undefined
+    f_maps = {i: tuple(local[graph.f_maps[i][b]] for b in members)
+              for i in graph.index_range()}
+    return CrystalGraph(graph.cartan, tuple(graph.wts[b] for b in members),
+                        f_maps)
 
 
 def walk_in_step(graph, other, start, other_start):

@@ -30,8 +30,8 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb, factorial
 
-from . import (MAX_POINTS_ENV, CactusError, Frozen, perms, point_budget,
-               setfield)
+from . import (MAX_POINTS_ENV, CactusError, Frozen, check_budget, perms,
+               point_budget, setfield)
 from .perms import (
     check_perm,
     compose,
@@ -364,13 +364,15 @@ def mc_s0j_word(j, n):
     The word for index j concatenates the descending runs t_m t_{m-1} .. t_0
     for m = 0 .. j.  It lives in the flavour on n factors with the t_0 letter
     allowed; its symmetric-group projection reverses the stretch {0..j+1}.
+    Its (j + 1)(j + 2)/2 letters are checked against the point budget first.
     """
     if not 0 <= j <= n - 1:
         raise GroupError("index %d out of range for n=%d" % (j, n))
-    gens = []
-    for m in range(j + 1):
-        gens.extend(MirabolicT(k) for k in range(m, -1, -1))
-    return GroupWord("MC", n, tuple(gens))
+    check_budget((j + 1) * (j + 2) // 2, "the s0j word for j=%d" % j,
+                 error=GroupError)
+    letters = [MirabolicT(k) for k in range(j + 1)]
+    return GroupWord("MC", n, tuple(t for m in range(j + 1)
+                                    for t in letters[m::-1]))
 
 
 def virtual_letters(g, n):
@@ -437,11 +439,9 @@ def project_to_symmetric(w):
         acc = list(range(n + 1)) if (n := w.n) else []
         for g in w.gens:
             if isinstance(g, MirabolicT):
-                img = list(range(n + 1))
-                img[g.i], img[g.i + 1] = img[g.i + 1], img[g.i]
+                acc[g.i], acc[g.i + 1] = acc[g.i + 1], acc[g.i]
             else:
-                img = [0] + [v for v in interval_reversal(n, g.i, g.j)]
-            acc = [acc[img[k]] for k in range(n + 1)]
+                acc[g.i:g.j + 1] = acc[g.i:g.j + 1][::-1]
         return tuple(acc)
     acc = identity(w.n)
     for g in w.gens:

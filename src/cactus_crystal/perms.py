@@ -120,7 +120,8 @@ def permutation_image(states, maps, limit=None):
     """Closure of the permutations induced on a finite state list.
 
     maps is a list of dicts, each a bijection of the states.  Returns degree,
-    order, the set of one-line tuples, and the even/odd census.
+    order, the set of one-line tuples, the even/odd census, and whether the
+    set contains every even permutation, None past degree 8.
     """
     index = {s: k for k, s in enumerate(states)}
     gens = []
@@ -131,8 +132,11 @@ def permutation_image(states, maps, limit=None):
     group = (mulclose(gens, limit=limit) if gens
              else {tuple(range(1, len(states) + 1))})
     evens = sum(1 for g in group if parity(g) == 0)
-    return {"degree": len(states), "order": len(group), "group": group,
-            "even": evens, "odd": len(group) - evens}
+    degree = len(states)
+    return {"degree": degree, "order": len(group), "group": group,
+            "even": evens, "odd": len(group) - evens,
+            "contains_alternating": (contains_alternating(group, degree)
+                                     if degree <= 8 else None)}
 
 
 def contains_alternating(group, degree):

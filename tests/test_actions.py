@@ -566,6 +566,18 @@ def test_permutation_image_of_two_transpositions():
     assert rep["degree"] == 3 and rep["order"] == 6
     assert rep["even"] == 3 and rep["odd"] == 3
     assert contains_alternating(rep["group"], 3)
+    assert rep["contains_alternating"] is True
+
+
+def test_permutation_image_answers_alternating_up_to_degree_8():
+    # one state, as for the shapes (3) and (1, 1, 1): the trivial group is A_1
+    assert permutation_image(["a"], [{"a": "a"}])["contains_alternating"] is True
+    assert permutation_image(["a"], [])["contains_alternating"] is True
+    swap = {"a": "b", "b": "a"}
+    for extra, want in ((0, True), (6, False), (7, None)):
+        states = ["a", "b", *range(extra)]
+        rep = permutation_image(states, [{**swap, **{k: k for k in range(extra)}}])
+        assert rep["contains_alternating"] is want, extra
 
 
 def test_alternating_check_capped():

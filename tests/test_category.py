@@ -644,8 +644,7 @@ def test_from_crystals_builds_only_the_irreducibles_it_walks(cartan, core,
 
 def test_highest_weight_cache_leaves_equality_alone():
     left = tensor(build_irreducible(A2, (1, 0)), build_irreducible(A2, (1, 1)))
-    right = CrystalGraph(left.cartan, left.wts, left.f_maps, left.e_maps,
-                         left.labels)
+    right = CrystalGraph(left.cartan, left.wts, left.f_maps)
     assert left is not right
     text = repr(right)
     left.highest_weight_elements()

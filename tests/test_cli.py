@@ -126,6 +126,24 @@ def test_group_s0j(capsys):
     assert payload["projection"] == [3, 2, 1, 0, 4]
 
 
+def test_group_s0j_respects_point_budget(capsys, monkeypatch):
+    # the word for j has (j + 1)(j + 2)/2 letters, counted before it is built
+    monkeypatch.setenv("CACTUS_CRYSTAL_MAX_POINTS", "1000")
+    start = time.monotonic()
+    code, payload, captured = run(capsys, ["group", "--kind", "MC", "--n",
+                                           "1000", "--s0j", "999"])
+    assert code == 2 and payload is None
+    assert captured.err == ("error: the s0j word for j=999 has 500500 points, "
+                            "over the budget of 1000; raise "
+                            "CACTUS_CRYSTAL_MAX_POINTS to override\n")
+    assert time.monotonic() - start < 2
+    # j = 43 has 990 letters; the projection reverses the stretch {0..44}
+    code, payload, _ = run(capsys, ["group", "--kind", "MC", "--n", "50",
+                                    "--s0j", "43"])
+    assert code == 0 and len(payload["word"].split()) == 990
+    assert payload["projection"] == list(range(44, -1, -1)) + list(range(45, 51))
+
+
 def test_group_cabling(capsys):
     code, payload, _ = run(capsys, ["group", "--n", "4",
                                     "--cabling", "w[2,3,1];2,3"])

@@ -236,8 +236,7 @@ def test_xi_cache_leaves_equality_alone():
     # the kept xi, component ids and two-fold products stay out of == and repr
     left, right = build_irreducible(A2, (1, 0)), build_irreducible(A2, (1, 1))
     cached = tensor(left, right)
-    fresh = CrystalGraph(cached.cartan, cached.wts, cached.f_maps,
-                         cached.e_maps, cached.labels)
+    fresh = CrystalGraph(cached.cartan, cached.wts, cached.f_maps)
     schutzenberger(cached)
     component_ids(cached)
     tensor(cached, right)

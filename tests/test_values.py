@@ -70,8 +70,7 @@ def test_constructors_still_validate():
 
 def test_graph_and_bijection_equal_by_fields_and_unhashable():
     b1 = build_irreducible(A1, (1,))
-    twin = CrystalGraph(cartan=b1.cartan, wts=b1.wts, f_maps=b1.f_maps,
-                        labels=b1.labels)
+    twin = CrystalGraph(cartan=b1.cartan, wts=b1.wts, f_maps=b1.f_maps)
     assert twin == b1 and twin is not b1
     xi = schutzenberger(b1)
     same = CrystalBijection(domain=twin, codomain=twin, mapping=xi.mapping)
@@ -82,7 +81,6 @@ def test_graph_and_bijection_equal_by_fields_and_unhashable():
             hash(value)
     assert repr(b1) == (
         "CrystalGraph(cartan=CartanData(ctype='A', matrix=((2,),)), "
-        "wts=((1,), (-1,)), f_maps={1: (1, None)}, e_maps={1: (None, 0)}, "
-        "labels=(((1,),), ((2,),)))")
+        "wts=((1,), (-1,)), f_maps={1: (1, None)})")
     assert repr(xi) == "CrystalBijection(domain=%s, codomain=%s, " \
         "mapping=(1, 0))" % (repr(b1), repr(b1))

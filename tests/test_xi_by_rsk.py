@@ -1,7 +1,8 @@
 """xi and the reversal pinned from the tableau side, by RSK on words alone.
 
 None of these oracles reads a crystal graph: they use tableaux.rsk and
-rsk_inverse, and the labels of the irreducibles only to name ids.  With
+rsk_inverse, and name the ids of an irreducible by the sorted tableaux of
+test_crystal.plain_semistandard.  With
 N = r + 1, rev_comp(w) reverses w and sends each letter i to N + 1 - i.  The
 word of a tableau reads its columns left to right, each bottom to top, and
 the word of b_1 (x) .. (x) b_m is the words of its factors in factor order.
@@ -28,9 +29,10 @@ from hypothesis import assume, given, settings, strategies as st
 from cactus_crystal import clear_caches
 from cactus_crystal import commutor as commutor_module
 from cactus_crystal.cartan import cartan_type_a, fundamental_weight
-from cactus_crystal.crystal import build_irreducible, product_of_weights
+from cactus_crystal.crystal import (build_irreducible, product_of_weights,
+                                    shape_of_weight)
 from cactus_crystal.tableaux import rsk, rsk_inverse, shape
-from test_crystal import entries
+from test_crystal import entries, plain_semistandard
 
 A2 = cartan_type_a(2)
 W1 = fundamental_weight(A2, 1)
@@ -71,7 +73,7 @@ def reversal_by_rsk(cartan, weights):
     """The reversal of B(w_1) (x) .. (x) B(w_m) as a dict of entry tuples,
     in the form of commutor.reversal_table."""
     n = cartan.rank + 1
-    labels = [build_irreducible(cartan, w).labels for w in weights]
+    labels = [tableau_ids(cartan, w) for w in weights]
     index = [{t: k for k, t in enumerate(ls)} for ls in labels]
     shapes = [shape(ls[0]) for ls in labels]
     table = {}
@@ -90,11 +92,16 @@ def reversal_by_rsk(cartan, weights):
 # -- the three oracles: each returns the points where the crystal side differs
 
 
+def tableau_ids(cartan, weight):
+    """The tableau of each id of B(weight): the sorted tableaux of its shape."""
+    return sorted(plain_semistandard(shape_of_weight(weight), cartan.rank + 1))
+
+
 def tableau_disagreements(cartan, weight):
-    graph = build_irreducible(cartan, weight)
-    xi = commutor_module.schutzenberger(graph).mapping
-    return [t for b, t in enumerate(graph.labels)
-            if graph.labels[xi[b]] != xi_tableau(t, cartan.rank + 1)]
+    xi = commutor_module.schutzenberger(build_irreducible(cartan, weight)).mapping
+    labels = tableau_ids(cartan, weight)
+    return [t for b, t in enumerate(labels)
+            if labels[xi[b]] != xi_tableau(t, cartan.rank + 1)]
 
 
 def word_disagreements(cartan, m):
