@@ -613,6 +613,25 @@ def test_constructor_rejects_weight_mismatch():
         "axiom (2): wt(f_1 0) != wt - alpha_1 at element 0"
 
 
+# The ids are those the cases had when the constructor also took e-maps.
+# e_i is now derived from f_i, so axioms (1) and (4) cannot fail on their own,
+# and axiom (3), f_i e_i = id, fails only as an element with two f_i-preimages.
+@pytest.mark.parametrize("wts,f_maps,message", [
+    pytest.param(
+        ((1,), (0,)), {1: (1, None)},
+        "axiom (2): wt(f_1 0) != wt - alpha_1 at element 0",
+        id="wts1-f_maps1-None-axiom (2): wt(f_1 0) != wt - alpha_1 at element 0"),
+    pytest.param(
+        ((1,), (-1,), (1,)), {1: (1, None, 1)},
+        "axiom (3): element 1 has two f_1-preimages",
+        id="wts2-f_maps2-e_maps2-axiom (3): f_1 e_1 != id at element 1"),
+])
+def test_each_axiom_names_itself(wts, f_maps, message):
+    with pytest.raises(CrystalError) as info:
+        CrystalGraph(cartan=A1, wts=wts, f_maps=f_maps)
+    assert str(info.value) == message
+
+
 # graphs whose single component is not normal, with the report's detail
 NOT_NORMAL = [
     # one element of weight (1,): B(1) has two
